@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .kring import KElem, X_RING, Y_RING, gen_p, gen_t, ring_one
-from .series import QRationalFunction, QSeries, polar_split, q_power
+from .series import QRationalFunction, QSeries, is_proper_part, polar_split, q_power
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
 __all__ = [
@@ -189,8 +189,30 @@ class SplitCheckReport:
 def split_check(r_max: int) -> SplitCheckReport:
     """Coordinatewise: proper part of i_coefficient(r) == j_y_coefficient(r).
 
-    Any pole-location or truncation error from the split propagates;
-    a clean report only ever means the identity was actually checked.
+    The split of I into a Laurent polynomial plus a part that is proper
+    and regular at 0 is unique, so the identity is decided without
+    computing the split (:func:`~bps_kit.series.is_proper_part`).  With
+    I = num_I / den_I and J = num_J / den_J in canonical form, J proper
+    and regular at 0, and q^k the largest power of q dividing den_I, the
+    proper part of I is J exactly when
+
+        den_I == q^k den_J   and   den_J divides num_I - q^k num_J.
+
+    If both hold, I = P / q^k + J with P = (num_I - q^k num_J) / den_J, a
+    Laurent polynomial plus J.  Conversely, if I = P / q^k + J then
+    I = (P den_J + q^k num_J) / (q^k den_J), and since den_J(0) != 0,
+    gcd(P den_J + q^k num_J, den_J) = gcd(q^k num_J, den_J) = 1: reducing
+    that fraction cancels only powers of q, which keeps the same form
+    with a smaller k.  The test is one polynomial division, with no gcd,
+    no Taylor expansion and no roots-of-unity sieve.  The verdict does
+    not need the sieve: den_J divides (1-q^r)^3, so when the test holds
+    every pole of I lies at 0 or at an r-th root of unity.
+
+    When the test fails, the residual is computed the long way, as
+    ``polar_split(I).proper - J``, so the sieve runs only on that path.
+    A failing report carries the split's residuals, and any
+    pole-location or truncation error from the split propagates: a clean
+    report only ever means the identity was actually checked.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
@@ -199,11 +221,15 @@ def split_check(r_max: int) -> SplitCheckReport:
         i_el = i_coefficient(r)
         j_el = j_y_coefficient(r)
         residuals = []
-        for idx in range(Y_RING.rank):
-            sp = polar_split(_as_qrf(i_el.coords[idx]))
-            residuals.append(sp.proper - _as_qrf(j_el.coords[idx]))
+        for i, j in zip(i_el.coords, j_el.coords):
+            i, j = _as_qrf(i), _as_qrf(j)
+            if is_proper_part(j, i):
+                residuals.append(QRationalFunction.constant(0))
+            else:
+                residuals.append(polar_split(i).proper - j)
+        residuals = tuple(residuals)
         passed = all(res.is_zero for res in residuals)
-        results.append(SplitCheckResult(r, passed, tuple(residuals)))
+        results.append(SplitCheckResult(r, passed, residuals))
     return SplitCheckReport(tuple(results))
 
 
@@ -265,6 +291,14 @@ def jmgs_rhs(
     Each nonzero genus-zero invariant GV_d contributes
     GV_d * dot(v_j, d) * a(r, q^r) in the j-th divisor direction and
     GV_d * b(r, q^r) in the structure direction, at total degree r*d.
+
+    The sum is linear in the cover series, so it is assembled in two
+    steps.  One pass over the sorted entries records the exact weights
+    of each total degree per cover degree r: GV_d * dot(v_j, d) for the
+    j-th divisor direction and GV_d for the structure direction, where
+    d = total / r.  Then a(r), b(r) and their expansions are built once
+    per r, and each output is the weighted sum over r, formed alike for
+    the exact function and for its expansion.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -277,27 +311,47 @@ def jmgs_rhs(
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     n_div = len(pairing.vectors)
-    buckets: dict[tuple[int, ...], list] = {}
-    for (g, d), value in sorted(gv.entries.items(), key=lambda kv: kv[0]):
+    # weights[total][r] = (divisor weights..., structure weight) of the one
+    # degree d = total / r; dicts keep the order in which totals appear
+    weights: dict[tuple[int, ...], dict[int, tuple[Fraction, ...]]] = {}
+    for (_, d), value in sorted(gv.entries.items(), key=lambda kv: kv[0]):
+        w = tuple(value * sum(x * y for x, y in zip(vec, d)) for vec in pairing.vectors)
         for r in range(1, r_max + 1):
-            total = tuple(r * x for x in d)
-            slot = buckets.setdefault(
-                total,
-                [[QRationalFunction.constant(0)] * n_div, QRationalFunction.constant(0)],
-            )
-            a_r = a_series(r)
-            b_r = b_series(r)
-            for j, vec in enumerate(pairing.vectors):
-                weight = sum(x * y for x, y in zip(vec, d))
-                if weight:
-                    slot[0][j] = slot[0][j] + a_r * (value * weight)
-            slot[1] = slot[1] + b_r * value
+            weights.setdefault(tuple(r * x for x in d), {})[r] = w + (value,)
+    # (a(r), its expansion) and (b(r), its expansion); none for an empty table
+    basis: dict[int, tuple[tuple[QRationalFunction, QSeries], ...]] = {}
+    for r in range(1, r_max + 1) if weights else ():
+        a_r, b_r = a_series(r), b_series(r)
+        basis[r] = ((a_r, a_r.expand(q_order)), (b_r, b_r.expand(q_order)))
     terms = {}
-    for total, (div_parts, structure) in buckets.items():
+    for total, per_r in weights.items():
+        divisor = [
+            _weighted_sum([(w[j], basis[r][0]) for r, w in per_r.items()], q_order)
+            for j in range(n_div)
+        ]
+        structure, structure_expansion = _weighted_sum(
+            [(w[n_div], basis[r][1]) for r, w in per_r.items()], q_order
+        )
         terms[total] = JmgsTerm(
-            divisor_exact=tuple(div_parts),
-            divisor_expansion=tuple(p.expand(q_order) for p in div_parts),
+            divisor_exact=tuple(f for f, _ in divisor),
+            divisor_expansion=tuple(s for _, s in divisor),
             structure_exact=structure,
-            structure_expansion=structure.expand(q_order),
+            structure_expansion=structure_expansion,
         )
     return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
+
+
+def _weighted_sum(weighted, q_order: int) -> tuple[QRationalFunction, QSeries]:
+    """Sum of w * f, and of w * (expansion of f), over (w, (f, expansion)).
+
+    Taylor expansion is linear and exact, so the second sum is the
+    expansion of the first; zero weights contribute nothing.
+    """
+    exact = QRationalFunction.constant(0)
+    series = QSeries((), q_order)
+    for w, (f, expansion) in weighted:
+        if w:
+            # scaling skips the gcd that adding to zero would redo
+            exact = f * w if exact.is_zero else exact + f * w
+            series = series + expansion * w
+    return exact, series

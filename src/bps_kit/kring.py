@@ -221,8 +221,10 @@ class KElem:
             self,
             "coords",
             tuple(
-                c if isinstance(c, QRationalFunction) else _as_fraction(c)
-                for c in self.coords
+                [
+                    c if isinstance(c, QRationalFunction) else _as_fraction(c)
+                    for c in self.coords
+                ]
             ),
         )
 
@@ -235,7 +237,7 @@ class KElem:
     def __add__(self, other):
         if isinstance(other, KElem):
             self._check_ring(other)
-            return KElem(self.ring, tuple(a + b for a, b in zip(self.coords, other.coords)))
+            return KElem(self.ring, tuple([a + b for a, b in zip(self.coords, other.coords)]))
         if isinstance(other, (int, Fraction, QRationalFunction)):
             return self + scalar(self.ring, other)
         return NotImplemented
@@ -243,7 +245,7 @@ class KElem:
     __radd__ = __add__
 
     def __neg__(self):
-        return KElem(self.ring, tuple(-c for c in self.coords))
+        return KElem(self.ring, tuple([-c for c in self.coords]))
 
     def __sub__(self, other):
         if isinstance(other, (KElem, int, Fraction, QRationalFunction)):
@@ -275,10 +277,10 @@ class KElem:
                             out[k] = term if out[k] is None else out[k] + term
             return KElem(
                 self.ring,
-                tuple(Fraction(0) if c is None else c for c in out),
+                tuple([Fraction(0) if c is None else c for c in out]),
             )
         if isinstance(other, (int, Fraction, QRationalFunction)):
-            return KElem(self.ring, tuple(c * other for c in self.coords))
+            return KElem(self.ring, tuple([c * other for c in self.coords]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -331,7 +333,7 @@ class KElem:
                     rhs[r] = rhs[r] - factor * rhs[col]
                     for c2 in range(col, rank):
                         mat[r][c2] = mat[r][c2] - factor * mat[col][c2]
-        x = tuple(rhs[i] / mat[i][i] for i in range(rank))
+        x = tuple([rhs[i] / mat[i][i] for i in range(rank)])
         return KElem(self.ring, x)
 
     def __str__(self):
@@ -390,7 +392,7 @@ def element(ring: RingSpec, monomials: Mapping[Mono, object]) -> KElem:
             k = index[m]
             term = coeff * c
             out[k] = term if out[k] is None else out[k] + term
-    return KElem(ring, tuple(Fraction(0) if c is None else c for c in out))
+    return KElem(ring, tuple([Fraction(0) if c is None else c for c in out]))
 
 
 def absorption_check(m_max: int) -> bool:

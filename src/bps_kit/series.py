@@ -32,6 +32,7 @@ __all__ = [
     "QRationalFunction",
     "PolarSplit",
     "polar_split",
+    "is_proper_part",
     "laurent_polynomial_to_qrf",
     "q_power",
     "TruncationError",
@@ -76,6 +77,11 @@ def _as_fraction(x) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (ascending coefficient tuples, trimmed, () = 0)
+#
+# Hot paths build tuples as tuple([...]), not tuple(<generator>): a generator
+# has no length hint, so CPython allocates a 10-slot tuple and resizes it.
+# When such short tuples die they fill the interpreter's per-size tuple free
+# lists, which then hold several MB that resident memory never gives back.
 # ---------------------------------------------------------------------------
 
 
@@ -95,7 +101,7 @@ def _padd(a, b):
 
 
 def _pneg(a):
-    return tuple(-c for c in a)
+    return tuple([-c for c in a])
 
 
 def _pmul(a, b):
@@ -133,7 +139,7 @@ def _clear_denominators(p) -> tuple[int, ...]:
     lcm = 1
     for c in p:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return tuple(int(c * lcm) for c in p)
+    return tuple([int(c * lcm) for c in p])
 
 
 def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -142,7 +148,7 @@ def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
         g = math.gcd(g, abs(c))
     if g <= 1:
         return p
-    return tuple(c // g for c in p)
+    return tuple([c // g for c in p])
 
 
 def _int_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,7 +177,7 @@ def _monic(p):
     lead = p[-1]
     if lead == 1:
         return tuple(p)
-    return tuple(c / lead for c in p)
+    return tuple([c / lead for c in p])
 
 
 def _poly_gcd_monic(a, b):
@@ -192,7 +198,7 @@ def _poly_gcd_monic(a, b):
     while B:
         R = _int_prem(A, B)
         A, B = B, _int_primitive(R)
-    return _monic(tuple(Fraction(c) for c in A))
+    return _monic(tuple([Fraction(c) for c in A]))
 
 
 def _poly_taylor(num, den, order: int) -> list[Fraction]:
@@ -556,13 +562,22 @@ class QRationalFunction:
                 d, _ = _pdivmod(d, g)
             lead = d[-1]
             if lead != 1:
-                n = tuple(c / lead for c in n)
-                d = tuple(c / lead for c in d)
+                n = tuple([c / lead for c in n])
+                d = tuple([c / lead for c in d])
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRationalFunction is immutable")
+
+    @classmethod
+    def _from_canonical(cls, num: tuple, den: tuple) -> "QRationalFunction":
+        # trusted construction: num and den are trimmed Fraction tuples that
+        # are already coprime with den monic (and den == (1,) when num == ())
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
 
     @classmethod
     def constant(cls, c) -> "QRationalFunction":
@@ -632,6 +647,13 @@ class QRationalFunction:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar keeps num and den coprime and den monic
+            if not other:
+                return QRationalFunction._from_canonical((), (Fraction(1),))
+            return QRationalFunction._from_canonical(
+                tuple([other * c for c in self.num]), self.den
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -826,6 +848,27 @@ def polar_split(f: QRationalFunction) -> PolarSplit:
             laurent[e] = laurent.get(e, Fraction(0)) + c
     proper = QRationalFunction(rem, rest.den)
     return PolarSplit({e: c for e, c in laurent.items() if c != 0}, proper)
+
+
+def is_proper_part(g: QRationalFunction, f: QRationalFunction) -> bool:
+    """True iff g is the proper part of f, as :func:`polar_split` defines it.
+
+    Decided by one polynomial division, using the uniqueness of the split:
+    with q^k the largest power of q dividing den(f), g is the proper part
+    exactly when g is proper and regular at 0, den(f) == q^k den(g), and
+    den(g) divides num(f) - q^k num(g).  Unlike polar_split this does not
+    check where the poles of f lie.
+    """
+    if not (g.is_proper and g.regular_at_zero):
+        return False
+    k = 0
+    while f.den[k] == 0:  # the monic denominator ends in a nonzero
+        k += 1
+    if f.den[k:] != g.den:
+        return False
+    shifted = (Fraction(0),) * k + g.num if g.num else ()
+    _, rem = _pdivmod(_padd(f.num, _pneg(shifted)), g.den)
+    return not rem
 
 
 def laurent_polynomial_to_qrf(terms: Mapping[int, object]) -> QRationalFunction:

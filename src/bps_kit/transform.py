@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -95,25 +96,41 @@ class InvariantTable:
             raise TableBoundError("lattice rank must be positive")
         if self.genus_max < 0:
             raise TableBoundError("genus bound must be nonnegative")
-        dmax = tuple(int(d) for d in self.degree_max)
-        if len(dmax) != self.lattice_rank or any(d < 0 for d in dmax):
+        try:
+            dmax = tuple(map(operator.index, self.degree_max))
+        except TypeError as exc:
+            raise TableBoundError(f"degree_max {self.degree_max} has a non-integer bound") from exc
+        rank = self.lattice_rank
+        if len(dmax) != rank or any(d < 0 for d in dmax):
             raise TableBoundError(
-                f"degree_max {self.degree_max} incompatible with rank {self.lattice_rank}"
+                f"degree_max {self.degree_max} incompatible with rank {rank}"
             )
+        genus_max = self.genus_max
         clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        zeros: set[tuple[int, tuple[int, ...]]] = set()
         for (g, deg), value in self.entries.items():
-            deg = tuple(int(d) for d in deg)
+            try:
+                key = (operator.index(g), tuple([operator.index(d) for d in deg]))
+            except TypeError as exc:
+                raise TableBoundError(
+                    f"entry ({g!r}, {deg!r}) has a non-integer genus or degree"
+                ) from exc
+            g, deg = key
             v = _as_fraction(value)
-            if g < 0 or g > self.genus_max:
-                raise TableBoundError(f"entry genus {g} outside [0, {self.genus_max}]")
-            if len(deg) != self.lattice_rank:
+            if g < 0 or g > genus_max:
+                raise TableBoundError(f"entry genus {g} outside [0, {genus_max}]")
+            if len(deg) != rank:
                 raise TableBoundError(f"degree {deg} has wrong rank")
             if not any(deg):
                 raise TableBoundError("degree vector must be nonzero")
             if any(d < 0 for d in deg) or any(d > m for d, m in zip(deg, dmax)):
                 raise TableBoundError(f"degree {deg} outside bounds {dmax}")
+            if key in clean or key in zeros:
+                raise TableBoundError(f"two entries for the cell (genus {g}, degree {deg})")
             if v != 0:
-                clean[(g, deg)] = v
+                clean[key] = v
+            else:
+                zeros.add(key)
         object.__setattr__(self, "degree_max", dmax)
         object.__setattr__(self, "entries", clean)
 
@@ -121,6 +138,8 @@ class InvariantTable:
         degree = tuple(degree)
         if genus < 0 or genus > self.genus_max:
             raise TableBoundError(f"genus {genus} outside table bounds")
+        if len(degree) != self.lattice_rank:
+            raise TableBoundError(f"degree {degree} has wrong rank")
         if any(d < 0 for d in degree) or any(
             d > m for d, m in zip(degree, self.degree_max)
         ):

@@ -157,3 +157,45 @@ def poly_long_division(num: list[Fraction], den: list[Fraction]):
     while num and num[-1] == 0:
         num.pop()
     return quo, num
+
+
+# --- the JMGS right-hand side, one (degree, r) pair at a time -------------------
+
+
+def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int):
+    """The GV-weighted double cover sum, built term by term.
+
+    Unlike the rest of this module it uses the library's rational
+    functions: it is the direct per-(degree, r) loop, which rebuilds
+    a(r) and b(r) for every pair and expands each sum at the end, kept
+    as a reference for the weight-accumulating ``jmgs_rhs``.  Table and
+    argument validation is left to the library.
+    """
+    from bps_kit.jfunctions import JmgsRhs, JmgsTerm, a_series, b_series
+    from bps_kit.series import QRationalFunction
+
+    n_div = len(pairing.vectors)
+    buckets: dict[tuple[int, ...], list] = {}
+    for (g, d), value in sorted(gv.entries.items(), key=lambda kv: kv[0]):
+        for r in range(1, r_max + 1):
+            total = tuple(r * x for x in d)
+            slot = buckets.setdefault(
+                total,
+                [[QRationalFunction.constant(0)] * n_div, QRationalFunction.constant(0)],
+            )
+            a_r = a_series(r)
+            b_r = b_series(r)
+            for j, vec in enumerate(pairing.vectors):
+                weight = sum(x * y for x, y in zip(vec, d))
+                if weight:
+                    slot[0][j] = slot[0][j] + a_r * (value * weight)
+            slot[1] = slot[1] + b_r * value
+    terms = {}
+    for total, (div_parts, structure) in buckets.items():
+        terms[total] = JmgsTerm(
+            divisor_exact=tuple(div_parts),
+            divisor_expansion=tuple(p.expand(q_order) for p in div_parts),
+            structure_exact=structure,
+            structure_expansion=structure.expand(q_order),
+        )
+    return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)

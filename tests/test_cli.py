@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -363,6 +364,35 @@ def test_console_entry_point():
     )
     doc = json.loads(proc.stdout)
     assert doc["is_delta"] is True
+
+
+# --- golden outputs -------------------------------------------------------------
+#
+# Byte-exact CLI JSON, captured once and committed under tests/golden/.  The
+# jmgs input is a rank-2 genus-0 table with mixed signs and a pairing with a
+# zero and a negative entry, so some divisor slots are exactly zero.
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+GOLDEN_CASES = [
+    ("split_check_rmax6.json", ["split-check", "--rmax", "6", "--json"]),
+    (
+        "jmgs_rmax4_qorder8.json",
+        [
+            "jmgs",
+            "--gv", str(GOLDEN / "jmgs_gv.json"),
+            "--pairing", str(GOLDEN / "jmgs_pairing.json"),
+            "--json", "--rmax", "4", "--qorder", "8",
+        ],
+    ),
+] + [(f"ab_series_r{r}.json", ["ab-series", "--r", str(r), "--json"]) for r in range(1, 5)]
+
+
+@pytest.mark.parametrize("golden, argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_cli_golden_json(tmp_path, golden, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_log_env_var(monkeypatch, capsys):

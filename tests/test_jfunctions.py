@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bps_kit import jfunctions
 from bps_kit.jfunctions import (
     DivisorPairing,
     NovikovExpansion,
@@ -22,15 +26,17 @@ from bps_kit.jfunctions import (
 )
 from bps_kit.kring import X_RING, Y_RING, gen_p, gen_t, ring_one
 from bps_kit.series import (
+    PoleLocationError,
     QRationalFunction,
     QSeries,
+    is_proper_part,
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,
 )
 from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
 
-from oracles import inv_power_series_coeff
+from oracles import inv_power_series_coeff, jmgs_rhs_naive
 
 Fr = Fraction
 
@@ -420,3 +426,133 @@ def test_jmgs_rhs_validation():
         )
     with pytest.raises(TableBoundError):
         jmgs_rhs(delta_gv(), DivisorPairing(((1, 0),)), 2, 2)
+
+
+# --- jmgs_rhs against the term-by-term oracle -------------------------------------
+
+
+def assert_same_rhs(gv, pairing, r_max, q_order):
+    fast = jmgs_rhs(gv, pairing, r_max, q_order)
+    naive = jmgs_rhs_naive(gv, pairing, r_max, q_order)
+    assert (fast.lattice_rank, fast.r_max, fast.q_order, fast.constant) == (
+        naive.lattice_rank,
+        naive.r_max,
+        naive.q_order,
+        naive.constant,
+    )
+    # same degrees in the same order, and every exact part and expansion equal
+    assert list(fast.terms) == list(naive.terms)
+    for deg, term in fast.terms.items():
+        expected = naive.terms[deg]
+        assert term.divisor_exact == expected.divisor_exact
+        assert term.structure_exact == expected.structure_exact
+        assert term.divisor_expansion == expected.divisor_expansion
+        assert term.structure_expansion == expected.structure_expansion
+
+
+@st.composite
+def gv_tables(draw):
+    rank = draw(st.integers(1, 2))
+    dmax = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+    cells = [
+        d
+        for d in itertools.product(*(range(m + 1) for m in dmax))
+        if any(d)
+    ]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    values = st.fractions(min_value=-50, max_value=50, max_denominator=4).filter(bool)
+    entries = {(0, d): draw(values) for d in chosen}
+    vectors = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=3
+        )
+    )
+    return InvariantTable(KIND_GV, rank, 0, dmax, entries), DivisorPairing(tuple(vectors))
+
+
+@given(table=gv_tables(), r_max=st.integers(1, 4), q_order=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_jmgs_rhs_matches_term_by_term_oracle(table, r_max, q_order):
+    gv, pairing = table
+    assert_same_rhs(gv, pairing, r_max, q_order)
+
+
+@pytest.mark.parametrize("q_order", [0, 5])
+def test_jmgs_rhs_opposite_values_meeting_at_one_degree(q_order):
+    # d=(1,0) at r=2 and d=(2,0) at r=1 both land on total degree (2,0),
+    # and their GV values sum to 0; the first pairing vector pairs (1,0)
+    # and (2,0) to zero too
+    gv = InvariantTable(
+        KIND_GV, 2, 0, (2, 1), {(0, (1, 0)): Fr(4), (0, (2, 0)): Fr(-4), (0, (0, 1)): Fr(3)}
+    )
+    pairing = DivisorPairing(((0, 1), (1, -1)))
+    assert_same_rhs(gv, pairing, 2, q_order)
+    term = jmgs_rhs(gv, pairing, 2, q_order).terms[(2, 0)]
+    assert term.divisor_exact[0] == QRationalFunction.constant(0)
+    assert term.structure_exact == b_series(2) * 4 - b_series(1) * 4
+
+
+def test_jmgs_rhs_builds_each_cover_series_once(monkeypatch):
+    calls = []
+    real_a, real_b = jfunctions.a_series, jfunctions.b_series
+    monkeypatch.setattr(jfunctions, "a_series", lambda r: calls.append(("a", r)) or real_a(r))
+    monkeypatch.setattr(jfunctions, "b_series", lambda r: calls.append(("b", r)) or real_b(r))
+    gv = InvariantTable(
+        KIND_GV, 2, 0, (2, 2), {(0, d): Fr(1) for d in [(1, 0), (0, 1), (1, 1), (2, 2)]}
+    )
+    jmgs_rhs(gv, DivisorPairing(((1, 0), (0, 1))), 4, 3)
+    assert sorted(calls) == sorted([(k, r) for k in "ab" for r in range(1, 5)])
+
+
+# --- split_check: the divisibility test and its fallback ----------------------------
+
+
+def coord_qrf(c):
+    return c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
+
+
+def expected_residuals(r, j_el):
+    i_el = i_coefficient(r)
+    return tuple(
+        polar_split(coord_qrf(i)).proper - coord_qrf(j)
+        for i, j in zip(i_el.coords, j_el.coords)
+    )
+
+
+def test_fast_verdict_agrees_with_polar_split():
+    for r in range(1, 7):
+        i_el, j_el = i_coefficient(r), j_y_coefficient(r)
+        for i, j in zip(i_el.coords, j_el.coords):
+            f, expected = coord_qrf(i), coord_qrf(j)
+            assert polar_split(f).proper == expected
+            assert is_proper_part(expected, f)
+            # perturbed expectations, one with a new pole and one over the
+            # same denominator, are rejected
+            for extra in (QRationalFunction([1], [1, 0, -1]), QRationalFunction([1], expected.den)):
+                assert not is_proper_part(expected + extra, f)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        QRationalFunction([1], [1, -2]),  # proper, but a pole at q = 1/2
+        QRationalFunction.constant(1),  # not proper
+    ],
+    ids=["foreign-pole", "constant"],
+)
+def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra):
+    real_j = jfunctions.j_y_coefficient
+    monkeypatch.setattr(jfunctions, "j_y_coefficient", lambda r: real_j(r) + extra)
+    report = split_check(3)
+    assert not report.all_passed
+    for res in report.results:
+        assert not res.passed
+        assert res.residuals == expected_residuals(res.r, real_j(res.r) + extra)
+
+
+def test_split_check_pole_location_error_propagates(monkeypatch):
+    real_i = jfunctions.i_coefficient
+    pole = QRationalFunction([1], [1, -2])
+    monkeypatch.setattr(jfunctions, "i_coefficient", lambda r: real_i(r) + pole)
+    with pytest.raises(PoleLocationError):
+        split_check(2)

@@ -18,6 +18,7 @@ from bps_kit.series import (
     QSeries,
     TruncationError,
     VariableMismatchError,
+    is_proper_part,
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,
@@ -319,6 +320,24 @@ def test_split_of_laurent_polynomial_has_zero_proper_part():
     assert sp.laurent == {-2: Fr(1), 0: Fr(7), 3: Fr(5)}
 
 
+def test_is_proper_part_agrees_with_split():
+    one_minus_q = qrf([1], [1, -1])
+    laurent = q_power(-3) * 2 + q_power(1) - 5
+    cases = [
+        (laurent + one_minus_q, one_minus_q, True),
+        (laurent + one_minus_q, QRationalFunction.constant(0), False),
+        (laurent, QRationalFunction.constant(0), True),
+        (one_minus_q, one_minus_q, True),
+        (laurent + qrf([1], [1, 0, -1]), one_minus_q, False),
+        (laurent + one_minus_q * 3, one_minus_q, False),
+        (one_minus_q, laurent + one_minus_q, False),
+        (one_minus_q * q_power(-2), qrf([1], [1, -1]), True),
+    ]
+    for f, g, expected in cases:
+        assert (polar_split(f).proper == g) == expected
+        assert is_proper_part(g, f) == expected
+
+
 def test_split_rejects_disallowed_pole():
     f = qrf([1], [1, -2])  # pole at q = 1/2
     with pytest.raises(PoleLocationError):
@@ -349,3 +368,32 @@ def test_split_properties_random(num, k, r, m):
     again = polar_split(sp.proper)
     assert again.laurent == {}
     assert again.proper == sp.proper
+
+
+# --- scaling by a scalar ----------------------------------------------------------
+
+SCALARS = [0, 1, -1, Fr(3, 7), Fr(-3, 7), 10**40 + 7, -(3**90)]
+
+
+@given(
+    num=st.lists(small_fractions, min_size=0, max_size=5),
+    den=st.lists(small_fractions, min_size=1, max_size=5).filter(any),
+    c=st.sampled_from(SCALARS),
+)
+@settings(max_examples=80)
+def test_scalar_mul_matches_general_constructor(num, den, c):
+    sympy = pytest.importorskip("sympy")
+    f = qrf(num, den)
+    expected = QRationalFunction(tuple(c * x for x in f.num), f.den)
+    for scaled in (f * c, c * f):
+        assert scaled == expected
+        assert hash(scaled) == hash(expected)
+        assert (scaled.num, scaled.den) == (expected.num, expected.den)
+        assert scaled.den[-1] == 1
+        if scaled.num:
+            q = sympy.Symbol("q")
+            n = sympy.Poly(list(reversed(scaled.num)), q, domain="QQ")
+            d = sympy.Poly(list(reversed(scaled.den)), q, domain="QQ")
+            assert sympy.gcd(n, d).degree() == 0
+        else:
+            assert scaled.den == (Fr(1),)

@@ -355,3 +355,30 @@ def test_solve_order_independence():
             if acc:
                 solved[(h, gamma)] = acc
     assert solved == dict(gw_to_gv(gw).entries)
+
+
+def test_table_value_rejects_wrong_rank():
+    t = rank1_table(KIND_GW, {1: Fr(1)}, dmax=2)
+    with pytest.raises(TableBoundError):
+        t.value(0, (1, 2))
+    with pytest.raises(TableBoundError):
+        t.value(0, ())
+
+
+def test_table_rejects_non_integral_components():
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GW, 1, 0, (2,), {(0, (1.7,)): Fr(1)})
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GW, 1, 1, (2,), {(0.5, (1,)): Fr(1)})
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GW, 1, 0, (2.5,), {})
+
+
+def test_table_rejects_keys_that_name_one_cell():
+    # a dict already merges (1,) and (1.0,); keys that stay distinct in the
+    # mapping but normalise to one cell must not collapse either
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GW, 1, 0, (2,), {(0, (1,)): Fr(1), (0, range(1, 2)): Fr(2)})
+    # also when one of the two values is zero and would not be stored
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GW, 1, 0, (2,), {(0, (1,)): Fr(0), (0, range(1, 2)): Fr(2)})
