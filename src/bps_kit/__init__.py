@@ -14,8 +14,8 @@ The package computes, over exact rationals only:
   I-coefficients, their split into Laurent-polynomial plus proper
   parts, and the GV-weighted right-hand side builder
   (:mod:`bps_kit.jfunctions`);
-* truncated Laurent/power series and rational-function kernels backing
-  all of the above (:mod:`bps_kit.series`).
+* truncated Laurent series and rational-function kernels backing all of
+  the above (:mod:`bps_kit.series`).
 """
 
 from .covers import bernoulli, conifold_gv_table, conifold_gw, conifold_gw_table
@@ -41,7 +41,6 @@ from .series import (
     LaurentSeries,
     PolarSplit,
     QRationalFunction,
-    QSeries,
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,

@@ -30,6 +30,7 @@ from .jfunctions import (
 from .kring import NotInvertibleError, RingMismatchError
 from .serialize import (
     SchemaError,
+    integrality_to_dict,
     kelem_to_dict,
     laurent_to_dict,
     qrf_to_dict,
@@ -88,6 +89,10 @@ def _load_table(path: str):
 # --- table transforms ---------------------------------------------------------
 
 
+def _render_integrality(args, report) -> str:
+    return _dump(integrality_to_dict(report)) if args.json else render_integrality_text(report)
+
+
 def cmd_gw2gv(args) -> int:
     table = _load_table(args.input)
     if table.kind != KIND_GW:
@@ -100,20 +105,7 @@ def cmd_gw2gv(args) -> int:
     _emit(args, _dump(table_to_dict(result)))
     if args.check_integrality:
         report = check_integrality(result)
-        if args.json:
-            print(
-                _dump(
-                    {
-                        "is_integral": report.is_integral,
-                        "violations": [
-                            {"genus": g, "degree": list(d), "value": str(v)}
-                            for g, d, v in report.violations
-                        ],
-                    }
-                )
-            )
-        else:
-            print(render_integrality_text(report))
+        print(_render_integrality(args, report))
         if not report.is_integral:
             return EXIT_VERIFY
     return EXIT_OK
@@ -132,21 +124,7 @@ def cmd_check_integrality(args) -> int:
     if table.kind != KIND_GV:
         raise TableKindError(f"{args.input}: expected a GV table, found {table.kind}")
     report = check_integrality(table)
-    if args.json:
-        _emit(
-            args,
-            _dump(
-                {
-                    "is_integral": report.is_integral,
-                    "violations": [
-                        {"genus": g, "degree": list(d), "value": str(v)}
-                        for g, d, v in report.violations
-                    ],
-                }
-            ),
-        )
-    else:
-        _emit(args, render_integrality_text(report))
+    _emit(args, _render_integrality(args, report))
     return EXIT_OK if report.is_integral else EXIT_VERIFY
 
 
@@ -193,9 +171,16 @@ def cmd_sin_series(args) -> int:
     return EXIT_OK
 
 
+def _with_expansion(indent: str, label: str, exact, series) -> list[str]:
+    """Text lines for an exact function and its truncated expansion."""
+    return [f"{indent}{label}: {exact}", f"{indent}  = {series} + O(q^{series.trunc_order})"]
+
+
 def cmd_ab_series(args) -> int:
     a = a_series(args.r)
     b = b_series(args.r)
+    a_expansion = a.expand(args.order)
+    b_expansion = b.expand(args.order)
     if args.json:
         _emit(
             args,
@@ -203,20 +188,16 @@ def cmd_ab_series(args) -> int:
                 {
                     "r": args.r,
                     "a": qrf_to_dict(a),
-                    "a_expansion": qseries_to_dict(a.expand(args.order)),
+                    "a_expansion": qseries_to_dict(a_expansion),
                     "b": qrf_to_dict(b),
-                    "b_expansion": qseries_to_dict(b.expand(args.order)),
+                    "b_expansion": qseries_to_dict(b_expansion),
                 }
             ),
         )
     else:
-        _emit(
-            args,
-            f"a({args.r}): {a}\n"
-            f"  = {a.expand(args.order)} + O(q^{args.order})\n"
-            f"b({args.r}): {b}\n"
-            f"  = {b.expand(args.order)} + O(q^{args.order})",
-        )
+        lines = _with_expansion("", f"a({args.r})", a, a_expansion)
+        lines += _with_expansion("", f"b({args.r})", b, b_expansion)
+        _emit(args, "\n".join(lines))
     return EXIT_OK
 
 
@@ -243,24 +224,26 @@ def cmd_ifunction(args) -> int:
 
 def cmd_jfunction(args) -> int:
     expansion = j_expansion(args.which, args.rmax)
-    docs = []
-    blocks = []
+    parts = []  # one JSON object or one text block per degree
     for r, el in expansion.sorted_terms():
-        expansions = [
-            qseries_to_dict(c.expand(args.qorder))
-            if isinstance(c, QRationalFunction)
-            else qseries_to_dict(QRationalFunction.constant(c).expand(args.qorder))
+        exact = [
+            c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
             for c in el.coords
         ]
-        docs.append(
-            {"r": r, "coefficient": kelem_to_dict(el), "expansions": expansions}
-        )
-        lines = [f"degree {r}:", render_kelem_text(el), f"  expansions to O(q^{args.qorder}):"]
-        for name, c in zip(el.ring.basis_names, el.coords):
-            f = c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
-            lines.append(f"  [{name}] {f.expand(args.qorder)}")
-        blocks.append("\n".join(lines))
-    _emit(args, _dump(docs) if args.json else "\n".join(blocks))
+        series = [f.expand(args.qorder) for f in exact]
+        if args.json:
+            parts.append(
+                {
+                    "r": r,
+                    "coefficient": kelem_to_dict(el),
+                    "expansions": [qseries_to_dict(s) for s in series],
+                }
+            )
+        else:
+            lines = [f"degree {r}:", render_kelem_text(el), f"  expansions to O(q^{args.qorder}):"]
+            lines += [f"  [{name}] {s}" for name, s in zip(el.ring.basis_names, series)]
+            parts.append("\n".join(lines))
+    _emit(args, _dump(parts) if args.json else "\n".join(parts))
     return EXIT_OK
 
 
@@ -352,10 +335,10 @@ def cmd_jmgs(args) -> int:
             for j, (f, s) in enumerate(
                 zip(term.divisor_exact, term.divisor_expansion), start=1
             ):
-                lines.append(f"  divisor[{j}]: {f}")
-                lines.append(f"    = {s} + O(q^{rhs.q_order})")
-            lines.append(f"  structure: {term.structure_exact}")
-            lines.append(f"    = {term.structure_expansion} + O(q^{rhs.q_order})")
+                lines += _with_expansion("  ", f"divisor[{j}]", f, s)
+            lines += _with_expansion(
+                "  ", "structure", term.structure_exact, term.structure_expansion
+            )
         _emit(args, "\n".join(lines))
     return EXIT_OK
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .kring import KElem, X_RING, Y_RING, gen_p, gen_t, ring_one
-from .series import QRationalFunction, QSeries, is_proper_part, polar_split, q_power
+from .series import QVAR, LaurentSeries, QRationalFunction, is_proper_part, polar_split, q_power
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
 __all__ = [
@@ -264,9 +264,9 @@ class JmgsTerm:
     """
 
     divisor_exact: tuple[QRationalFunction, ...]
-    divisor_expansion: tuple[QSeries, ...]
+    divisor_expansion: tuple[LaurentSeries, ...]
     structure_exact: QRationalFunction
-    structure_expansion: QSeries
+    structure_expansion: LaurentSeries
 
 
 @dataclass(frozen=True)
@@ -319,7 +319,7 @@ def jmgs_rhs(
         for r in range(1, r_max + 1):
             weights.setdefault(tuple(r * x for x in d), {})[r] = w + (value,)
     # (a(r), its expansion) and (b(r), its expansion); none for an empty table
-    basis: dict[int, tuple[tuple[QRationalFunction, QSeries], ...]] = {}
+    basis: dict[int, tuple[tuple[QRationalFunction, LaurentSeries], ...]] = {}
     for r in range(1, r_max + 1) if weights else ():
         a_r, b_r = a_series(r), b_series(r)
         basis[r] = ((a_r, a_r.expand(q_order)), (b_r, b_r.expand(q_order)))
@@ -341,14 +341,14 @@ def jmgs_rhs(
     return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
 
 
-def _weighted_sum(weighted, q_order: int) -> tuple[QRationalFunction, QSeries]:
+def _weighted_sum(weighted, q_order: int) -> tuple[QRationalFunction, LaurentSeries]:
     """Sum of w * f, and of w * (expansion of f), over (w, (f, expansion)).
 
     Taylor expansion is linear and exact, so the second sum is the
     expansion of the first; zero weights contribute nothing.
     """
     exact = QRationalFunction.constant(0)
-    series = QSeries((), q_order)
+    series = LaurentSeries.zero(QVAR, q_order)
     for w, (f, expansion) in weighted:
         if w:
             # scaling skips the gcd that adding to zero would redo

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .kring import KElem
-from .series import LaurentSeries, QRationalFunction, QSeries
+from .series import QVAR, LaurentSeries, QRationalFunction
 from .transform import InvariantTable
 
 __all__ = [
@@ -32,13 +32,10 @@ __all__ = [
     "table_to_dict",
     "table_from_dict",
     "laurent_to_dict",
-    "laurent_from_dict",
     "qseries_to_dict",
-    "qseries_from_dict",
     "qrf_to_dict",
-    "qrf_from_dict",
-    "series_from_dict",
     "kelem_to_dict",
+    "integrality_to_dict",
     "render_table_text",
     "render_kelem_text",
     "render_integrality_text",
@@ -155,34 +152,21 @@ def laurent_to_dict(s: LaurentSeries) -> dict:
     }
 
 
-def laurent_from_dict(doc) -> LaurentSeries:
-    _require_keys(
-        doc,
-        {"type", "variable", "min_exp", "trunc_order", "coefficients"},
-        set(),
-        "laurent series",
-    )
-    if doc["type"] != "laurent_series":
-        raise SchemaError("not a laurent_series document")
-    if doc["variable"] not in ("lambda", "q"):
-        raise SchemaError(f"unknown series variable {doc['variable']!r}")
-    coeffs = [fraction_from_str(c) for c in doc["coefficients"]]
-    return LaurentSeries(doc["variable"], doc["min_exp"], coeffs, doc["trunc_order"])
+def qseries_to_dict(s: LaurentSeries) -> dict:
+    """The "q_series" document: coefficients of q^0 up to q^(trunc_order - 1).
 
-
-def qseries_to_dict(s: QSeries) -> dict:
+    Only a power series in q fits it; anything else would lose terms.
+    """
+    if s.var != QVAR or s.min_exp < 0:
+        raise ValueError(
+            f"a q_series document needs a power series in q, "
+            f"got a series in {s.var} from exponent {s.min_exp}"
+        )
     return {
         "type": "q_series",
         "trunc_order": s.trunc_order,
-        "coefficients": [fraction_to_str(c) for c in s.coeffs],
+        "coefficients": ["0"] * s.min_exp + [fraction_to_str(c) for c in s.coeffs],
     }
-
-
-def qseries_from_dict(doc) -> QSeries:
-    _require_keys(doc, {"type", "trunc_order", "coefficients"}, set(), "q series")
-    if doc["type"] != "q_series":
-        raise SchemaError("not a q_series document")
-    return QSeries([fraction_from_str(c) for c in doc["coefficients"]], doc["trunc_order"])
 
 
 def qrf_to_dict(f: QRationalFunction) -> dict:
@@ -191,33 +175,6 @@ def qrf_to_dict(f: QRationalFunction) -> dict:
         "numerator": [fraction_to_str(c) for c in f.num],
         "denominator": [fraction_to_str(c) for c in f.den],
     }
-
-
-def qrf_from_dict(doc) -> QRationalFunction:
-    _require_keys(doc, {"type", "numerator", "denominator"}, set(), "rational function")
-    if doc["type"] != "q_rational":
-        raise SchemaError("not a q_rational document")
-    return QRationalFunction(
-        [fraction_from_str(c) for c in doc["numerator"]],
-        [fraction_from_str(c) for c in doc["denominator"]],
-    )
-
-
-_PARSERS = {
-    "laurent_series": laurent_from_dict,
-    "q_series": qseries_from_dict,
-    "q_rational": qrf_from_dict,
-}
-
-
-def series_from_dict(doc):
-    """Parse any of the series documents by its "type" tag."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise SchemaError("series document needs a 'type' field")
-    parser = _PARSERS.get(doc["type"])
-    if parser is None:
-        raise SchemaError(f"unknown series type {doc['type']!r}")
-    return parser(doc)
 
 
 def kelem_to_dict(e: KElem) -> dict:
@@ -256,6 +213,16 @@ def render_kelem_text(e: KElem) -> str:
     for name, c in zip(e.ring.basis_names, e.coords):
         lines.append(f"  [{name}] {c}")
     return "\n".join(lines)
+
+
+def integrality_to_dict(report) -> dict:
+    return {
+        "is_integral": report.is_integral,
+        "violations": [
+            {"genus": g, "degree": list(d), "value": fraction_to_str(v)}
+            for g, d, v in report.violations
+        ],
+    }
 
 
 def render_integrality_text(report) -> str:

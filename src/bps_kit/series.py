@@ -1,15 +1,14 @@
 """Exact series and rational-function arithmetic over the rationals.
 
 Everything in this module is built on :class:`fractions.Fraction`; no
-floating point appears anywhere.  Three value types are provided:
+floating point appears anywhere.  Two value types are provided:
 
 * :class:`LaurentSeries` -- a truncated Laurent series in one formal
-  variable.  The truncation order travels with the value, binary
-  operations truncate to the weakest participant, and reading a
+  variable (lambda, or q for the expansions of rational functions
+  regular at q = 0).  The truncation order travels with the value,
+  binary operations truncate to the weakest participant, and reading a
   coefficient at or above the truncation order raises
   :class:`TruncationError` instead of silently returning zero.
-* :class:`QSeries` -- a truncated power series in q starting at exponent
-  zero (the expansion target of rational functions regular at q = 0).
 * :class:`QRationalFunction` -- an exact rational function in q, stored
   gcd-reduced with a monic denominator so that structural equality is
   mathematical equality.
@@ -28,7 +27,6 @@ from typing import Iterable, Mapping, NamedTuple
 
 __all__ = [
     "LaurentSeries",
-    "QSeries",
     "QRationalFunction",
     "PolarSplit",
     "polar_split",
@@ -333,15 +331,14 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         self._check_var(other)
-        trunc = min(self.trunc_order, other.trunc_order)
-        terms: dict[int, Fraction] = {}
-        for e, c in self.terms():
-            if e < trunc:
-                terms[e] = terms.get(e, Fraction(0)) + c
-        for e, c in other.terms():
-            if e < trunc:
-                terms[e] = terms.get(e, Fraction(0)) + c
-        return LaurentSeries.from_terms(self.var, terms, trunc)
+        # copy the operand that starts lower, then add the other in place;
+        # zip stops at the end of the shorter operand, which ends the sum at
+        # the lower truncation order
+        low, high = (self, other) if self.min_exp <= other.min_exp else (other, self)
+        out = list(low.coeffs)
+        shift = high.min_exp - low.min_exp
+        out[shift:] = [x + y for x, y in zip(out[shift:], high.coeffs)]
+        return LaurentSeries(self.var, low.min_exp, out, min(self.trunc_order, other.trunc_order))
 
     def __neg__(self):
         return LaurentSeries(self.var, self.min_exp, [-c for c in self.coeffs], self.trunc_order)
@@ -443,94 +440,6 @@ class LaurentSeries:
             f"LaurentSeries({self.var!r}, {self!s}, "
             f"trunc_order={self.trunc_order})"
         )
-
-
-# ---------------------------------------------------------------------------
-# truncated power series in q
-# ---------------------------------------------------------------------------
-
-
-class QSeries:
-    """Power series in q from exponent 0 with an explicit truncation order."""
-
-    __slots__ = ("coeffs", "trunc_order")
-
-    def __init__(self, coeffs, trunc_order: int):
-        if trunc_order < 0:
-            raise ValueError("truncation order must be nonnegative")
-        vals = [_as_fraction(c) for c in coeffs]
-        if len(vals) > trunc_order:
-            if any(vals[trunc_order:]):
-                raise TruncationError(
-                    "nonzero coefficients supplied at or beyond the truncation order"
-                )
-            vals = vals[:trunc_order]
-        vals.extend([Fraction(0)] * (trunc_order - len(vals)))
-        object.__setattr__(self, "coeffs", tuple(vals))
-        object.__setattr__(self, "trunc_order", trunc_order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QSeries is immutable")
-
-    def coefficient(self, exponent: int) -> Fraction:
-        if exponent >= self.trunc_order:
-            raise TruncationError(
-                f"coefficient of exponent {exponent} is beyond truncation "
-                f"order {self.trunc_order}"
-            )
-        if exponent < 0:
-            return Fraction(0)
-        return self.coeffs[exponent]
-
-    __getitem__ = coefficient
-
-    def __add__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        trunc = min(self.trunc_order, other.trunc_order)
-        return QSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(trunc)], trunc
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return QSeries([c * v for v in self.coeffs], self.trunc_order)
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        trunc = min(self.trunc_order, other.trunc_order)
-        out = [Fraction(0)] * trunc
-        for i, ca in enumerate(self.coeffs[:trunc]):
-            if ca == 0:
-                continue
-            for j in range(min(trunc - i, other.trunc_order)):
-                cb = other.coeffs[j]
-                if cb != 0:
-                    out[i + j] += ca * cb
-        return QSeries(out, trunc)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self + (other * -1)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.trunc_order == other.trunc_order
-
-    def __hash__(self):
-        return hash((self.coeffs, self.trunc_order))
-
-    def __str__(self):
-        if not any(self.coeffs):
-            return "0"
-        return _terms_str(((e, c) for e, c in enumerate(self.coeffs) if c != 0), QVAR)
-
-    def __repr__(self):
-        return f"QSeries({self!s}, trunc_order={self.trunc_order})"
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +620,13 @@ class QRationalFunction:
             raise ZeroDivisionError(f"pole at q = {x}")
         return n / d
 
-    def expand(self, order: int) -> QSeries:
+    def expand(self, order: int) -> LaurentSeries:
         """Taylor expansion at q = 0, exact, up to (excluding) `order`."""
         if order < 0:
             raise ValueError("expansion order must be nonnegative")
         if not self.regular_at_zero:
             raise PoleAtZeroError("cannot expand: pole at q = 0")
-        return QSeries(_poly_taylor(self.num, self.den, order), order)
+        return LaurentSeries(QVAR, 0, _poly_taylor(self.num, self.den, order), order)
 
     def __str__(self):
         if self.is_zero:

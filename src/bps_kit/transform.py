@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -132,7 +133,8 @@ class InvariantTable:
             else:
                 zeros.add(key)
         object.__setattr__(self, "degree_max", dmax)
-        object.__setattr__(self, "entries", clean)
+        # read-only, so a validated table cannot gain an out-of-bounds cell
+        object.__setattr__(self, "entries", types.MappingProxyType(clean))
 
     def value(self, genus: int, degree: tuple[int, ...]) -> Fraction:
         degree = tuple(degree)

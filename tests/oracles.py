@@ -32,6 +32,27 @@ def dict_pow(a: dict[int, Fraction], n: int) -> dict[int, Fraction]:
     return out
 
 
+def laurent_add_naive(a, b):
+    """Sum of two library LaurentSeries in one variable, term by term.
+
+    The dict-based addition the library used before its dense one: every
+    nonzero term below the common truncation order goes into a dict, and
+    the result is rebuilt from it.
+    """
+    from bps_kit.series import LaurentSeries
+
+    assert a.var == b.var
+    trunc = min(a.trunc_order, b.trunc_order)
+    terms: dict[int, Fraction] = {}
+    for e, c in a.terms():
+        if e < trunc:
+            terms[e] = terms.get(e, Fr(0)) + c
+    for e, c in b.terms():
+        if e < trunc:
+            terms[e] = terms.get(e, Fr(0)) + c
+    return LaurentSeries.from_terms(a.var, terms, trunc)
+
+
 def long_division_inverse(a: dict[int, Fraction], n_terms: int) -> dict[int, Fraction]:
     """1/a by classic long division on ascending terms.
 

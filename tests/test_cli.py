@@ -9,24 +9,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bps_kit.cli import main
 from bps_kit.datasets import quintic_gw_table
 from bps_kit.serialize import (
     SchemaError,
-    laurent_from_dict,
-    laurent_to_dict,
-    qrf_from_dict,
     qrf_to_dict,
-    qseries_from_dict,
     qseries_to_dict,
-    series_from_dict,
     table_from_dict,
     table_to_dict,
 )
-from bps_kit.series import LAMBDA, LaurentSeries, QRationalFunction, QSeries
+from bps_kit.series import LAMBDA, QVAR, LaurentSeries, QRationalFunction
 from bps_kit.transform import InvariantTable, KIND_GV, KIND_GW
 
 Fr = Fraction
@@ -58,35 +51,18 @@ def test_table_description_preserved():
     assert table_from_dict(doc) == quintic_gw_table()
 
 
-small_fractions = st.fractions(min_value=-99, max_value=99, max_denominator=64)
-
-
-@given(
-    min_exp=st.integers(-4, 2),
-    coeffs=st.lists(small_fractions, min_size=1, max_size=6),
-)
-@settings(max_examples=50)
-def test_laurent_series_round_trip(min_exp, coeffs):
-    s = LaurentSeries(LAMBDA, min_exp, coeffs, min_exp + len(coeffs) + 2)
-    assert laurent_from_dict(laurent_to_dict(s)) == s
-    assert series_from_dict(laurent_to_dict(s)) == s
-
-
-@given(coeffs=st.lists(small_fractions, min_size=0, max_size=6))
-@settings(max_examples=50)
-def test_qseries_round_trip(coeffs):
-    s = QSeries(coeffs, len(coeffs) + 1)
-    assert qseries_from_dict(qseries_to_dict(s)) == s
-
-
-@given(
-    num=st.lists(small_fractions, min_size=1, max_size=5),
-    den=st.sampled_from([[1, -1], [1, 0, -1], [2, 1, 1], [1]]),
-)
-@settings(max_examples=50)
-def test_qrf_round_trip(num, den):
-    f = QRationalFunction(num, den)
-    assert qrf_from_dict(qrf_to_dict(f)) == f
+def test_qseries_to_dict_pads_and_rejects_what_it_cannot_hold():
+    s = LaurentSeries(QVAR, 2, [Fr(1, 3)], 4)
+    assert qseries_to_dict(s) == {
+        "type": "q_series",
+        "trunc_order": 4,
+        "coefficients": ["0", "0", "1/3", "0"],
+    }
+    assert qseries_to_dict(LaurentSeries.zero(QVAR, 3))["coefficients"] == ["0"] * 3
+    with pytest.raises(ValueError):
+        qseries_to_dict(LaurentSeries(LAMBDA, 0, [1, 2], 2))
+    with pytest.raises(ValueError):
+        qseries_to_dict(LaurentSeries(QVAR, -1, [1, 2], 1))
 
 
 def test_table_schema_rejects_unknown_fields():
@@ -120,7 +96,7 @@ def test_jfunction_json_coords_parse_back(capsys):
     coord0 = doc[0]["coefficient"]["coords"][0]
     from bps_kit.jfunctions import j_x_coefficient
 
-    assert qrf_from_dict(coord0) == j_x_coefficient(1).coords[0]
+    assert coord0 == qrf_to_dict(j_x_coefficient(1).coords[0])
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -267,8 +243,8 @@ def test_cli_sin_series_text(capsys):
 def test_cli_sin_series_json_round_trip(capsys):
     assert main(["sin-series", "--k", "2", "--genus", "2", "--order", "6", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    series = series_from_dict(doc)
-    assert series.coefficient(2) == 4  # k^(2g-2) = 2^2
+    assert (doc["type"], doc["variable"], doc["trunc_order"]) == ("laurent_series", "lambda", 6)
+    assert doc["coefficients"][2 - doc["min_exp"]] == "4"  # k^(2g-2) = 2^2
 
 
 def test_cli_ab_series(capsys):
@@ -316,7 +292,7 @@ def test_cli_jmgs(tmp_path, capsys):
     assert len(doc["terms"]) == 2
     first = doc["terms"][0]
     assert first["total_degree"] == [1]
-    assert qrf_from_dict(first["divisor"][0]) == QRationalFunction([1], [1, -2, 1])
+    assert first["divisor"][0] == qrf_to_dict(QRationalFunction([1], [1, -2, 1]))
 
 
 def test_cli_jmgs_bad_pairing(tmp_path, capsys):
@@ -368,31 +344,54 @@ def test_console_entry_point():
 
 # --- golden outputs -------------------------------------------------------------
 #
-# Byte-exact CLI JSON, captured once and committed under tests/golden/.  The
+# Byte-exact CLI output, captured once and committed under tests/golden/.  The
 # jmgs input is a rank-2 genus-0 table with mixed signs and a pairing with a
-# zero and a negative entry, so some divisor slots are exactly zero.
+# zero and a negative entry, so some divisor slots are exactly zero.  Each case
+# runs with --output; what the command prints to stdout besides the --output
+# document is pinned by a "<stem>.stdout<suffix>" file, or must be empty.
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+JMGS_ARGV = [
+    "jmgs",
+    "--gv", str(GOLDEN / "jmgs_gv.json"),
+    "--pairing", str(GOLDEN / "jmgs_pairing.json"),
+    "--rmax", "4", "--qorder", "8",
+]
 
+# (golden file, argv, exit code); a ".txt" golden is the text format of the
+# ".json" golden of the same stem
 GOLDEN_CASES = [
-    ("split_check_rmax6.json", ["split-check", "--rmax", "6", "--json"]),
-    (
-        "jmgs_rmax4_qorder8.json",
-        [
-            "jmgs",
-            "--gv", str(GOLDEN / "jmgs_gv.json"),
-            "--pairing", str(GOLDEN / "jmgs_pairing.json"),
-            "--json", "--rmax", "4", "--qorder", "8",
-        ],
-    ),
-] + [(f"ab_series_r{r}.json", ["ab-series", "--r", str(r), "--json"]) for r in range(1, 5)]
+    ("split_check_rmax6.json", ["split-check", "--rmax", "6", "--json"], 0),
+    ("split_check_rmax6.txt", ["split-check", "--rmax", "6"], 0),
+    ("jmgs_rmax4_qorder8.json", JMGS_ARGV + ["--json"], 0),
+    ("jmgs_rmax4_qorder8.txt", JMGS_ARGV, 0),
+] + [(f"ab_series_r{r}.json", ["ab-series", "--r", str(r), "--json"], 0) for r in range(1, 5)] + [
+    ("ab_series_r2.txt", ["ab-series", "--r", "2"], 0),
+]
+for stem, argv, code in [
+    ("sin_series_k2_g2_o6", ["sin-series", "--k", "2", "--genus", "2", "--order", "6"], 0),
+    ("sin_series_g0_o4", ["sin-series", "--genus", "0", "--order", "4"], 0),
+    ("jfunction_x_rmax2_qorder4", ["jfunction", "--which", "X", "--rmax", "2", "--qorder", "4"], 0),
+    ("jfunction_y_rmax2_qorder4", ["jfunction", "--which", "Y", "--rmax", "2", "--qorder", "4"], 0),
+    ("ifunction_rmax2", ["ifunction", "--rmax", "2"], 0),
+    ("conifold_g2_d4", ["conifold", "--gmax", "2", "--dmax", "4"], 0),
+    ("gw2gv_quintic_integrality", ["gw2gv", str(quintic_path()), "--check-integrality"], 0),
+    ("gv2gw_genus1", ["gv2gw", str(GOLDEN / "integrality_pass_gv.json")], 0),
+    ("check_integrality_pass", ["check-integrality", str(GOLDEN / "integrality_pass_gv.json")], 0),
+    ("check_integrality_fail", ["check-integrality", str(GOLDEN / "integrality_fail_gv.json")], 3),
+]:
+    GOLDEN_CASES += [(f"{stem}.json", argv + ["--json"], code), (f"{stem}.txt", argv, code)]
 
 
-@pytest.mark.parametrize("golden, argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
-def test_cli_golden_json(tmp_path, golden, argv):
-    out = tmp_path / "out.json"
-    assert main(argv + ["--output", str(out)]) == 0
+@pytest.mark.parametrize("golden, argv, code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_cli_golden_json(tmp_path, capsys, golden, argv, code):
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    stem, suffix = golden.rsplit(".", 1)
+    stdout = GOLDEN / f"{stem}.stdout.{suffix}"
+    expected = stdout.read_bytes() if stdout.exists() else b""
+    assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 def test_log_env_var(monkeypatch, capsys):

@@ -27,8 +27,9 @@ from bps_kit.jfunctions import (
 from bps_kit.kring import X_RING, Y_RING, gen_p, gen_t, ring_one
 from bps_kit.series import (
     PoleLocationError,
+    QVAR,
+    LaurentSeries,
     QRationalFunction,
-    QSeries,
     is_proper_part,
     laurent_polynomial_to_qrf,
     polar_split,
@@ -54,7 +55,7 @@ def qrf(num, den=(1,)):
 
 def test_a_series_r1_is_inverse_square():
     assert a_series(1) == qrf([1], [1, -2, 1])
-    assert a_series(1).expand(4) == QSeries([1, 2, 3, 4], 4)
+    assert a_series(1).expand(4) == LaurentSeries(QVAR, 0, [1, 2, 3, 4], 4)
 
 
 def test_a_series_value_at_zero_is_r():
@@ -72,13 +73,13 @@ def test_b_series_r1_expansion():
     s = b_series(1).expand(6)
     for n in range(6):
         expected = 3 * inv_power_series_coeff(2, n) - 2 * inv_power_series_coeff(3, n)
-        assert s[n] == expected
-        assert s[n] == (n + 1) * (1 - n)
-    assert s[0] == 1 and s[1] == 0 and s[2] == -3
+        assert s.coefficient(n) == expected
+        assert s.coefficient(n) == (n + 1) * (1 - n)
+    assert s.coefficient(0) == 1 and s.coefficient(1) == 0 and s.coefficient(2) == -3
 
 
 def test_b_series_r2_constant_term():
-    assert b_series(2).expand(1)[0] == 4
+    assert b_series(2).expand(1).coefficient(0) == 4
 
 
 def test_ab_series_are_proper_and_regular():

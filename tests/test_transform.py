@@ -382,3 +382,14 @@ def test_table_rejects_keys_that_name_one_cell():
     # also when one of the two values is zero and would not be stored
     with pytest.raises(TableBoundError):
         InvariantTable(KIND_GW, 1, 0, (2,), {(0, (1,)): Fr(0), (0, range(1, 2)): Fr(2)})
+
+
+def test_table_entries_are_read_only():
+    # every cell passed the bound checks on construction; no later write may
+    # add one that would not
+    table = InvariantTable(KIND_GV, 1, 0, (2,), {(0, (1,)): Fr(1)})
+    with pytest.raises(TypeError):
+        table.entries[(7, (99,))] = Fr(3)
+    with pytest.raises(TypeError):
+        del table.entries[(0, (1,))]
+    assert dict(table.entries) == {(0, (1,)): Fr(1)}
