@@ -94,6 +94,9 @@ def _render_integrality(args, report) -> str:
 
 
 def cmd_gw2gv(args) -> int:
+    if args.json and args.check_integrality and not args.output:
+        # the table and the report would be two JSON documents on one stdout
+        raise ValueError("--json --check-integrality needs --output for the table")
     table = _load_table(args.input)
     if table.kind != KIND_GW:
         raise TableKindError(f"{args.input}: expected a GW table, found {table.kind}")

@@ -26,7 +26,15 @@ from fractions import Fraction
 from typing import Mapping
 
 from .kring import KElem, X_RING, Y_RING, gen_p, gen_t, ring_one
-from .series import QVAR, LaurentSeries, QRationalFunction, is_proper_part, polar_split, q_power
+from .series import (
+    QVAR,
+    LaurentSeries,
+    QRationalFunction,
+    is_proper_part,
+    polar_split,
+    q_power,
+    weighted_sum,
+)
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
 __all__ = [
@@ -297,8 +305,9 @@ def jmgs_rhs(
     of each total degree per cover degree r: GV_d * dot(v_j, d) for the
     j-th divisor direction and GV_d for the structure direction, where
     d = total / r.  Then a(r), b(r) and their expansions are built once
-    per r, and each output is the weighted sum over r, formed alike for
-    the exact function and for its expansion.
+    per r, and each output is the weighted sum over r.  Its exact part is
+    added over one common denominator and reduced once, with one gcd;
+    its expansion is summed coefficient by coefficient into one series.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -344,14 +353,16 @@ def jmgs_rhs(
 def _weighted_sum(weighted, q_order: int) -> tuple[QRationalFunction, LaurentSeries]:
     """Sum of w * f, and of w * (expansion of f), over (w, (f, expansion)).
 
-    Taylor expansion is linear and exact, so the second sum is the
-    expansion of the first; zero weights contribute nothing.
+    The exact sum is reduced once, over one common denominator
+    (:func:`~bps_kit.series.weighted_sum`).  Taylor expansion is linear
+    and exact, so the second sum is the expansion of the first; it is
+    accumulated in one list of q_order coefficients.  Zero weights
+    contribute nothing.
     """
-    exact = QRationalFunction.constant(0)
-    series = LaurentSeries.zero(QVAR, q_order)
-    for w, (f, expansion) in weighted:
+    exact = weighted_sum([(w, f) for w, (f, _) in weighted])
+    coeffs = [Fraction(0)] * q_order
+    for w, (_, expansion) in weighted:
         if w:
-            # scaling skips the gcd that adding to zero would redo
-            exact = f * w if exact.is_zero else exact + f * w
-            series = series + expansion * w
-    return exact, series
+            for i, c in enumerate(expansion.coeffs, expansion.min_exp):
+                coeffs[i] += w * c
+    return exact, LaurentSeries(QVAR, 0, coeffs, q_order)

@@ -17,6 +17,9 @@ floating point appears anywhere.  Two value types are provided:
 at q = 0 and at roots of unity into a Laurent polynomial plus a proper
 part (numerator degree < denominator degree) regular at q = 0.  That
 decomposition is unique and both pieces are returned exactly.
+
+:func:`weighted_sum` adds many scaled rational functions at once: over
+one common integer denominator, reduced by a single gcd at the end.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "PolarSplit",
     "polar_split",
     "is_proper_part",
+    "weighted_sum",
     "laurent_polynomial_to_qrf",
     "q_power",
     "TruncationError",
@@ -169,6 +173,61 @@ def _int_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    # product of trimmed integer polynomials; the leading coefficient of a
+    # product of nonzero polynomials is nonzero, so nothing needs trimming
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return tuple(out)
+
+
+def _int_divexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient a / b of trimmed integer polynomials that b divides over Z.
+
+    Raises ArithmeticError when the quotient is not an integer polynomial
+    or the remainder is not zero.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    lb = b[-1]
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c, m = divmod(r[k + db], lb)
+        if m:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            q[k] = c
+            for i in range(db):  # the top coefficient cancels by construction
+                r[k + i] -= c * b[i]
+    if any(r[:db]):
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(q)
+
+
+def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd, up to sign, of nonzero integer polynomials a and b.
+
+    A primitive pseudo-remainder sequence: dividing out the integer
+    content at every step keeps coefficient growth under control, which
+    matters once the ring solves start producing degree ~50 numerators.
+    """
+    A = _int_primitive(a)
+    B = _int_primitive(b)
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        R = _int_prem(A, B)
+        A, B = B, _int_primitive(R)
+    return A
+
+
 def _monic(p):
     if not p:
         return ()
@@ -179,24 +238,13 @@ def _monic(p):
 
 
 def _poly_gcd_monic(a, b):
-    """Monic gcd over the rationals via a primitive pseudo-remainder sequence.
-
-    Clearing denominators and dividing out integer content at every step
-    keeps coefficient growth under control, which matters once the ring
-    solves start producing degree ~50 numerators.
-    """
+    """Monic gcd over the rationals, through the integer gcd of :func:`_int_gcd`."""
     if not a:
         return _monic(b)
     if not b:
         return _monic(a)
-    A = _int_primitive(_clear_denominators(a))
-    B = _int_primitive(_clear_denominators(b))
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        R = _int_prem(A, B)
-        A, B = B, _int_primitive(R)
-    return _monic(tuple([Fraction(c) for c in A]))
+    g = _int_gcd(_clear_denominators(a), _clear_denominators(b))
+    return _monic(tuple([Fraction(c) for c in g]))
 
 
 def _poly_taylor(num, den, order: int) -> list[Fraction]:
@@ -645,6 +693,61 @@ class QRationalFunction:
 
     def __repr__(self):
         return f"QRationalFunction({self!s})"
+
+
+def _int_term(w, f: QRationalFunction) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    # w * f as n / (s * d): n and d integer polynomials, s > 0, d primitive
+    # with positive leading coefficient.  With f.num == m / l for an integer
+    # polynomial m and f.den == d / d[-1] (f.den is monic),
+    # w * f == w.numerator * d[-1] * m / (w.denominator * l * d).
+    d = _int_primitive(_clear_denominators(f.den))
+    l = math.lcm(*[c.denominator for c in f.num])
+    k = w.numerator * d[-1]
+    n = tuple([k * c.numerator * (l // c.denominator) for c in f.num])
+    return n, w.denominator * l, d
+
+
+def weighted_sum(pairs: Iterable[tuple[int | Fraction, QRationalFunction]]) -> QRationalFunction:
+    """Sum of w * f over (w, f) pairs, reduced once.
+
+    Each term is cleared into integer polynomials, the terms are added
+    over the lcm of their denominators, and the sum takes one gcd with
+    that denominator.  Adding the terms one by one would take a gcd per
+    addition.  A single nonzero term is only scaled, which needs no gcd.
+    """
+    pairs = [(w, f) for w, f in pairs if w and not f.is_zero]
+    if not pairs:
+        return QRationalFunction._from_canonical((), (Fraction(1),))
+    if len(pairs) == 1:
+        w, f = pairs[0]
+        return f * w
+    terms = [_int_term(w, f) for w, f in pairs]
+    scale = math.lcm(*[s for _, s, _ in terms])
+    den = terms[0][2]
+    for _, _, d in terms[1:]:
+        if d != den:
+            den = _int_mul(den, _int_divexact(d, _int_gcd(den, d)))
+    num: list[int] = []
+    for n, s, d in terms:
+        k = scale // s
+        part = n if d == den else _int_mul(n, _int_divexact(den, d))
+        num.extend([0] * (len(part) - len(num)))
+        for i, c in enumerate(part):
+            num[i] += k * c
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return QRationalFunction._from_canonical((), (Fraction(1),))
+    num = tuple(num)
+    g = _int_gcd(num, den)
+    if len(g) > 1:
+        num = _int_divexact(num, g)
+        den = _int_divexact(den, g)
+    lead = den[-1]
+    return QRationalFunction._from_canonical(
+        tuple([Fraction(c, scale * lead) for c in num]),
+        tuple([Fraction(c, lead) for c in den]),
+    )
 
 
 def q_power(n: int) -> QRationalFunction:

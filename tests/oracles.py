@@ -180,6 +180,24 @@ def poly_long_division(num: list[Fraction], den: list[Fraction]):
     return quo, num
 
 
+# --- GV-weighted sums of rational functions --------------------------------------
+
+
+def weighted_sum_naive(pairs):
+    """Sum of w * f over (w, f) pairs, one library addition per pair.
+
+    The pairwise loop the library used before it added over one common
+    denominator: each addition cross-multiplies and takes a gcd.
+    """
+    from bps_kit.series import QRationalFunction
+
+    exact = QRationalFunction.constant(0)
+    for w, f in pairs:
+        if w:
+            exact = f * w if exact.is_zero else exact + f * w
+    return exact
+
+
 # --- the JMGS right-hand side, one (degree, r) pair at a time -------------------
 
 

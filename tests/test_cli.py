@@ -205,6 +205,18 @@ def test_cli_integrality_failure_exit_code(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("exists", [True, False])
+def test_cli_gw2gv_json_integrality_needs_output(tmp_path, capsys, exists):
+    # without --output the table and the report would be two JSON documents
+    # on stdout; the combination is refused before the input is read
+    src = quintic_path() if exists else tmp_path / "missing.json"
+    code = main(["gw2gv", str(src), "--json", "--check-integrality"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--output" in captured.err
+
+
 def test_cli_check_integrality_command(tmp_path, capsys):
     gv_doc = {
         "kind": "GV",

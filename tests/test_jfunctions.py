@@ -478,6 +478,18 @@ def test_jmgs_rhs_matches_term_by_term_oracle(table, r_max, q_order):
     assert_same_rhs(gv, pairing, r_max, q_order)
 
 
+@given(table=gv_tables(), r_max=st.integers(1, 4), q_order=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_jmgs_rhs_expansions_expand_the_exact_parts(table, r_max, q_order):
+    # the expansions are summed apart from the exact parts; Taylor expansion
+    # is linear, so each must be the expansion of its exact part
+    gv, pairing = table
+    for term in jmgs_rhs(gv, pairing, r_max, q_order).terms.values():
+        for f, s in zip(term.divisor_exact, term.divisor_expansion):
+            assert f.expand(q_order) == s
+        assert term.structure_exact.expand(q_order) == term.structure_expansion
+
+
 @pytest.mark.parametrize("q_order", [0, 5])
 def test_jmgs_rhs_opposite_values_meeting_at_one_degree(q_order):
     # d=(1,0) at r=2 and d=(2,0) at r=1 both land on total degree (2,0),

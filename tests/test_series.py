@@ -21,7 +21,10 @@ from bps_kit.series import (
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,
+    weighted_sum,
 )
+from bps_kit.series import _int_divexact
+from bps_kit.jfunctions import a_series, b_series
 
 from oracles import (
     dict_mul,
@@ -29,6 +32,7 @@ from oracles import (
     laurent_add_naive,
     long_division_inverse,
     poly_long_division,
+    weighted_sum_naive,
 )
 
 Fr = Fraction
@@ -438,3 +442,83 @@ def test_scalar_mul_matches_general_constructor(num, den, c):
             assert sympy.gcd(n, d).degree() == 0
         else:
             assert scaled.den == (Fr(1),)
+
+
+def assert_canonical(f):
+    """Monic denominator, zero as 0/1, and numerator coprime to denominator."""
+    assert f.den[-1] == 1
+    if not f.num:
+        assert f.den == (Fr(1),)
+        return
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    n = sympy.Poly(list(reversed(f.num)), q, domain="QQ")
+    d = sympy.Poly(list(reversed(f.den)), q, domain="QQ")
+    assert sympy.gcd(n, d).degree() == 0
+
+
+# --- weighted sums over one common denominator --------------------------------------
+
+BIG = 2**300 + 1
+WEIGHTS = st.one_of(
+    st.sampled_from([0, 1, -1, Fr(3, 7), Fr(-3, 7), BIG, -BIG]),
+    small_fractions,
+)
+
+
+@st.composite
+def rational_functions(draw):
+    """Cover series, or random functions with a pole at 0 and any sign of lead."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([a_series, b_series]))(draw(st.integers(1, 6)))
+    num = draw(st.lists(small_fractions, max_size=5))
+    den = draw(st.lists(small_fractions, min_size=1, max_size=5).filter(lambda d: d[-1] != 0))
+    if draw(st.booleans()):
+        den = [-c for c in den]
+    return qrf(num, [0] * draw(st.integers(0, 2)) + den)
+
+
+@given(pairs=st.lists(st.tuples(WEIGHTS, rational_functions()), max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_weighted_sum_matches_pairwise_oracle(pairs):
+    total = weighted_sum(pairs)
+    expected = weighted_sum_naive(pairs)
+    assert (total.num, total.den) == (expected.num, expected.den)
+    assert_canonical(total)
+
+
+def test_weighted_sum_of_nothing_is_zero():
+    for pairs in ([], [(0, a_series(2))], [(5, qrf([]))]):
+        total = weighted_sum(pairs)
+        assert (total.num, total.den) == ((), (Fr(1),))
+
+
+def test_weighted_sum_of_one_pair_is_the_scaled_function():
+    f = qrf([1, -2, 3], [0, 2, 0, -5])
+    for w in (1, -1, Fr(3, 7), BIG):
+        # a zero pair beside it is dropped, so only the scaling is left
+        total = weighted_sum([(0, b_series(3)), (w, f)])
+        assert (total.num, total.den) == ((f * w).num, (f * w).den)
+
+
+def test_weighted_sum_cancels_to_zero():
+    for w, f in [(Fr(3, 7), a_series(4)), (-BIG, qrf([1, 1], [0, -3, 1]))]:
+        total = weighted_sum([(w, f), (-w, f)])
+        assert (total.num, total.den) == ((), (Fr(1),))
+
+
+def test_weighted_sum_reduces_to_a_constant():
+    # 1/(1-q) - q/(1-q) == 1: the common factor 1-q cancels in the one gcd
+    total = weighted_sum([(1, qrf([1], [1, -1])), (-1, qrf([0, 1], [1, -1]))])
+    assert (total.num, total.den) == ((Fr(1),), (Fr(1),))
+
+
+def test_int_divexact_rejects_an_inexact_quotient():
+    assert _int_divexact((1, 0, -1), (1, -1)) == (1, 1)
+    assert _int_divexact((), (3, 1)) == ()
+    with pytest.raises(ArithmeticError):
+        _int_divexact((1, 0, 1), (1, 1))  # nonzero remainder
+    with pytest.raises(ArithmeticError):
+        _int_divexact((1, 2), (2,))  # quotient (1/2, 1) is not integral
+    with pytest.raises(ArithmeticError):
+        _int_divexact((3,), (1, 1))  # lower degree than the divisor
