@@ -66,7 +66,7 @@ def main() -> int:
     )
 
     print("proper-part identity:")
-    report = split_check(6)
+    report = split_check(20)
     for res in report.results:
         check(f"degree r = {res.r}", res.passed)
 

@@ -21,6 +21,7 @@ quantum K-theoretic side of the story.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -36,6 +37,8 @@ from .series import (
     weighted_sum,
 )
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "a_series",
@@ -61,20 +64,53 @@ def _one_minus_q_to(r: int) -> QRationalFunction:
     return QRationalFunction([1] + [0] * (r - 1) + [-1])
 
 
-def a_series(r: int) -> QRationalFunction:
-    """Divisor-direction cover coefficient of degree r; a(r, 0) = r."""
+# Each object below is a rational function F(x) evaluated at x = q^s.  The
+# public builders take s = r, the power of q at Novikov degree r;
+# split_check also takes s = 1, which decides its identity in x itself.
+
+
+def _a_at(r: int, s: int) -> QRationalFunction:
     if r < 1:
         raise ValueError("cover degree must be positive")
-    u = _one_minus_q_to(r)
+    u = _one_minus_q_to(s)
     return (r - 1) / u + 1 / u**2
+
+
+def _b_at(r: int, s: int) -> QRationalFunction:
+    if r < 1:
+        raise ValueError("cover degree must be positive")
+    u = _one_minus_q_to(s)
+    return (r * r - 1) / u + 3 / u**2 - 2 / u**3
+
+
+def _i_at(r: int, s: int) -> KElem:
+    if r < 1:
+        raise ValueError("Novikov degree must be positive")
+    one = ring_one(Y_RING)
+    p = gen_p(Y_RING)
+    t = gen_t(Y_RING)
+    pt_inv = (p * t).inverse()
+    n2 = (one - p * t) ** 2
+    factor_inv = (one - p * q_power(s)).inverse()
+    return n2 * pt_inv ** (2 * r) * factor_inv ** 2 * q_power(-s * (r - 1))
+
+
+def _j_y_at(r: int, s: int) -> KElem:
+    one = ring_one(Y_RING)
+    p = gen_p(Y_RING)
+    t = gen_t(Y_RING)
+    n2 = (one - p * t) ** 2
+    return n2 * (one + (one - p)) * _a_at(r, s) + n2 * (one - p) * _b_at(r, s)
+
+
+def a_series(r: int) -> QRationalFunction:
+    """Divisor-direction cover coefficient of degree r; a(r, 0) = r."""
+    return _a_at(r, r)
 
 
 def b_series(r: int) -> QRationalFunction:
     """Structure-sheaf cover coefficient of degree r; b(r, 0) = r^2."""
-    if r < 1:
-        raise ValueError("cover degree must be positive")
-    u = _one_minus_q_to(r)
-    return (r * r - 1) / u + 3 / u**2 - 2 / u**3
+    return _b_at(r, r)
 
 
 def i_coefficient(r: int) -> KElem:
@@ -83,29 +119,17 @@ def i_coefficient(r: int) -> KElem:
     The telescoping products of (1 - Pt q^m) over (1 - P q^m) cancel
     against the (1-Pt)^2 prefactor (see absorption_check), leaving
 
-        (1-Pt)^2 / ((Pt)^{2r} q^{r(r-1)} (1 - P q^r)^2).
+        (1-Pt)^2 / ((Pt)^{2r} x^{r-1} (1 - P x)^2)   at x = q^r.
 
     Both ring inversions go through the generic linear solve; Pt is
     invertible because 1 - Pt is nilpotent.
     """
-    if r < 1:
-        raise ValueError("Novikov degree must be positive")
-    one = ring_one(Y_RING)
-    p = gen_p(Y_RING)
-    t = gen_t(Y_RING)
-    pt_inv = (p * t).inverse()
-    n2 = (one - p * t) ** 2
-    factor_inv = (one - p * q_power(r)).inverse()
-    return n2 * pt_inv ** (2 * r) * factor_inv ** 2 * q_power(-r * (r - 1))
+    return _i_at(r, r)
 
 
 def j_y_coefficient(r: int) -> KElem:
     """Novikov-degree-r coefficient of the cover-summed series, rank-6 ring."""
-    one = ring_one(Y_RING)
-    p = gen_p(Y_RING)
-    t = gen_t(Y_RING)
-    n2 = (one - p * t) ** 2
-    return n2 * (one + (one - p)) * a_series(r) + n2 * (one - p) * b_series(r)
+    return _j_y_at(r, r)
 
 
 def j_x_coefficient(r: int) -> KElem:
@@ -197,44 +221,70 @@ class SplitCheckReport:
 def split_check(r_max: int) -> SplitCheckReport:
     """Coordinatewise: proper part of i_coefficient(r) == j_y_coefficient(r).
 
-    The split of I into a Laurent polynomial plus a part that is proper
-    and regular at 0 is unique, so the identity is decided without
-    computing the split (:func:`~bps_kit.series.is_proper_part`).  With
-    I = num_I / den_I and J = num_J / den_J in canonical form, J proper
-    and regular at 0, and q^k the largest power of q dividing den_I, the
-    proper part of I is J exactly when
+    Each coordinate is decided in x = q^r, where its denominator has
+    degree about r instead of about r^2.  Every coordinate of I(r) and
+    J(r) is F(q^r) for a rational function F(x): the builders use only
+    field operations and rational constants, and substituting x = q^r is
+    a field homomorphism from Q(x) to Q(q) that fixes Q, so building at
+    x and then substituting gives the build in q.
 
-        den_I == q^k den_J   and   den_J divides num_I - q^k num_J.
+    Substitution lemma: for rational functions F and G, G is the proper
+    part of F exactly when G(q^r) is the proper part of F(q^r).  Let
+    F = L + P be the unique split of F, with L a Laurent polynomial in x
+    and P = n/d proper with d(0) != 0.  Then L(q^r) is a Laurent
+    polynomial in q, and P(q^r) = n(q^r)/d(q^r) is proper, since both
+    degrees are multiplied by r, and regular at 0, since d(0) != 0.  The
+    split in q is unique too, so the proper part of F(q^r) is P(q^r).
+    If G = P, then G(q^r) = P(q^r).  Conversely, if G(q^r) = P(q^r),
+    then (G - P)(q^r) = 0; substitution moves each coefficient of the
+    numerator to r times its exponent and drops none, so it is
+    injective, and G = P.
 
-    If both hold, I = P / q^k + J with P = (num_I - q^k num_J) / den_J, a
-    Laurent polynomial plus J.  Conversely, if I = P / q^k + J then
-    I = (P den_J + q^k num_J) / (q^k den_J), and since den_J(0) != 0,
-    gcd(P den_J + q^k num_J, den_J) = gcd(q^k num_J, den_J) = 1: reducing
-    that fraction cancels only powers of q, which keeps the same form
+    Each coordinate is decided by :func:`~bps_kit.series.is_proper_part`,
+    which uses the uniqueness of the split too.  With F = num_F / den_F
+    and G = num_G / den_G in canonical form, G proper and regular at 0,
+    and x^k the largest power of x dividing den_F, G is the proper part
+    of F exactly when
+
+        den_F == x^k den_G   and   den_G divides num_F - x^k num_G.
+
+    If both hold, F = P / x^k + G with P = (num_F - x^k num_G) / den_G, a
+    Laurent polynomial plus G.  Conversely, if F = P / x^k + G then
+    F = (P den_G + x^k num_G) / (x^k den_G), and since den_G(0) != 0,
+    gcd(P den_G + x^k num_G, den_G) = gcd(x^k num_G, den_G) = 1: reducing
+    that fraction cancels only powers of x, which keeps the same form
     with a smaller k.  The test is one polynomial division, with no gcd,
     no Taylor expansion and no roots-of-unity sieve.  The verdict does
-    not need the sieve: den_J divides (1-q^r)^3, so when the test holds
-    every pole of I lies at 0 or at an r-th root of unity.
+    not need the sieve: den_G divides (1-x)^3, so when the test holds
+    every pole of F lies at 0 or at 1.
 
-    When the test fails, the residual is computed the long way, as
-    ``polar_split(I).proper - J``, so the sieve runs only on that path.
-    A failing report carries the split's residuals, and any
-    pole-location or truncation error from the split propagates: a clean
-    report only ever means the identity was actually checked.
+    When a coordinate fails in x, I(r) and J(r) are built in q and its
+    residual is computed the long way, as ``polar_split(I).proper - J``,
+    so the sieve runs only on that path.  A failing report carries the
+    split's residuals, and any pole-location or truncation error from
+    the split propagates: a clean report only ever means the identity
+    was actually checked.  Each r logs at DEBUG whether it was decided
+    in x or fell back to the split in q.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     results = []
     for r in range(1, r_max + 1):
-        i_el = i_coefficient(r)
-        j_el = j_y_coefficient(r)
+        i_x, j_x = _i_at(r, 1), _j_y_at(r, 1)
+        i_q = j_q = None
         residuals = []
-        for i, j in zip(i_el.coords, j_el.coords):
-            i, j = _as_qrf(i), _as_qrf(j)
-            if is_proper_part(j, i):
+        for c, (i, j) in enumerate(zip(i_x.coords, j_x.coords)):
+            if is_proper_part(_as_qrf(j), _as_qrf(i)):
                 residuals.append(QRationalFunction.constant(0))
-            else:
-                residuals.append(polar_split(i).proper - j)
+                continue
+            if i_q is None:
+                i_q, j_q = _i_at(r, r), _j_y_at(r, r)
+            split = polar_split(_as_qrf(i_q.coords[c]))
+            residuals.append(split.proper - _as_qrf(j_q.coords[c]))
+        if i_q is None:
+            log.debug("split_check r=%d: decided in x = q^r", r)
+        else:
+            log.debug("split_check r=%d: failed in x = q^r, residuals from the split in q", r)
         residuals = tuple(residuals)
         passed = all(res.is_zero for res in residuals)
         results.append(SplitCheckResult(r, passed, residuals))

@@ -138,10 +138,8 @@ def _pdivmod(a, b):
 
 
 def _clear_denominators(p) -> tuple[int, ...]:
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return tuple([int(c * lcm) for c in p])
+    lcm = math.lcm(*[c.denominator for c in p])
+    return tuple([c.numerator * (lcm // c.denominator) for c in p])
 
 
 def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:

@@ -180,6 +180,29 @@ def poly_long_division(num: list[Fraction], den: list[Fraction]):
     return quo, num
 
 
+# --- substitution x = q^r -------------------------------------------------------
+
+
+def substitute(f, r: int):
+    """f(q^r) for a rational function f, or f itself for a constant.
+
+    Each coefficient of the numerator and of the denominator moves from
+    exponent e to exponent r*e.
+    """
+    from bps_kit.series import QRationalFunction
+
+    if not isinstance(f, QRationalFunction):
+        return f
+
+    def spread(p):
+        out = [Fraction(0)] * (r * (len(p) - 1) + 1) if p else []
+        for e, c in enumerate(p):
+            out[r * e] = c
+        return out
+
+    return QRationalFunction(spread(f.num), spread(f.den))
+
+
 # --- GV-weighted sums of rational functions --------------------------------------
 
 

@@ -215,13 +215,14 @@ def test_criterion_5_kring_soundness():
     print("\nACCEPTANCE 5 ring soundness, absorption m<=10, confluence: PASS")
 
 
-def test_criterion_6_split_identity_r6():
+def test_criterion_6_split_identity_r20():
     with timed(10.0):
-        report = split_check(6)
+        report = split_check(20)
         assert report.all_passed
+        assert [res.r for res in report.results] == list(range(1, 21))
         for res in report.results:
             assert all(x.is_zero for x in res.residuals)
-    print("\nACCEPTANCE 6 proper-part identity for all r <= 6: PASS")
+    print("\nACCEPTANCE 6 proper-part identity for all r <= 20: PASS")
 
 
 def test_criterion_7_delta_rhs_matches_rank2_j():

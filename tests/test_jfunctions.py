@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from bps_kit.series import (
 )
 from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
 
-from oracles import inv_power_series_coeff, jmgs_rhs_naive
+from oracles import inv_power_series_coeff, jmgs_rhs_naive, substitute
 
 Fr = Fraction
 
@@ -548,24 +549,82 @@ def test_fast_verdict_agrees_with_polar_split():
 @pytest.mark.parametrize(
     "extra",
     [
-        QRationalFunction([1], [1, -2]),  # proper, but a pole at q = 1/2
-        QRationalFunction.constant(1),  # not proper
+        lambda s: QRationalFunction([1], [1, -2]),  # proper, but a pole at q = 1/2
+        lambda s: QRationalFunction.constant(1),  # not proper
+        # 1/(1-x) at x = q^s: the same perturbation in x and in q, so the
+        # residuals differ between the two variables from r = 2 on
+        lambda s: QRationalFunction([1], [1] + [0] * (s - 1) + [-1]),
     ],
-    ids=["foreign-pole", "constant"],
+    ids=["foreign-pole", "constant", "cover-pole"],
 )
 def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra):
-    real_j = jfunctions.j_y_coefficient
-    monkeypatch.setattr(jfunctions, "j_y_coefficient", lambda r: real_j(r) + extra)
+    # the shared builder is patched, so the perturbation reaches the
+    # decision in x and the residuals in q alike
+    real_j_at = jfunctions._j_y_at
+    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r, s: real_j_at(r, s) + extra(s))
     report = split_check(3)
     assert not report.all_passed
     for res in report.results:
         assert not res.passed
-        assert res.residuals == expected_residuals(res.r, real_j(res.r) + extra)
+        assert res.residuals == expected_residuals(res.r, real_j_at(res.r, res.r) + extra(res.r))
 
 
 def test_split_check_pole_location_error_propagates(monkeypatch):
-    real_i = jfunctions.i_coefficient
+    real_i_at = jfunctions._i_at
     pole = QRationalFunction([1], [1, -2])
-    monkeypatch.setattr(jfunctions, "i_coefficient", lambda r: real_i(r) + pole)
+    monkeypatch.setattr(jfunctions, "_i_at", lambda r, s: real_i_at(r, s) + pole)
     with pytest.raises(PoleLocationError):
         split_check(2)
+
+
+def test_split_check_logs_where_each_degree_was_decided(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="bps_kit.jfunctions")
+    split_check(2)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "split_check r=1: decided in x = q^r",
+        "split_check r=2: decided in x = q^r",
+    ]
+    caplog.clear()
+    real_j_at = jfunctions._j_y_at
+    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r, s: real_j_at(r, s) + 1)
+    split_check(1)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "split_check r=1: failed in x = q^r, residuals from the split in q",
+    ]
+
+
+# --- the substitution lemma: deciding in x = q^r ---------------------------------------
+
+
+def test_x_builds_substitute_to_the_q_builds():
+    for r in range(1, 13):
+        for built_x, built_q in (
+            (jfunctions._i_at(r, 1), i_coefficient(r)),
+            (jfunctions._j_y_at(r, 1), j_y_coefficient(r)),
+        ):
+            for cx, cq in zip(built_x.coords, built_q.coords):
+                assert substitute(coord_qrf(cx), r) == coord_qrf(cq)
+
+
+# perturbations e(x) of J: with a pole at 1 or away from the roots of
+# unity, a constant, and a double and a shared pole
+PERTURBATIONS = [
+    QRationalFunction([1], [1, -1]),
+    QRationalFunction([1], [1, -2]),
+    QRationalFunction.constant(1),
+    QRationalFunction([0, 1], [1, -2, 1]),
+    QRationalFunction([1], [1, 0, -1]),
+]
+
+
+def test_x_verdict_equals_q_verdict():
+    zero = QRationalFunction.constant(0)
+    for r in range(1, 13):
+        i_x, j_x = jfunctions._i_at(r, 1), jfunctions._j_y_at(r, 1)
+        i_q, j_q = i_coefficient(r), j_y_coefficient(r)
+        for e in [zero] + PERTURBATIONS:
+            e_q = substitute(e, r)
+            for ix, jx, iq, jq in zip(i_x.coords, j_x.coords, i_q.coords, j_q.coords):
+                in_x = is_proper_part(coord_qrf(jx) + e, coord_qrf(ix))
+                in_q = is_proper_part(coord_qrf(jq) + e_q, coord_qrf(iq))
+                assert in_x == in_q == e.is_zero

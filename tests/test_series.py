@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from bps_kit.series import (
     q_power,
     weighted_sum,
 )
-from bps_kit.series import _int_divexact
+from bps_kit.series import _clear_denominators, _int_divexact
 from bps_kit.jfunctions import a_series, b_series
 
 from oracles import (
@@ -377,6 +378,8 @@ def test_is_proper_part_agrees_with_split():
         (laurent + one_minus_q * 3, one_minus_q, False),
         (one_minus_q, laurent + one_minus_q, False),
         (one_minus_q * q_power(-2), qrf([1], [1, -1]), True),
+        # same numerator, another denominator of the same degree
+        (qrf([1], [-1, 1]), qrf([1], [-2, 1]), False),
     ]
     for f, g, expected in cases:
         assert (polar_split(f).proper == g) == expected
@@ -413,6 +416,36 @@ def test_split_properties_random(num, k, r, m):
     again = polar_split(sp.proper)
     assert again.laurent == {}
     assert again.proper == sp.proper
+
+
+@st.composite
+def proper_regular_functions(draw):
+    """A proper function regular at 0, over a product of factors (1 - q^k)^m."""
+    den = QRationalFunction.constant(1)
+    factors = st.tuples(
+        st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2)
+    )
+    for k, m in draw(st.lists(factors, min_size=1, max_size=2)):
+        den = den * qrf([1] + [0] * (k - 1) + [-1]) ** m
+    num = draw(st.lists(small_fractions, max_size=den.num_degree))
+    return qrf(num, den.num)
+
+
+@given(
+    laurent=st.dictionaries(st.integers(min_value=-3, max_value=3), small_fractions),
+    proper=proper_regular_functions(),
+    c=small_fractions.filter(bool),
+)
+@settings(max_examples=80)
+def test_split_is_unique(laurent, proper, c):
+    laurent = {e: v for e, v in laurent.items() if v}
+    f = laurent_polynomial_to_qrf(laurent) + proper
+    sp = polar_split(f)
+    assert sp.laurent == laurent
+    assert sp.proper == proper
+    assert polar_split(proper) == ({}, proper)
+    assert is_proper_part(proper, f)
+    assert not is_proper_part(proper + c, f)
 
 
 # --- scaling by a scalar ----------------------------------------------------------
@@ -455,6 +488,18 @@ def assert_canonical(f):
     n = sympy.Poly(list(reversed(f.num)), q, domain="QQ")
     d = sympy.Poly(list(reversed(f.den)), q, domain="QQ")
     assert sympy.gcd(n, d).degree() == 0
+
+
+# --- clearing denominators -----------------------------------------------------------
+
+
+@given(st.lists(st.fractions(max_denominator=10**30), max_size=12))
+@settings(max_examples=100)
+def test_clear_denominators_matches_fraction_products(coeffs):
+    lcm = 1
+    for c in coeffs:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    assert _clear_denominators(tuple(coeffs)) == tuple(int(c * lcm) for c in coeffs)
 
 
 # --- weighted sums over one common denominator --------------------------------------
