@@ -22,6 +22,7 @@ quantum K-theoretic side of the story.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -31,7 +32,6 @@ from .series import (
     QVAR,
     LaurentSeries,
     QRationalFunction,
-    is_proper_part,
     polar_split,
     q_power,
     weighted_sum,
@@ -60,30 +60,27 @@ __all__ = [
 ]
 
 
-def _one_minus_q_to(r: int) -> QRationalFunction:
-    return QRationalFunction([1] + [0] * (r - 1) + [-1])
+# Each object below is a rational function F(x), built once in x; at
+# Novikov degree r the public builders return F(q^r), by substitution.
+
+_ONE_MINUS_X = QRationalFunction([1, -1])
 
 
-# Each object below is a rational function F(x) evaluated at x = q^s.  The
-# public builders take s = r, the power of q at Novikov degree r;
-# split_check also takes s = 1, which decides its identity in x itself.
-
-
-def _a_at(r: int, s: int) -> QRationalFunction:
+def _a_at(r: int) -> QRationalFunction:
     if r < 1:
         raise ValueError("cover degree must be positive")
-    u = _one_minus_q_to(s)
+    u = _ONE_MINUS_X
     return (r - 1) / u + 1 / u**2
 
 
-def _b_at(r: int, s: int) -> QRationalFunction:
+def _b_at(r: int) -> QRationalFunction:
     if r < 1:
         raise ValueError("cover degree must be positive")
-    u = _one_minus_q_to(s)
+    u = _ONE_MINUS_X
     return (r * r - 1) / u + 3 / u**2 - 2 / u**3
 
 
-def _i_at(r: int, s: int) -> KElem:
+def _i_at(r: int) -> KElem:
     if r < 1:
         raise ValueError("Novikov degree must be positive")
     one = ring_one(Y_RING)
@@ -91,26 +88,32 @@ def _i_at(r: int, s: int) -> KElem:
     t = gen_t(Y_RING)
     pt_inv = (p * t).inverse()
     n2 = (one - p * t) ** 2
-    factor_inv = (one - p * q_power(s)).inverse()
-    return n2 * pt_inv ** (2 * r) * factor_inv ** 2 * q_power(-s * (r - 1))
+    factor_inv = (one - p * q_power(1)).inverse()
+    return n2 * pt_inv ** (2 * r) * factor_inv ** 2 * q_power(1 - r)
 
 
-def _j_y_at(r: int, s: int) -> KElem:
+def _j_y_at(r: int) -> KElem:
     one = ring_one(Y_RING)
     p = gen_p(Y_RING)
     t = gen_t(Y_RING)
     n2 = (one - p * t) ** 2
-    return n2 * (one + (one - p)) * _a_at(r, s) + n2 * (one - p) * _b_at(r, s)
+    return n2 * (one + (one - p)) * _a_at(r) + n2 * (one - p) * _b_at(r)
+
+
+def _elem_at_power(el: KElem, r: int) -> KElem:
+    # rational-function coordinates are substituted, Fractions stay as they are
+    coords = [c.at_power(r) if isinstance(c, QRationalFunction) else c for c in el.coords]
+    return KElem(el.ring, tuple(coords))
 
 
 def a_series(r: int) -> QRationalFunction:
     """Divisor-direction cover coefficient of degree r; a(r, 0) = r."""
-    return _a_at(r, r)
+    return _a_at(r).at_power(r)
 
 
 def b_series(r: int) -> QRationalFunction:
     """Structure-sheaf cover coefficient of degree r; b(r, 0) = r^2."""
-    return _b_at(r, r)
+    return _b_at(r).at_power(r)
 
 
 def i_coefficient(r: int) -> KElem:
@@ -124,12 +127,12 @@ def i_coefficient(r: int) -> KElem:
     Both ring inversions go through the generic linear solve; Pt is
     invertible because 1 - Pt is nilpotent.
     """
-    return _i_at(r, r)
+    return _elem_at_power(_i_at(r), r)
 
 
 def j_y_coefficient(r: int) -> KElem:
     """Novikov-degree-r coefficient of the cover-summed series, rank-6 ring."""
-    return _j_y_at(r, r)
+    return _elem_at_power(_j_y_at(r), r)
 
 
 def j_x_coefficient(r: int) -> KElem:
@@ -240,54 +243,34 @@ def split_check(r_max: int) -> SplitCheckReport:
     numerator to r times its exponent and drops none, so it is
     injective, and G = P.
 
-    Each coordinate is decided by :func:`~bps_kit.series.is_proper_part`,
-    which uses the uniqueness of the split too.  With F = num_F / den_F
-    and G = num_G / den_G in canonical form, G proper and regular at 0,
-    and x^k the largest power of x dividing den_F, G is the proper part
-    of F exactly when
+    So each coordinate's residual, the proper part of I(r) minus J(r),
+    is computed in x as ``polar_split(I).proper - J`` and mapped to q by
+    :meth:`~bps_kit.series.QRationalFunction.at_power`.  Substitution is
+    a homomorphism, so by the lemma this is the residual of the split in
+    q.  When the proper part equals J, as canonical forms, the residual
+    is the zero constant and no subtraction runs.  The roots-of-unity
+    check of the split runs on every coordinate, and it raises in x
+    exactly when it would in q: the poles of F(q^r) away from 0 are the
+    r-th roots of the poles of F, and a number is a root of unity exactly
+    when its r-th roots are.
 
-        den_F == x^k den_G   and   den_G divides num_F - x^k num_G.
-
-    If both hold, F = P / x^k + G with P = (num_F - x^k num_G) / den_G, a
-    Laurent polynomial plus G.  Conversely, if F = P / x^k + G then
-    F = (P den_G + x^k num_G) / (x^k den_G), and since den_G(0) != 0,
-    gcd(P den_G + x^k num_G, den_G) = gcd(x^k num_G, den_G) = 1: reducing
-    that fraction cancels only powers of x, which keeps the same form
-    with a smaller k.  The test is one polynomial division, with no gcd,
-    no Taylor expansion and no roots-of-unity sieve.  The verdict does
-    not need the sieve: den_G divides (1-x)^3, so when the test holds
-    every pole of F lies at 0 or at 1.
-
-    When a coordinate fails in x, I(r) and J(r) are built in q and its
-    residual is computed the long way, as ``polar_split(I).proper - J``,
-    so the sieve runs only on that path.  A failing report carries the
-    split's residuals, and any pole-location or truncation error from
-    the split propagates: a clean report only ever means the identity
-    was actually checked.  Each r logs at DEBUG whether it was decided
-    in x or fell back to the split in q.
+    A failing report carries the residuals, and any pole-location or
+    truncation error from the split propagates: a clean report only ever
+    means the identity was actually checked.  Each r logs its verdict at
+    DEBUG.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    zero = QRationalFunction.constant(0)
     results = []
     for r in range(1, r_max + 1):
-        i_x, j_x = _i_at(r, 1), _j_y_at(r, 1)
-        i_q = j_q = None
         residuals = []
-        for c, (i, j) in enumerate(zip(i_x.coords, j_x.coords)):
-            if is_proper_part(_as_qrf(j), _as_qrf(i)):
-                residuals.append(QRationalFunction.constant(0))
-                continue
-            if i_q is None:
-                i_q, j_q = _i_at(r, r), _j_y_at(r, r)
-            split = polar_split(_as_qrf(i_q.coords[c]))
-            residuals.append(split.proper - _as_qrf(j_q.coords[c]))
-        if i_q is None:
-            log.debug("split_check r=%d: decided in x = q^r", r)
-        else:
-            log.debug("split_check r=%d: failed in x = q^r, residuals from the split in q", r)
-        residuals = tuple(residuals)
+        for i, j in zip(_i_at(r).coords, _j_y_at(r).coords):
+            proper, expected = polar_split(_as_qrf(i)).proper, _as_qrf(j)
+            residuals.append(zero if proper == expected else (proper - expected).at_power(r))
         passed = all(res.is_zero for res in residuals)
-        results.append(SplitCheckResult(r, passed, residuals))
+        log.debug("split_check r=%d in x = q^r: %s", r, "passed" if passed else "failed")
+        results.append(SplitCheckResult(r, passed, tuple(residuals)))
     return SplitCheckReport(tuple(results))
 
 
@@ -303,13 +286,17 @@ class DivisorPairing:
     vectors: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vectors", tuple(tuple(int(x) for x in v) for v in self.vectors)
-        )
+        try:
+            vectors = tuple([tuple([operator.index(x) for x in v]) for v in self.vectors])
+        except TypeError as exc:
+            raise ValueError(f"pairing vectors {self.vectors!r} need integer entries") from exc
+        if len({len(v) for v in vectors}) != 1 or not vectors[0]:
+            raise ValueError(f"pairing vectors {self.vectors!r} must be nonempty, of one length")
+        object.__setattr__(self, "vectors", vectors)
 
     @property
     def rank(self) -> int:
-        return len(self.vectors[0]) if self.vectors else 0
+        return len(self.vectors[0])
 
 
 @dataclass(frozen=True)

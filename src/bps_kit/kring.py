@@ -289,8 +289,12 @@ class KElem:
         if not isinstance(n, int) or n < 0:
             raise ValueError("ring powers must use nonnegative integer exponents")
         result = ring_one(self.ring)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:  # square and multiply, as QRationalFunction.__pow__ does
+            if n & 1:
+                result = result * base
+            n >>= 1
+            base = base * base if n else base
         return result
 
     def __eq__(self, other):

@@ -33,7 +33,6 @@ __all__ = [
     "QRationalFunction",
     "PolarSplit",
     "polar_split",
-    "is_proper_part",
     "weighted_sum",
     "laurent_polynomial_to_qrf",
     "q_power",
@@ -243,6 +242,13 @@ def _poly_gcd_monic(a, b):
         return _monic(a)
     g = _int_gcd(_clear_denominators(a), _clear_denominators(b))
     return _monic(tuple([Fraction(c) for c in g]))
+
+
+def _spread(p, r: int):
+    # p(q^r): the coefficient of q^e moves to q^(r*e); () stays ()
+    out = [Fraction(0)] * (r * (len(p) - 1) + 1)
+    out[::r] = p
+    return tuple(out)
 
 
 def _poly_taylor(num, den, order: int) -> list[Fraction]:
@@ -674,6 +680,18 @@ class QRationalFunction:
             raise PoleAtZeroError("cannot expand: pole at q = 0")
         return LaurentSeries(QVAR, 0, _poly_taylor(self.num, self.den, order), order)
 
+    def at_power(self, r: int) -> "QRationalFunction":
+        """f(q^r) for a positive integer r, with no gcd.
+
+        Each coefficient moves from exponent e to exponent r*e.  The
+        result is already canonical: the denominator stays monic, and a
+        Bezout identity a*num + b*den = 1 becomes one for num(q^r) and
+        den(q^r), so the two stay coprime.
+        """
+        if r < 1:
+            raise ValueError("substitution q -> q^r needs a positive r")
+        return QRationalFunction._from_canonical(_spread(self.num, r), _spread(self.den, r))
+
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -833,52 +851,37 @@ def polar_split(f: QRationalFunction) -> PolarSplit:
     constraints (Laurent polynomial; proper and regular at 0) pin the
     decomposition uniquely: the difference of two candidates would be a
     Laurent polynomial vanishing at infinity and regular at 0, hence 0.
+
+    Writing f = num / (q^k den) with den(0) != 0, and p for the first k
+    Taylor coefficients of num / den, the polynomial num - p den is
+    divisible by q^k, so f = p / q^k + n / den with n = (num - p den) / q^k.
+    Every common factor of n and den divides num, so n is coprime to den,
+    and so is the remainder of n mod den: the proper part is built with
+    no gcd.
     """
     # strip the q-power from the denominator
     k = 0
     den = f.den
-    while den and den[0] == 0:
+    while den[0] == 0:  # the monic denominator ends in a nonzero
         den = den[1:]
         k += 1
     _check_roots_of_unity(den)
 
     laurent: dict[int, Fraction] = {}
-    rest = f
+    n = f.num
     if k > 0:
         principal = _poly_taylor(f.num, den, k)
         for i, c in enumerate(principal):
             if c != 0:
                 laurent[i - k] = c
-        rest = f - QRationalFunction(principal, (Fraction(0),) * k + (Fraction(1),))
-    if rest.is_zero:
-        return PolarSplit(laurent, rest)
-    quo, rem = _pdivmod(rest.num, rest.den)
+        n = _padd(f.num, _pneg(_pmul(principal, den)))[k:]
+    quo, rem = _pdivmod(n, den)
     for e, c in enumerate(quo):
         if c != 0:
-            laurent[e] = laurent.get(e, Fraction(0)) + c
-    proper = QRationalFunction(rem, rest.den)
-    return PolarSplit({e: c for e, c in laurent.items() if c != 0}, proper)
-
-
-def is_proper_part(g: QRationalFunction, f: QRationalFunction) -> bool:
-    """True iff g is the proper part of f, as :func:`polar_split` defines it.
-
-    Decided by one polynomial division, using the uniqueness of the split:
-    with q^k the largest power of q dividing den(f), g is the proper part
-    exactly when g is proper and regular at 0, den(f) == q^k den(g), and
-    den(g) divides num(f) - q^k num(g).  Unlike polar_split this does not
-    check where the poles of f lie.
-    """
-    if not (g.is_proper and g.regular_at_zero):
-        return False
-    k = 0
-    while f.den[k] == 0:  # the monic denominator ends in a nonzero
-        k += 1
-    if f.den[k:] != g.den:
-        return False
-    shifted = (Fraction(0),) * k + g.num if g.num else ()
-    _, rem = _pdivmod(_padd(f.num, _pneg(shifted)), g.den)
-    return not rem
+            laurent[e] = c
+    if not rem:
+        return PolarSplit(laurent, QRationalFunction._from_canonical((), (Fraction(1),)))
+    return PolarSplit(laurent, QRationalFunction._from_canonical(rem, den))
 
 
 def laurent_polynomial_to_qrf(terms: Mapping[int, object]) -> QRationalFunction:

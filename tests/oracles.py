@@ -203,6 +203,59 @@ def substitute(f, r: int):
     return QRationalFunction(spread(f.num), spread(f.den))
 
 
+# --- the cover series and the I/J coefficients built directly in q -------------
+
+
+def _one_minus_q_to(r: int):
+    from bps_kit.series import QRationalFunction
+
+    return QRationalFunction([1] + [0] * (r - 1) + [-1])
+
+
+def _repeated_product(x, n: int):
+    out = x
+    for _ in range(n - 1):
+        out = out * x
+    return out
+
+
+def a_series_in_q(r: int):
+    """a(r, q^r) = (r-1)/(1-q^r) + 1/(1-q^r)^2, from the formula in q."""
+    u = _one_minus_q_to(r)
+    return (r - 1) / u + 1 / (u * u)
+
+
+def b_series_in_q(r: int):
+    """b(r, q^r) = (r^2-1)/(1-q^r) + 3/(1-q^r)^2 - 2/(1-q^r)^3."""
+    u = _one_minus_q_to(r)
+    return (r * r - 1) / u + 3 / (u * u) - 2 / (u * u * u)
+
+
+def i_coefficient_in_q(r: int):
+    """(1-Pt)^2 / ((Pt)^{2r} q^{r(r-1)} (1 - P q^r)^2), built in q.
+
+    Powers of ring elements are repeated products, so the oracle does not
+    go through the ring's own power.
+    """
+    from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
+    from bps_kit.series import q_power
+
+    one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
+    n2 = (one - p * t) * (one - p * t)
+    factor_inv = (one - p * q_power(r)).inverse()
+    pt_inv_power = _repeated_product((p * t).inverse(), 2 * r)
+    return n2 * pt_inv_power * factor_inv * factor_inv * q_power(-r * (r - 1))
+
+
+def j_y_coefficient_in_q(r: int):
+    """(1-Pt)^2 ((1 + (1-P)) a(r, q^r) + (1-P) b(r, q^r)), built in q."""
+    from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
+
+    one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
+    n2 = (one - p * t) * (one - p * t)
+    return n2 * (one + (one - p)) * a_series_in_q(r) + n2 * (one - p) * b_series_in_q(r)
+
+
 # --- GV-weighted sums of rational functions --------------------------------------
 
 

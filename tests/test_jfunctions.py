@@ -31,14 +31,21 @@ from bps_kit.series import (
     QVAR,
     LaurentSeries,
     QRationalFunction,
-    is_proper_part,
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,
 )
 from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
 
-from oracles import inv_power_series_coeff, jmgs_rhs_naive, substitute
+from oracles import (
+    a_series_in_q,
+    b_series_in_q,
+    i_coefficient_in_q,
+    inv_power_series_coeff,
+    j_y_coefficient_in_q,
+    jmgs_rhs_naive,
+    substitute,
+)
 
 Fr = Fraction
 
@@ -430,6 +437,27 @@ def test_jmgs_rhs_validation():
         jmgs_rhs(delta_gv(), DivisorPairing(((1, 0),)), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "vectors",
+    [
+        ((Fr(17, 10), 0), (1,)),  # a non-integer entry
+        ((1.0, 0),),  # a float, even an integral one
+        ((1, 0), (1,)),  # vectors of two lengths
+        (),  # no vector
+        ((),),  # an empty vector
+    ],
+    ids=["fraction", "float", "two-lengths", "no-vector", "empty-vector"],
+)
+def test_divisor_pairing_rejects_bad_vectors(vectors):
+    with pytest.raises(ValueError):
+        DivisorPairing(vectors)
+
+
+def test_divisor_pairing_keeps_integer_vectors():
+    assert DivisorPairing([[1, 0], (0, 2)]).vectors == ((1, 0), (0, 2))
+    assert DivisorPairing(((1, 0), (0, 1))).rank == 2
+
+
 # --- jmgs_rhs against the term-by-term oracle -------------------------------------
 
 
@@ -518,61 +546,44 @@ def test_jmgs_rhs_builds_each_cover_series_once(monkeypatch):
     assert sorted(calls) == sorted([(k, r) for k in "ab" for r in range(1, 5)])
 
 
-# --- split_check: the divisibility test and its fallback ----------------------------
+# --- split_check: residuals in x, mapped to q ---------------------------------------
 
 
 def coord_qrf(c):
     return c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
 
 
-def expected_residuals(r, j_el):
-    i_el = i_coefficient(r)
-    return tuple(
-        polar_split(coord_qrf(i)).proper - coord_qrf(j)
-        for i, j in zip(i_el.coords, j_el.coords)
-    )
-
-
-def test_fast_verdict_agrees_with_polar_split():
-    for r in range(1, 7):
-        i_el, j_el = i_coefficient(r), j_y_coefficient(r)
-        for i, j in zip(i_el.coords, j_el.coords):
-            f, expected = coord_qrf(i), coord_qrf(j)
-            assert polar_split(f).proper == expected
-            assert is_proper_part(expected, f)
-            # perturbed expectations, one with a new pole and one over the
-            # same denominator, are rejected
-            for extra in (QRationalFunction([1], [1, 0, -1]), QRationalFunction([1], expected.den)):
-                assert not is_proper_part(expected + extra, f)
-
-
 @pytest.mark.parametrize(
     "extra",
     [
-        lambda s: QRationalFunction([1], [1, -2]),  # proper, but a pole at q = 1/2
-        lambda s: QRationalFunction.constant(1),  # not proper
-        # 1/(1-x) at x = q^s: the same perturbation in x and in q, so the
-        # residuals differ between the two variables from r = 2 on
-        lambda s: QRationalFunction([1], [1] + [0] * (s - 1) + [-1]),
+        QRationalFunction([1], [1, -2]),  # proper, but a pole at x = 1/2
+        QRationalFunction.constant(1),  # not proper
+        # 1/(1-x) is 1/(1-q^r) in q: the residuals depend on r from r = 2 on
+        QRationalFunction([1], [1, -1]),
     ],
     ids=["foreign-pole", "constant", "cover-pole"],
 )
 def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra):
-    # the shared builder is patched, so the perturbation reaches the
-    # decision in x and the residuals in q alike
+    # J is perturbed by e(x) in the builder; the residuals must be those of
+    # the split of the independent q build against J(q^r) + e(q^r)
     real_j_at = jfunctions._j_y_at
-    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r, s: real_j_at(r, s) + extra(s))
+    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r: real_j_at(r) + extra)
     report = split_check(3)
     assert not report.all_passed
     for res in report.results:
+        j_q = j_y_coefficient_in_q(res.r) + substitute(extra, res.r)
+        expected = tuple(
+            polar_split(coord_qrf(i)).proper - coord_qrf(j)
+            for i, j in zip(i_coefficient_in_q(res.r).coords, j_q.coords)
+        )
         assert not res.passed
-        assert res.residuals == expected_residuals(res.r, real_j_at(res.r, res.r) + extra(res.r))
+        assert res.residuals == expected
 
 
 def test_split_check_pole_location_error_propagates(monkeypatch):
     real_i_at = jfunctions._i_at
     pole = QRationalFunction([1], [1, -2])
-    monkeypatch.setattr(jfunctions, "_i_at", lambda r, s: real_i_at(r, s) + pole)
+    monkeypatch.setattr(jfunctions, "_i_at", lambda r: real_i_at(r) + pole)
     with pytest.raises(PoleLocationError):
         split_check(2)
 
@@ -581,50 +592,59 @@ def test_split_check_logs_where_each_degree_was_decided(monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="bps_kit.jfunctions")
     split_check(2)
     assert [rec.getMessage() for rec in caplog.records] == [
-        "split_check r=1: decided in x = q^r",
-        "split_check r=2: decided in x = q^r",
+        "split_check r=1 in x = q^r: passed",
+        "split_check r=2 in x = q^r: passed",
     ]
     caplog.clear()
     real_j_at = jfunctions._j_y_at
-    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r, s: real_j_at(r, s) + 1)
+    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r: real_j_at(r) + 1)
     split_check(1)
     assert [rec.getMessage() for rec in caplog.records] == [
-        "split_check r=1: failed in x = q^r, residuals from the split in q",
+        "split_check r=1 in x = q^r: failed",
     ]
 
 
-# --- the substitution lemma: deciding in x = q^r ---------------------------------------
+# --- the substitution lemma: building in x = q^r ----------------------------------------
 
 
 def test_x_builds_substitute_to_the_q_builds():
     for r in range(1, 13):
-        for built_x, built_q in (
-            (jfunctions._i_at(r, 1), i_coefficient(r)),
-            (jfunctions._j_y_at(r, 1), j_y_coefficient(r)),
+        assert a_series(r) == a_series_in_q(r)
+        assert b_series(r) == b_series_in_q(r)
+        for built, oracle in (
+            (i_coefficient(r), i_coefficient_in_q(r)),
+            (j_y_coefficient(r), j_y_coefficient_in_q(r)),
         ):
-            for cx, cq in zip(built_x.coords, built_q.coords):
-                assert substitute(coord_qrf(cx), r) == coord_qrf(cq)
+            # the same values, and Fractions where the q build has Fractions
+            assert built == oracle
+            assert [type(c) for c in built.coords] == [type(c) for c in oracle.coords]
 
 
-# perturbations e(x) of J: with a pole at 1 or away from the roots of
+FOREIGN_POLE = QRationalFunction([1], [1, -2])
+
+# perturbations e(x) of I: with a pole at 1 or away from the roots of
 # unity, a constant, and a double and a shared pole
 PERTURBATIONS = [
     QRationalFunction([1], [1, -1]),
-    QRationalFunction([1], [1, -2]),
+    FOREIGN_POLE,
     QRationalFunction.constant(1),
     QRationalFunction([0, 1], [1, -2, 1]),
     QRationalFunction([1], [1, 0, -1]),
 ]
 
 
-def test_x_verdict_equals_q_verdict():
+def test_proper_part_commutes_with_substitution():
     zero = QRationalFunction.constant(0)
     for r in range(1, 13):
-        i_x, j_x = jfunctions._i_at(r, 1), jfunctions._j_y_at(r, 1)
-        i_q, j_q = i_coefficient(r), j_y_coefficient(r)
+        i_x, i_q = jfunctions._i_at(r), i_coefficient_in_q(r)
         for e in [zero] + PERTURBATIONS:
             e_q = substitute(e, r)
-            for ix, jx, iq, jq in zip(i_x.coords, j_x.coords, i_q.coords, j_q.coords):
-                in_x = is_proper_part(coord_qrf(jx) + e, coord_qrf(ix))
-                in_q = is_proper_part(coord_qrf(jq) + e_q, coord_qrf(iq))
-                assert in_x == in_q == e.is_zero
+            for ix, iq in zip(i_x.coords, i_q.coords):
+                f_x, f_q = coord_qrf(ix) + e, coord_qrf(iq) + e_q
+                if e is FOREIGN_POLE:  # it raises on both sides
+                    with pytest.raises(PoleLocationError):
+                        polar_split(f_x)
+                    with pytest.raises(PoleLocationError):
+                        polar_split(f_q)
+                    continue
+                assert polar_split(f_x).proper.at_power(r) == polar_split(f_q).proper

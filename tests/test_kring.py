@@ -196,6 +196,21 @@ def test_unit_and_zero_property(a):
     assert x - x == ZERO
 
 
+def test_power_is_the_repeated_product():
+    rng = random.Random(11)
+    fraction_elements = [
+        KElem(Y_RING, tuple(Fr(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(6)))
+        for _ in range(2)
+    ]
+    function_elements = [ONE - P * T * q_power(1), (ONE - P * q_power(1)).inverse()]
+    for x in fraction_elements + function_elements:
+        assert x**0 == ONE
+        product = ONE
+        for n in range(1, 10):
+            product = product * x
+            assert x**n == product
+
+
 def test_absorption_identity():
     assert absorption_check(1)
     assert absorption_check(10)

@@ -18,7 +18,6 @@ from bps_kit.series import (
     QRationalFunction,
     TruncationError,
     VariableMismatchError,
-    is_proper_part,
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,
@@ -33,6 +32,7 @@ from oracles import (
     laurent_add_naive,
     long_division_inverse,
     poly_long_division,
+    substitute,
     weighted_sum_naive,
 )
 
@@ -366,7 +366,7 @@ def test_split_of_laurent_polynomial_has_zero_proper_part():
     assert sp.laurent == {-2: Fr(1), 0: Fr(7), 3: Fr(5)}
 
 
-def test_is_proper_part_agrees_with_split():
+def test_split_proper_part_cases():
     one_minus_q = qrf([1], [1, -1])
     laurent = q_power(-3) * 2 + q_power(1) - 5
     cases = [
@@ -383,7 +383,6 @@ def test_is_proper_part_agrees_with_split():
     ]
     for f, g, expected in cases:
         assert (polar_split(f).proper == g) == expected
-        assert is_proper_part(g, f) == expected
 
 
 def test_split_rejects_disallowed_pole():
@@ -443,9 +442,9 @@ def test_split_is_unique(laurent, proper, c):
     sp = polar_split(f)
     assert sp.laurent == laurent
     assert sp.proper == proper
+    assert_canonical(sp.proper)
     assert polar_split(proper) == ({}, proper)
-    assert is_proper_part(proper, f)
-    assert not is_proper_part(proper + c, f)
+    assert sp.proper != proper + c
 
 
 # --- scaling by a scalar ----------------------------------------------------------
@@ -567,3 +566,26 @@ def test_int_divexact_rejects_an_inexact_quotient():
         _int_divexact((1, 2), (2,))  # quotient (1/2, 1) is not integral
     with pytest.raises(ArithmeticError):
         _int_divexact((3,), (1, 1))  # lower degree than the divisor
+
+
+# --- substitution q -> q^r -----------------------------------------------------------
+
+
+@given(f=rational_functions(), g=rational_functions(), r=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_at_power_matches_substitution_oracle(f, g, r):
+    fr = f.at_power(r)
+    expected = substitute(f, r)
+    assert (fr.num, fr.den) == (expected.num, expected.den)
+    assert_canonical(fr)
+    assert (f + g).at_power(r) == fr + g.at_power(r)
+    assert (f * g).at_power(r) == fr * g.at_power(r)
+
+
+def test_at_power_needs_a_positive_power():
+    f = qrf([1], [1, -1])
+    assert f.at_power(1) == f
+    assert f.at_power(3) == qrf([1], [1, 0, 0, -1])
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            f.at_power(r)

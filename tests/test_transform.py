@@ -285,7 +285,7 @@ fraction_values = st.fractions(min_value=-30, max_value=30, max_denominator=8)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_round_trip_property(data):
-    rank = data.draw(st.integers(1, 2))
+    rank = data.draw(st.integers(1, 3))
     genus_max = data.draw(st.integers(0, 2))
     degree_max = tuple(
         data.draw(st.integers(1, 3)) for _ in range(rank)
