@@ -51,9 +51,9 @@ def main() -> int:
     check("output is integral", check_integrality(gv).is_integral)
 
     print("rigid-curve covers:")
-    delta = conifold_gv_table(5, 8)
+    delta = conifold_gv_table(20, 80)
     check(
-        "closed forms collapse to a lone 1 at (0,1) for g<=5, d<=8",
+        "closed forms collapse to a lone 1 at (0,1) for g<=20, d<=80",
         dict(delta.entries) == {(0, (1,)): Fraction(1)},
     )
 

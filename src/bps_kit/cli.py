@@ -17,7 +17,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .covers import conifold_gv_table, conifold_gw_table
+from .covers import conifold_gw_table
 from .jfunctions import (
     DivisorPairing,
     a_series,
@@ -137,7 +137,7 @@ def cmd_conifold(args) -> int:
     if args.gmax < 0:
         raise TableBoundError("--gmax must be nonnegative")
     gw = conifold_gw_table(args.gmax, args.dmax)
-    gv = conifold_gv_table(args.gmax, args.dmax)
+    gv = gw_to_gv(gw)
     is_delta = dict(gv.entries) == {(0, (1,)): Fraction(1)}
     if args.json:
         _emit(

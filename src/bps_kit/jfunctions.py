@@ -21,6 +21,7 @@ quantum K-theoretic side of the story.
 
 from __future__ import annotations
 
+import functools
 import logging
 import operator
 from dataclasses import dataclass
@@ -80,24 +81,33 @@ def _b_at(r: int) -> QRationalFunction:
     return (r * r - 1) / u + 3 / u**2 - 2 / u**3
 
 
+@functools.cache
+def _rank6_factors() -> tuple[KElem, KElem, KElem, KElem, KElem]:
+    """The r-independent factors of I and J in the rank-6 ring, built once.
+
+    Returns (1-Pt)^2, (Pt)^-2, (1-P x)^-2, (1-Pt)^2 (1+(1-P)) and
+    (1-Pt)^2 (1-P).  Sharing them is safe: KElem and QRationalFunction
+    are immutable.
+    """
+    one = ring_one(Y_RING)
+    p = gen_p(Y_RING)
+    t = gen_t(Y_RING)
+    n2 = (one - p * t) ** 2
+    pt_inv2 = (p * t).inverse() ** 2
+    factor_inv2 = (one - p * q_power(1)).inverse() ** 2
+    return n2, pt_inv2, factor_inv2, n2 * (one + (one - p)), n2 * (one - p)
+
+
 def _i_at(r: int) -> KElem:
     if r < 1:
         raise ValueError("Novikov degree must be positive")
-    one = ring_one(Y_RING)
-    p = gen_p(Y_RING)
-    t = gen_t(Y_RING)
-    pt_inv = (p * t).inverse()
-    n2 = (one - p * t) ** 2
-    factor_inv = (one - p * q_power(1)).inverse()
-    return n2 * pt_inv ** (2 * r) * factor_inv ** 2 * q_power(1 - r)
+    n2, pt_inv2, factor_inv2, _, _ = _rank6_factors()
+    return n2 * pt_inv2**r * factor_inv2 * q_power(1 - r)
 
 
 def _j_y_at(r: int) -> KElem:
-    one = ring_one(Y_RING)
-    p = gen_p(Y_RING)
-    t = gen_t(Y_RING)
-    n2 = (one - p * t) ** 2
-    return n2 * (one + (one - p)) * _a_at(r) + n2 * (one - p) * _b_at(r)
+    _, _, _, divisor, structure = _rank6_factors()
+    return divisor * _a_at(r) + structure * _b_at(r)
 
 
 def _elem_at_power(el: KElem, r: int) -> KElem:

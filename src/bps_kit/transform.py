@@ -137,7 +137,13 @@ class InvariantTable:
         object.__setattr__(self, "entries", types.MappingProxyType(clean))
 
     def value(self, genus: int, degree: tuple[int, ...]) -> Fraction:
-        degree = tuple(degree)
+        try:
+            genus = operator.index(genus)
+            degree = tuple([operator.index(d) for d in degree])
+        except TypeError as exc:
+            raise TableBoundError(
+                f"cell ({genus!r}, {degree!r}) has a non-integer genus or degree"
+            ) from exc
         if genus < 0 or genus > self.genus_max:
             raise TableBoundError(f"genus {genus} outside table bounds")
         if len(degree) != self.lattice_rank:
@@ -200,34 +206,75 @@ def _lambda_coefficients(genus_max: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
-def _cover_coefficient(coeffs, k: int, g: int, h: int) -> Fraction:
-    # [lam^(2h-2)] of (1/k)(2 sin(k lam/2))^(2g-2) = k^(2h-3) * base coefficient
-    base = coeffs[g][h]
-    if base == 0:
-        return Fraction(0)
-    e = 2 * h - 3
-    return base * (Fraction(k) ** e)
+class _CoverCoefficients:
+    """c(k, g, h) = [lam^(2h-2)] (1/k)(2 sin(k lam/2))^(2g-2), built on first use.
+
+    The coefficient is k^(2h-3) times the k = 1 coefficient, since every
+    power of lam in the k = 1 series gets the same power of k.  It is kept
+    as a reduced pair of integers.  Each (k, g) row is built once per
+    transform call and lists only its nonzero entries, ascending in h; the
+    rows are lazy because a call reads few of the k x g pairs up to its
+    bounds (a conifold solve at d <= 80 reads only the k rows of genus 0).
+    """
+
+    def __init__(self, genus_max: int):
+        self._base = [
+            [(c.numerator, c.denominator) for c in row]
+            for row in _lambda_coefficients(genus_max)
+        ]
+        self._rows: dict[tuple[int, int], tuple[tuple[int, int, int], ...]] = {}
+
+    def row(self, k: int, g: int) -> tuple[tuple[int, int, int], ...]:
+        """Nonzero (h, num, den) with c(k, g, h) = num / den."""
+        key = (k, g)
+        row = self._rows.get(key)
+        if row is None:
+            out = []
+            for h, (num, den) in enumerate(self._base[g]):
+                if num:
+                    e = 2 * h - 3
+                    if e >= 0:
+                        num *= k**e
+                    else:
+                        den *= k ** -e
+                    common = math.gcd(num, den)
+                    out.append((h, num // common, den // common))
+            row = self._rows[key] = tuple(out)
+        return row
+
+
+def _multiples(beta: tuple[int, ...], degree_max: tuple[int, ...]):
+    """(k, k * beta) for every k >= 1 with k * beta inside the bounds."""
+    k_max = min(m // d for d, m in zip(beta, degree_max) if d)
+    return [(k, tuple([k * d for d in beta])) for k in range(1, k_max + 1)]
+
+
+def _reduced_sum(terms: list[tuple[int, int]]) -> Fraction:
+    """Sum of num / den over the terms, added over one lcm and reduced once."""
+    scale = math.lcm(*[den for _, den in terms])
+    return Fraction(sum([num * (scale // den) for num, den in terms]), scale)
 
 
 def gv_to_gw(table: InvariantTable) -> InvariantTable:
-    """Forward evaluation of the multiple-cover resummation, within bounds."""
+    """Forward evaluation of the multiple-cover resummation, within bounds.
+
+    Each nonzero input cell (g, beta) sends its terms to the cells
+    (h, k beta) inside the bounds; each output cell is then reduced once.
+    """
     if table.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {table.kind}")
-    coeffs = _lambda_coefficients(table.genus_max)
-    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for gamma in degree_vectors(table.degree_max):
-        shared = math.gcd(*gamma)
-        for k in _divisors(shared):
-            beta = tuple(d // k for d in gamma)
-            for g in range(table.genus_max + 1):
-                v = table.entries.get((g, beta))
-                if not v:
-                    continue
-                for h in range(table.genus_max + 1):
-                    c = _cover_coefficient(coeffs, k, g, h)
-                    if c:
-                        key = (h, gamma)
-                        entries[key] = entries.get(key, Fraction(0)) + v * c
+    cover = _CoverCoefficients(table.genus_max)
+    terms: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {}
+    for (g, beta), v in table.entries.items():
+        num, den = v.numerator, v.denominator
+        for k, gamma in _multiples(beta, table.degree_max):
+            for h, c_num, c_den in cover.row(k, g):
+                terms.setdefault((h, gamma), []).append((num * c_num, den * c_den))
+    entries = {}
+    for cell, cell_terms in terms.items():
+        value = _reduced_sum(cell_terms)
+        if value:
+            entries[cell] = value
     return InvariantTable(
         KIND_GW, table.lattice_rank, table.genus_max, table.degree_max, entries
     )
@@ -237,31 +284,36 @@ def gw_to_gv(table: InvariantTable) -> InvariantTable:
     """Invert the resummation by a triangular solve.
 
     Degree vectors are visited in increasing total degree (lex to break
-    ties), genus ascending within each degree; at each cell everything
-    except the diagonal (k = 1, same genus, unit coefficient) is already
-    known and gets subtracted.
+    ties), genus ascending within each degree.  Each nonzero solved cell
+    (g, beta) sends its terms, with opposite sign, to the cells it covers:
+    (h, k beta) for k > 1 and (h > g, beta) for k = 1.  So when a cell's
+    turn comes it holds its GW value and every term but the diagonal
+    (k = 1, same genus, unit coefficient), and its value is their reduced
+    sum.
     """
     if table.kind != KIND_GW:
         raise TableKindError(f"expected a {KIND_GW} table, got {table.kind}")
-    coeffs = _lambda_coefficients(table.genus_max)
+    cover = _CoverCoefficients(table.genus_max)
+    pending: dict[tuple[int, tuple[int, ...]], list[tuple[int, int]]] = {
+        cell: [(v.numerator, v.denominator)] for cell, v in table.entries.items()
+    }
     solved: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    for gamma in degree_vectors(table.degree_max):
-        shared = math.gcd(*gamma)
-        for h in range(table.genus_max + 1):
-            acc = table.entries.get((h, gamma), Fraction(0))
-            for k in _divisors(shared):
-                beta = tuple(d // k for d in gamma)
-                for g in range(table.genus_max + 1):
-                    if k == 1 and g == h:
-                        continue
-                    v = solved.get((g, beta))
-                    if not v:
-                        continue
-                    c = _cover_coefficient(coeffs, k, g, h)
-                    if c:
-                        acc -= v * c
-            if acc:
-                solved[(h, gamma)] = acc
+    for beta in degree_vectors(table.degree_max):
+        for g in range(table.genus_max + 1):
+            cell_terms = pending.pop((g, beta), None)
+            if cell_terms is None:
+                continue
+            value = _reduced_sum(cell_terms)
+            if not value:
+                continue
+            solved[(g, beta)] = value
+            num, den = -value.numerator, value.denominator
+            for k, gamma in _multiples(beta, table.degree_max):
+                for h, c_num, c_den in cover.row(k, g):
+                    if k > 1 or h > g:
+                        pending.setdefault((h, gamma), []).append(
+                            (num * c_num, den * c_den)
+                        )
     return InvariantTable(
         KIND_GV, table.lattice_rank, table.genus_max, table.degree_max, solved
     )

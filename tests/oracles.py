@@ -8,6 +8,8 @@ between the two is a real check rather than a tautology.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -146,6 +148,44 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
             a[j - 1] = j * (a[j - 1] - a[j])
         out.append(a[0])
     return out[n]
+
+
+# --- the GV -> GW multiple-cover sum ------------------------------------------
+
+
+@functools.cache
+def cover_coefficient_naive(k: int, g: int, h: int) -> Fraction:
+    """[x^(2h-2)] of (1/k)(2 sin(k x/2))^(2g-2), expanded for this k."""
+    return sin_power_coeffs(k, g, 2 * h - 2).get(2 * h - 2, Fr(0)) / k
+
+
+def gv_to_gw_naive(table):
+    """The forward cover sum, dense over every cell and every (k, g, h).
+
+    GW_h(gamma) = sum over k dividing gamma and over g of
+    GV_g(gamma / k) * [x^(2h-2)] (1/k)(2 sin(k x/2))^(2g-2), with each
+    sine power expanded for its own k.  Only the table container comes
+    from the library.
+    """
+    from bps_kit.transform import KIND_GW, InvariantTable
+
+    genera = range(table.genus_max + 1)
+    entries = {}
+    for gamma in itertools.product(*[range(m + 1) for m in table.degree_max]):
+        if not any(gamma):
+            continue
+        for h in genera:
+            total = Fr(0)
+            for k in range(1, max(gamma) + 1):
+                if any(d % k for d in gamma):
+                    continue
+                beta = tuple(d // k for d in gamma)
+                for g in genera:
+                    total += table.entries.get((g, beta), Fr(0)) * cover_coefficient_naive(k, g, h)
+            entries[(h, gamma)] = total
+    return InvariantTable(
+        KIND_GW, table.lattice_rank, table.genus_max, table.degree_max, entries
+    )
 
 
 # --- binomial / geometric series ----------------------------------------------

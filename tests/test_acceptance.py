@@ -93,13 +93,13 @@ def test_criterion_1_quintic_golden(tmp_path):
 
 def test_criterion_2_conifold_delta():
     with timed(5.0):
-        gv = conifold_gv_table(5, 8)
+        gv = conifold_gv_table(20, 80)
         assert dict(gv.entries) == {(0, (1,)): Fr(1)}
-        for g in range(6):
-            for d in range(1, 9):
+        for g in range(21):
+            for d in range(1, 81):
                 expected = Fr(1) if (g, d) == (0, 1) else Fr(0)
                 assert gv.value(g, (d,)) == expected
-    print("\nACCEPTANCE 2 rigid-curve delta collapse (g<=5, d<=8): PASS")
+    print("\nACCEPTANCE 2 rigid-curve delta collapse (g<=20, d<=80): PASS")
 
 
 def test_criterion_3_round_trip_100_tables():

@@ -27,7 +27,9 @@ from bps_kit.transform import (
 )
 
 from oracles import (
+    cover_coefficient_naive,
     divisors,
+    gv_to_gw_naive,
     mobius_bruteforce,
     mobius_transform_genus0,
     sin_power_coeffs,
@@ -201,6 +203,11 @@ def test_table_value_reads_are_bound_checked():
         t.value(0, (3,))
     with pytest.raises(TableBoundError):
         t.value(1, (1,))
+    # malformed keys fail as the constructor fails, never read as zero
+    for genus, degree in [(0.5, (2,)), (0, (2.5,)), ("1", (2,)), (0, ("1",)), (0, 2)]:
+        with pytest.raises(TableBoundError):
+            t.value(genus, degree)
+    assert t.value(0, range(1, 2)) == 1
 
 
 def test_mobius_rejects_nonpositive():
@@ -331,30 +338,51 @@ def test_transform_is_genus_filtered():
 
 
 def test_solve_order_independence():
-    # independent re-solve iterating genus in the outer loop; the
-    # filtration makes any such order give the same unique answer.
-    from bps_kit.transform import _cover_coefficient, _divisors, _lambda_coefficients
-
+    # independent re-solve iterating genus in the outer loop, with cover
+    # coefficients from the oracle; the filtration makes any such order
+    # give the same unique answer.
     rng = random.Random(5)
     gw = random_table(rng, 2, 2, (2, 2))
-    coeffs = _lambda_coefficients(gw.genus_max)
     solved = {}
     for h in range(gw.genus_max + 1):
         for gamma in degree_vectors(gw.degree_max):
             acc = gw.entries.get((h, gamma), Fr(0))
-            for k in _divisors(math.gcd(*gamma)):
+            for k in divisors(math.gcd(*gamma)):
                 beta = tuple(d // k for d in gamma)
                 for g in range(gw.genus_max + 1):
                     if k == 1 and g == h:
                         continue
                     v = solved.get((g, beta), Fr(0))
                     if v:
-                        c = _cover_coefficient(coeffs, k, g, h)
-                        if c:
-                            acc -= v * c
+                        acc -= v * cover_coefficient_naive(k, g, h)
             if acc:
                 solved[(h, gamma)] = acc
     assert solved == dict(gw_to_gv(gw).entries)
+
+
+@st.composite
+def sparse_tables(draw, kind):
+    """Tables of ranks 1-3 and genus 0-3 with a few cells, denominators <= 12."""
+    rank = draw(st.integers(1, 3))
+    genus_max = draw(st.integers(0, 3))
+    degree_max = tuple(draw(st.integers(1, 6 if rank == 1 else 3)) for _ in range(rank))
+    cells = [(g, deg) for deg in degree_vectors(degree_max) for g in range(genus_max + 1)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
+    values = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+    entries = {cell: draw(values) for cell in chosen}
+    return InvariantTable(kind, rank, genus_max, degree_max, entries)
+
+
+@given(sparse_tables(KIND_GV))
+@settings(max_examples=60, deadline=None)
+def test_forward_map_matches_dense_oracle(gv):
+    assert gv_to_gw(gv) == gv_to_gw_naive(gv)
+
+
+@given(sparse_tables(KIND_GW))
+@settings(max_examples=60, deadline=None)
+def test_solve_inverts_dense_oracle(gw):
+    assert gv_to_gw_naive(gw_to_gv(gw)) == gw
 
 
 def test_table_value_rejects_wrong_rank():
