@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .covers import conifold_gw_table
 from .jfunctions import (
@@ -62,8 +63,41 @@ EXIT_VERIFY = 3
 log = logging.getLogger("bps_kit")
 
 
-def _dump(doc) -> str:
-    return json.dumps(doc, indent=2)
+# How json.dumps writes each scalar, keyed by its exact type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _dump(doc, nl: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, without its pure-Python encoder.
+
+    With an indent, ``json.dumps`` cannot use the C encoder; this writer
+    keeps the C string escaper and joins whole lists of scalars at once.
+    ``doc`` holds what the serializers build: dicts with string keys, lists,
+    tuples, strings, ints, bools and None.  ``nl`` is a newline and the
+    indent of the line ``doc`` starts on.
+    """
+    scalar = _SCALARS.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
+    inner = nl + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        kinds = set(map(type, doc))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, doc) if scalar else [_dump(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 def _load_json(path: str):
@@ -72,6 +106,8 @@ def _load_json(path: str):
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _emit(args, text: str) -> None:

@@ -51,9 +51,13 @@ def fraction_to_str(v: Fraction) -> str:
 
 
 def fraction_from_str(s) -> Fraction:
+    """``Fraction(s)``, or SchemaError where it raises; "-?digits(/digits)" is read by int()."""
     if not isinstance(s, str):
         raise SchemaError(f"rational values must be strings, got {type(s).__name__}")
+    num, slash, den = s.partition("/")
     try:
+        if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid rational value {s!r}") from exc
@@ -86,6 +90,9 @@ def _int_vector(v, what):
     ):
         raise SchemaError(f"{what} must be a list of integers")
     return tuple(v)
+
+
+_ENTRY_FIELDS = frozenset(("genus", "degree", "value"))
 
 
 # --- invariant tables -------------------------------------------------------
@@ -124,16 +131,22 @@ def table_from_dict(doc) -> InvariantTable:
         raise SchemaError("table file: entries must be a list")
     entries = {}
     for i, entry in enumerate(doc["entries"]):
-        what = f"entry #{i}"
-        _require_keys(entry, {"genus", "degree", "value"}, set(), what)
-        g = _int_field(entry, "genus", what, minimum=0)
-        deg = _int_vector(entry["degree"], f"{what}: degree")
-        if any(x < 0 for x in deg):
-            raise SchemaError(f"{what}: degree components must be nonnegative")
+        # cheap tests first; where one fails, the full check raises the error
+        # with its "entry #i" text, or accepts what the test is too strict for
+        # (an int subclass)
+        if not (isinstance(entry, dict) and entry.keys() == _ENTRY_FIELDS):
+            _require_keys(entry, _ENTRY_FIELDS, frozenset(), f"entry #{i}")
+        g = entry["genus"]
+        if type(g) is not int or g < 0:
+            _int_field(entry, "genus", f"entry #{i}", minimum=0)
+        deg = entry["degree"]
+        if type(deg) is not list or not all(type(x) is int and x >= 0 for x in deg):
+            if any(x < 0 for x in _int_vector(deg, f"entry #{i}: degree")):
+                raise SchemaError(f"entry #{i}: degree components must be nonnegative")
         v = fraction_from_str(entry["value"])
-        key = (g, deg)
+        key = (g, tuple(deg))
         if key in entries:
-            raise SchemaError(f"{what}: duplicate cell (genus {g}, degree {list(deg)})")
+            raise SchemaError(f"entry #{i}: duplicate cell (genus {g}, degree {list(deg)})")
         entries[key] = v
     # bound/rank violations surface from the table constructor
     return InvariantTable(kind, rank, genus_max, degree_max, entries)

@@ -58,10 +58,6 @@ class TableBoundError(ValueError):
     """Raised when an entry violates the declared table bounds."""
 
 
-def _total(deg: tuple[int, ...]) -> int:
-    return sum(deg)
-
-
 def degree_vectors(degree_max: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All nonzero vectors 0 <= v <= degree_max, ordered by (total, lex)."""
     ranges = [range(d + 1) for d in degree_max]
@@ -109,6 +105,9 @@ class InvariantTable:
         genus_max = self.genus_max
         clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         zeros: set[tuple[int, tuple[int, ...]]] = set()
+        # normalised degree vectors that passed the rank, nonzero and bound
+        # checks; a table repeats each one in up to genus_max + 1 cells
+        in_bounds: set[tuple[int, ...]] = set()
         for (g, deg), value in self.entries.items():
             try:
                 key = (operator.index(g), tuple([operator.index(d) for d in deg]))
@@ -120,15 +119,17 @@ class InvariantTable:
             v = _as_fraction(value)
             if g < 0 or g > genus_max:
                 raise TableBoundError(f"entry genus {g} outside [0, {genus_max}]")
-            if len(deg) != rank:
-                raise TableBoundError(f"degree {deg} has wrong rank")
-            if not any(deg):
-                raise TableBoundError("degree vector must be nonzero")
-            if any(d < 0 for d in deg) or any(d > m for d, m in zip(deg, dmax)):
-                raise TableBoundError(f"degree {deg} outside bounds {dmax}")
+            if deg not in in_bounds:
+                if len(deg) != rank:
+                    raise TableBoundError(f"degree {deg} has wrong rank")
+                if not any(deg):
+                    raise TableBoundError("degree vector must be nonzero")
+                if any(d < 0 for d in deg) or any(d > m for d, m in zip(deg, dmax)):
+                    raise TableBoundError(f"degree {deg} outside bounds {dmax}")
+                in_bounds.add(deg)
             if key in clean or key in zeros:
                 raise TableBoundError(f"two entries for the cell (genus {g}, degree {deg})")
-            if v != 0:
+            if v:
                 clean[key] = v
             else:
                 zeros.add(key)

@@ -171,6 +171,17 @@ def test_cli_malformed_input_exits_1(tmp_path, capsys):
     assert main(["gw2gv", str(missing)]) == 1
 
 
+def test_cli_non_utf8_input_exits_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["gv2gw", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+    gv = tmp_path / "gv.json"
+    write_json(gv, {"kind": "GV", "lattice_rank": 1, "genus_max": 0, "degree_max": [1], "entries": []})
+    assert main(["jmgs", "--gv", str(gv), "--pairing", str(bad), "--rmax", "1"]) == 1
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_cli_bound_violation_exits_2(tmp_path, capsys):
     doc = quintic_doc()
     doc["entries"][0]["degree"] = [9]  # beyond degree_max = [4]

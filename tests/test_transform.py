@@ -412,6 +412,35 @@ def test_table_rejects_keys_that_name_one_cell():
         InvariantTable(KIND_GW, 1, 0, (2,), {(0, (1,)): Fr(0), (0, range(1, 2)): Fr(2)})
 
 
+class _Index:
+    """An integer-like key part equal only to itself, so a dict keeps it apart from n."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+def test_table_checks_each_cell_of_a_degree_vector_seen_before():
+    # the rank and bound checks run once per degree vector; every later cell
+    # of that vector must still pass its own genus and duplicate checks
+    ok = {(0, (1, 0)): Fr(1), (1, (1, 0)): Fr(2)}
+    bad_cells = [
+        ((2, (1, 0)), "entry genus 2 outside"),
+        ((-1, (1, 0)), "entry genus -1 outside"),
+        ((_Index(2), (_Index(1), 0)), "entry genus 2 outside"),
+        ((0, (_Index(1), 0)), "two entries for the cell"),
+        ((_Index(1), (1, _Index(0))), "two entries for the cell"),
+    ]
+    for cell, message in bad_cells:
+        with pytest.raises(TableBoundError, match=message):
+            InvariantTable(KIND_GW, 2, 1, (2, 2), {**ok, cell: Fr(3)})
+    # the same normalised vector in a fresh cell is accepted
+    table = InvariantTable(KIND_GW, 2, 2, (2, 2), {**ok, (2, (_Index(1), 0)): Fr(3)})
+    assert dict(table.entries) == {**ok, (2, (1, 0)): Fr(3)}
+
+
 def test_table_entries_are_read_only():
     # every cell passed the bound checks on construction; no later write may
     # add one that would not
