@@ -11,6 +11,7 @@ JSON, --output sends the primary document to a file.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -473,11 +474,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, then reused: parse_args keeps no state
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     level = os.environ.get("BPS_KIT_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SchemaError, OSError) as exc:

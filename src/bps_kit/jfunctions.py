@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,9 +34,11 @@ from .series import (
     QVAR,
     LaurentSeries,
     QRationalFunction,
+    _cyclotomic,
+    _int_divexact,
+    _int_mul,
     polar_split,
     q_power,
-    weighted_sum,
 )
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
@@ -351,10 +354,9 @@ def jmgs_rhs(
     steps.  One pass over the sorted entries records the exact weights
     of each total degree per cover degree r: GV_d * dot(v_j, d) for the
     j-th divisor direction and GV_d for the structure direction, where
-    d = total / r.  Then a(r), b(r) and their expansions are built once
-    per r, and each output is the weighted sum over r.  Its exact part is
-    added over one common denominator and reduced once, with one gcd;
-    its expansion is summed coefficient by coefficient into one series.
+    d = total / r.  Then each output is the weighted sum over r, built
+    with its expansion from the closed forms of a and b
+    (:func:`_cover_sum`); no cover series is built or expanded.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -374,42 +376,92 @@ def jmgs_rhs(
         w = tuple(value * sum(x * y for x, y in zip(vec, d)) for vec in pairing.vectors)
         for r in range(1, r_max + 1):
             weights.setdefault(tuple(r * x for x in d), {})[r] = w + (value,)
-    # (a(r), its expansion) and (b(r), its expansion); none for an empty table
-    basis: dict[int, tuple[tuple[QRationalFunction, LaurentSeries], ...]] = {}
-    for r in range(1, r_max + 1) if weights else ():
-        a_r, b_r = a_series(r), b_series(r)
-        basis[r] = ((a_r, a_r.expand(q_order)), (b_r, b_r.expand(q_order)))
+    if weights and q_order < 0:
+        raise ValueError("expansion order must be nonnegative")
+    cache: dict = {}  # local to the call: no size the caller picks outlives it
     terms = {}
     for total, per_r in weights.items():
-        divisor = [
-            _weighted_sum([(w[j], basis[r][0]) for r, w in per_r.items()], q_order)
-            for j in range(n_div)
+        parts = [
+            _cover_sum({r: w[j] for r, w in per_r.items()}, 3 if j == n_div else 2, q_order, cache)
+            for j in range(n_div + 1)
         ]
-        structure, structure_expansion = _weighted_sum(
-            [(w[n_div], basis[r][1]) for r, w in per_r.items()], q_order
-        )
         terms[total] = JmgsTerm(
-            divisor_exact=tuple(f for f, _ in divisor),
-            divisor_expansion=tuple(s for _, s in divisor),
-            structure_exact=structure,
-            structure_expansion=structure_expansion,
+            divisor_exact=tuple(f for f, _ in parts[:n_div]),
+            divisor_expansion=tuple(s for _, s in parts[:n_div]),
+            structure_exact=parts[n_div][0],
+            structure_expansion=parts[n_div][1],
         )
     return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
 
 
-def _weighted_sum(weighted, q_order: int) -> tuple[QRationalFunction, LaurentSeries]:
-    """Sum of w * f, and of w * (expansion of f), over (w, (f, expansion)).
+# The cover series over x = q^r, keyed by their pole order m at x = 1:
+#   a(r, x) = (r - (r-1) x) / (x-1)^2 = sum_k (r + k) x^k,
+#   b(r, x) = (-r^2 + (2r^2+1) x + (1-r^2) x^2) / (x-1)^3 = sum_k (r^2 - k^2) x^k;
+# each entry holds the numerator over (x-1)^m and the coefficient of x^k.
+_COVER_FORMS = {
+    2: (lambda r: (r, 1 - r), lambda r, k: r + k),
+    3: (lambda r: (-r * r, 2 * r * r + 1, 1 - r * r), lambda r, k: r * r - k * k),
+}
 
-    The exact sum is reduced once, over one common denominator
-    (:func:`~bps_kit.series.weighted_sum`).  Taylor expansion is linear
-    and exact, so the second sum is the expansion of the first; it is
-    accumulated in one list of q_order coefficients.  Zero weights
-    contribute nothing.
+
+def _cover_sum(
+    weights: Mapping[int, Fraction], pole: int, q_order: int, cache: dict
+) -> tuple[QRationalFunction, LaurentSeries]:
+    """Sum of w_r * a(r, q^r) (pole 2) or of w_r * b(r, q^r) (pole 3), with its expansion.
+
+    Both are summed in integers, times S, the lcm of the weight
+    denominators.  The q^n coefficient is the sum of S w_r c_r(n/r) over
+    r | n, over S.  As q^r - 1 is the product of Phi_d over d | r, the
+    exact sum is N / (S L), with L the product of Phi_d^pole over the
+    divisors d of the r with w_r != 0, and N the sum of S w_r num_r(q^r)
+    times the Phi_d^pole of L with d not dividing r.  Each Phi_d is
+    irreducible, so dividing it out of N while it divides, at most pole
+    times, leaves N coprime to the rest of L, which is monic: the result
+    is canonical with no gcd.  `cache` holds, per (r values, pole), the
+    divisors, the polynomials multiplying each S w_r and the denominators.
     """
-    exact = weighted_sum([(w, f) for w, (f, _) in weighted])
-    coeffs = [Fraction(0)] * q_order
-    for w, (_, expansion) in weighted:
-        if w:
-            for i, c in enumerate(expansion.coeffs, expansion.min_exp):
-                coeffs[i] += w * c
-    return exact, LaurentSeries(QVAR, 0, coeffs, q_order)
+    numerator, coeff = _COVER_FORMS[pole]
+    scale = math.lcm(*[w.denominator for w in weights.values()])
+    ints = {r: w.numerator * (scale // w.denominator) for r, w in sorted(weights.items()) if w}
+    # Fraction(c) skips the gcd that Fraction(c, 1) takes
+    as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
+    sums = [0] * q_order
+    for r, w in ints.items():
+        for k, n in enumerate(range(0, q_order, r)):
+            sums[n] += w * coeff(r, k)
+    expansion = LaurentSeries(QVAR, 0, list(map(as_fraction, sums)), q_order)
+    key = (tuple(ints), pole)
+    if key not in cache:
+        divisors = sorted({d for r in ints for d in range(1, r + 1) if r % d == 0})
+        powers = {d: functools.reduce(_int_mul, [_cyclotomic(d)] * pole) for d in divisors}
+        parts = {}
+        for r in ints:
+            spread = [0] * ((len(numerator(r)) - 1) * r + 1)
+            spread[::r] = numerator(r)  # at r = 1 it may end in 0; num is trimmed below
+            parts[r] = functools.reduce(
+                _int_mul, [powers[d] for d in divisors if r % d], tuple(spread)
+            )
+        cache[key] = divisors, parts, {}
+    divisors, parts, dens = cache[key]
+    num = [0] * max([len(p) for p in parts.values()], default=0)
+    for r, w in ints.items():
+        for i, c in enumerate(parts[r]):
+            num[i] += w * c
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return QRationalFunction._from_canonical((), (Fraction(1),)), expansion
+    num = tuple(num)
+    lefts = [pole] * len(divisors)  # the power of each Phi_d left in the denominator
+    for i, d in enumerate(divisors):
+        while lefts[i]:
+            try:
+                num = _int_divexact(num, _cyclotomic(d))
+            except ArithmeticError:
+                break
+            lefts[i] -= 1
+    lefts = tuple(lefts)
+    if lefts not in dens:
+        factors = [_cyclotomic(d) for d, left in zip(divisors, lefts) for _ in range(left)]
+        dens[lefts] = tuple(map(Fraction, functools.reduce(_int_mul, factors, (1,))))
+    return QRationalFunction._from_canonical(tuple(map(as_fraction, num)), dens[lefts]), expansion

@@ -17,13 +17,11 @@ floating point appears anywhere.  Two value types are provided:
 at q = 0 and at roots of unity into a Laurent polynomial plus a proper
 part (numerator degree < denominator degree) regular at q = 0.  That
 decomposition is unique and both pieces are returned exactly.
-
-:func:`weighted_sum` adds many scaled rational functions at once: over
-one common integer denominator, reduced by a single gcd at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -33,7 +31,6 @@ __all__ = [
     "QRationalFunction",
     "PolarSplit",
     "polar_split",
-    "weighted_sum",
     "laurent_polynomial_to_qrf",
     "q_power",
     "TruncationError",
@@ -235,11 +232,7 @@ def _monic(p):
 
 
 def _poly_gcd_monic(a, b):
-    """Monic gcd over the rationals, through the integer gcd of :func:`_int_gcd`."""
-    if not a:
-        return _monic(b)
-    if not b:
-        return _monic(a)
+    """Monic gcd of nonzero a and b over the rationals, through :func:`_int_gcd`."""
     g = _int_gcd(_clear_denominators(a), _clear_denominators(b))
     return _monic(tuple([Fraction(c) for c in g]))
 
@@ -711,61 +704,6 @@ class QRationalFunction:
         return f"QRationalFunction({self!s})"
 
 
-def _int_term(w, f: QRationalFunction) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    # w * f as n / (s * d): n and d integer polynomials, s > 0, d primitive
-    # with positive leading coefficient.  With f.num == m / l for an integer
-    # polynomial m and f.den == d / d[-1] (f.den is monic),
-    # w * f == w.numerator * d[-1] * m / (w.denominator * l * d).
-    d = _int_primitive(_clear_denominators(f.den))
-    l = math.lcm(*[c.denominator for c in f.num])
-    k = w.numerator * d[-1]
-    n = tuple([k * c.numerator * (l // c.denominator) for c in f.num])
-    return n, w.denominator * l, d
-
-
-def weighted_sum(pairs: Iterable[tuple[int | Fraction, QRationalFunction]]) -> QRationalFunction:
-    """Sum of w * f over (w, f) pairs, reduced once.
-
-    Each term is cleared into integer polynomials, the terms are added
-    over the lcm of their denominators, and the sum takes one gcd with
-    that denominator.  Adding the terms one by one would take a gcd per
-    addition.  A single nonzero term is only scaled, which needs no gcd.
-    """
-    pairs = [(w, f) for w, f in pairs if w and not f.is_zero]
-    if not pairs:
-        return QRationalFunction._from_canonical((), (Fraction(1),))
-    if len(pairs) == 1:
-        w, f = pairs[0]
-        return f * w
-    terms = [_int_term(w, f) for w, f in pairs]
-    scale = math.lcm(*[s for _, s, _ in terms])
-    den = terms[0][2]
-    for _, _, d in terms[1:]:
-        if d != den:
-            den = _int_mul(den, _int_divexact(d, _int_gcd(den, d)))
-    num: list[int] = []
-    for n, s, d in terms:
-        k = scale // s
-        part = n if d == den else _int_mul(n, _int_divexact(den, d))
-        num.extend([0] * (len(part) - len(num)))
-        for i, c in enumerate(part):
-            num[i] += k * c
-    while num and num[-1] == 0:
-        num.pop()
-    if not num:
-        return QRationalFunction._from_canonical((), (Fraction(1),))
-    num = tuple(num)
-    g = _int_gcd(num, den)
-    if len(g) > 1:
-        num = _int_divexact(num, g)
-        den = _int_divexact(den, g)
-    lead = den[-1]
-    return QRationalFunction._from_canonical(
-        tuple([Fraction(c, scale * lead) for c in num]),
-        tuple([Fraction(c, lead) for c in den]),
-    )
-
-
 def q_power(n: int) -> QRationalFunction:
     """The monomial q**n as a rational function; n may be negative."""
     if n >= 0:
@@ -790,19 +728,16 @@ class PolarSplit(NamedTuple):
     proper: QRationalFunction
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[Fraction, ...]] = {}
+@functools.cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The cyclotomic polynomial Phi_d as an ascending integer tuple.
 
-
-def _cyclotomic(d: int) -> tuple[Fraction, ...]:
-    if d in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[d]
-    # q^d - 1 divided by the cyclotomic polynomials of proper divisors
-    p: tuple[Fraction, ...] = (Fraction(-1),) + (Fraction(0),) * (d - 1) + (Fraction(1),)
+    q^d - 1 divided by Phi_e for every proper divisor e of d.
+    """
+    p = (-1,) + (0,) * (d - 1) + (1,)
     for e in range(1, d):
         if d % e == 0:
-            p, r = _pdivmod(p, _cyclotomic(e))
-            assert not r
-    _CYCLOTOMIC_CACHE[d] = p
+            p = _int_divexact(p, _cyclotomic(e))
     return p
 
 
@@ -822,8 +757,12 @@ def _euler_phi(d: int) -> int:
 
 
 def _check_roots_of_unity(poly) -> None:
-    """Raise PoleLocationError unless every root of `poly` is a root of unity."""
-    w = _monic(poly)
+    """Raise PoleLocationError unless every root of `poly` is a root of unity.
+
+    Each Phi_d is monic, so it divides the integer form of `poly` over Q
+    exactly when it does over Z.
+    """
+    w = _int_primitive(_clear_denominators(poly))
     deg0 = len(w) - 1
     if deg0 <= 0:
         return
@@ -833,10 +772,10 @@ def _check_roots_of_unity(poly) -> None:
         if _euler_phi(d) <= len(w) - 1:
             cyc = _cyclotomic(d)
             while len(w) > 1:
-                quo, rem = _pdivmod(w, cyc)
-                if rem:
+                try:
+                    w = _int_divexact(w, cyc)
+                except ArithmeticError:
                     break
-                w = quo
         d += 1
     if len(w) > 1:
         raise PoleLocationError(

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from bps_kit.cli import main
+from bps_kit import cli
+from bps_kit.cli import build_parser, main
 from bps_kit.datasets import quintic_gw_table
 from bps_kit.serialize import (
     SchemaError,
@@ -380,6 +381,14 @@ JMGS_ARGV = [
     "--pairing", str(GOLDEN / "jmgs_pairing.json"),
     "--rmax", "4", "--qorder", "8",
 ]
+# rank 1, degrees 1..3, one fractional value: up to twelve cover degrees r meet
+# at one total degree, so the exact parts have many cyclotomic factors
+JMGS_RANK1_ARGV = [
+    "jmgs",
+    "--gv", str(GOLDEN / "jmgs_rank1_gv.json"),
+    "--pairing", str(GOLDEN / "jmgs_rank1_pairing.json"),
+    "--rmax", "12", "--qorder", "12", "--json",
+]
 
 # (golden file, argv, exit code); a ".txt" golden is the text format of the
 # ".json" golden of the same stem
@@ -388,6 +397,7 @@ GOLDEN_CASES = [
     ("split_check_rmax6.txt", ["split-check", "--rmax", "6"], 0),
     ("jmgs_rmax4_qorder8.json", JMGS_ARGV + ["--json"], 0),
     ("jmgs_rmax4_qorder8.txt", JMGS_ARGV, 0),
+    ("jmgs_rank1_rmax12.json", JMGS_RANK1_ARGV, 0),
 ] + [(f"ab_series_r{r}.json", ["ab-series", "--r", str(r), "--json"], 0) for r in range(1, 5)] + [
     ("ab_series_r2.txt", ["ab-series", "--r", "2"], 0),
 ]
@@ -415,6 +425,29 @@ def test_cli_golden_json(tmp_path, capsys, golden, argv, code):
     stdout = GOLDEN / f"{stem}.stdout.{suffix}"
     expected = stdout.read_bytes() if stdout.exists() else b""
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["sin-series", "--genus", "0", "--order", "2"]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--bogus"], ["-h"], ["jmgs"], ["split-check", "--rmax", "x"], ["jmgs", "-h"]],
+)
+def test_reused_parser_prints_what_a_fresh_parser_prints(capsys, argv):
+    runs = []
+    for _ in range(2):  # the second main call reuses the parser of the first
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            runs.append((exc.value.code, capsys.readouterr()))
+    assert runs[0][1].out or runs[0][1].err
+    assert runs == [runs[0]] * 4
 
 
 def test_log_env_var(monkeypatch, capsys):

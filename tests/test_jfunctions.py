@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,7 @@ from oracles import (
     j_y_coefficient_in_q,
     jmgs_rhs_naive,
     substitute,
+    weighted_sum_naive,
 )
 
 Fr = Fraction
@@ -500,14 +502,14 @@ def gv_tables(draw):
     return InvariantTable(KIND_GV, rank, 0, dmax, entries), DivisorPairing(tuple(vectors))
 
 
-@given(table=gv_tables(), r_max=st.integers(1, 4), q_order=st.integers(0, 6))
+@given(table=gv_tables(), r_max=st.integers(1, 8), q_order=st.integers(0, 16))
 @settings(max_examples=40, deadline=None)
 def test_jmgs_rhs_matches_term_by_term_oracle(table, r_max, q_order):
     gv, pairing = table
     assert_same_rhs(gv, pairing, r_max, q_order)
 
 
-@given(table=gv_tables(), r_max=st.integers(1, 4), q_order=st.integers(0, 6))
+@given(table=gv_tables(), r_max=st.integers(1, 8), q_order=st.integers(0, 16))
 @settings(max_examples=40, deadline=None)
 def test_jmgs_rhs_expansions_expand_the_exact_parts(table, r_max, q_order):
     # the expansions are summed apart from the exact parts; Taylor expansion
@@ -534,16 +536,119 @@ def test_jmgs_rhs_opposite_values_meeting_at_one_degree(q_order):
     assert term.structure_exact == b_series(2) * 4 - b_series(1) * 4
 
 
-def test_jmgs_rhs_builds_each_cover_series_once(monkeypatch):
-    calls = []
-    real_a, real_b = jfunctions.a_series, jfunctions.b_series
-    monkeypatch.setattr(jfunctions, "a_series", lambda r: calls.append(("a", r)) or real_a(r))
-    monkeypatch.setattr(jfunctions, "b_series", lambda r: calls.append(("b", r)) or real_b(r))
+def test_jmgs_rhs_builds_no_cover_series(monkeypatch):
+    def fail(*args):
+        raise AssertionError("jmgs_rhs must use the closed forms")
+
+    monkeypatch.setattr(jfunctions, "a_series", fail)
+    monkeypatch.setattr(jfunctions, "b_series", fail)
+    monkeypatch.setattr(QRationalFunction, "expand", fail)
     gv = InvariantTable(
         KIND_GV, 2, 0, (2, 2), {(0, d): Fr(1) for d in [(1, 0), (0, 1), (1, 1), (2, 2)]}
     )
-    jmgs_rhs(gv, DivisorPairing(((1, 0), (0, 1))), 4, 3)
-    assert sorted(calls) == sorted([(k, r) for k in "ab" for r in range(1, 5)])
+    rhs = jmgs_rhs(gv, DivisorPairing(((1, 0), (0, 1))), 4, 3)
+    assert len(rhs.terms) == 14
+
+
+def test_jmgs_rhs_rejects_a_negative_order_for_a_nonempty_table():
+    pairing = DivisorPairing(((1,),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        jmgs_rhs(InvariantTable(KIND_GV, 1, 0, (1,), {(0, (1,)): Fr(1)}), pairing, 2, -1)
+    assert jmgs_rhs(InvariantTable(KIND_GV, 1, 0, (1,), {}), pairing, 2, -1).terms == {}
+
+
+# --- the cover sum from closed forms ------------------------------------------------
+
+BIG = 2**300 + 1
+WEIGHTS = st.sampled_from([0, 1, -1, Fr(3, 7), Fr(-3, 7), BIG, -BIG])
+COVER = {2: a_series, 3: b_series}
+
+
+def cover_sum(weights, pole, q_order):
+    return jfunctions._cover_sum(
+        {r: Fr(w) for r, w in weights.items()}, pole, q_order, {}
+    )
+
+
+def assert_canonical(f):
+    """Monic denominator, zero as 0/1, and numerator coprime to denominator."""
+    assert f.den[-1] == 1
+    if not f.num:
+        assert f.den == (Fr(1),)
+        return
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    n = sympy.Poly(list(reversed(f.num)), q, domain="QQ")
+    d = sympy.Poly(list(reversed(f.den)), q, domain="QQ")
+    assert sympy.gcd(n, d).degree() == 0
+
+
+@pytest.mark.parametrize("r", range(1, 21))
+def test_closed_forms_match_the_cover_series(r):
+    for pole, series in COVER.items():
+        numerator, coeff = jfunctions._COVER_FORMS[pole]
+        # numerator / (x - 1)^pole at x = q^r
+        f = QRationalFunction(
+            numerator(r), [(-1) ** (pole - k) * math.comb(pole, k) for k in range(pole + 1)]
+        )
+        assert f.at_power(r) == series(r)
+        expected = series(r).expand(40)
+        assert expected.coeffs == tuple(
+            Fr(coeff(r, n // r)) if n % r == 0 else 0 for n in range(40)
+        )
+        assert cover_sum({r: 1}, pole, 40) == (series(r), expected)
+
+
+@given(
+    weights=st.dictionaries(st.integers(1, 8), WEIGHTS, max_size=4),
+    pole=st.sampled_from([2, 3]),
+    q_order=st.integers(0, 16),
+    cancel=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_cover_sum_matches_pairwise_oracle(weights, pole, q_order, cancel):
+    if cancel and len(weights) > 1:
+        # near q = 1, a(r, q^r) ~ 1/(r^2 (1-q)^2) and b(r, q^r) ~ -2/(r^3 (1-q)^3):
+        # weights with sum w_r / r^pole = 0 cancel one factor q - 1
+        *rest, last = sorted(weights)
+        weights[last] = -sum(Fr(weights[r], r**pole) for r in rest) * last**pole
+    exact, expansion = cover_sum(weights, pole, q_order)
+    expected = weighted_sum_naive([(w, COVER[pole](r)) for r, w in weights.items()])
+    assert (exact.num, exact.den) == (expected.num, expected.den)
+    assert_canonical(exact)
+    assert expansion == expected.expand(q_order)
+
+
+def test_cover_sum_of_zero_weights_is_zero():
+    zero = (QRationalFunction.constant(0), LaurentSeries.zero(QVAR, 5))
+    for pole in COVER:
+        assert cover_sum({}, pole, 5) == zero
+        assert cover_sum({1: 0, 2: 0, 6: 0}, pole, 5) == zero
+
+
+def test_cover_sum_of_one_degree_is_the_scaled_series():
+    for pole, series in COVER.items():
+        for w in (1, -1, Fr(3, 7), BIG):
+            # a zero weight beside it drops out
+            exact, expansion = cover_sum({3: 0, 4: w}, pole, 9)
+            assert (exact.num, exact.den) == ((series(4) * w).num, (series(4) * w).den)
+            assert expansion == series(4).expand(9) * w
+
+
+def test_cover_sum_of_opposite_weights_cancels_to_zero():
+    for pole in COVER:
+        for weights in ({4: Fr(3, 7)}, {1: -BIG, 2: 5, 6: Fr(1, 3)}):
+            f, s = cover_sum(weights, pole, 7)
+            g, t = cover_sum({r: -w for r, w in weights.items()}, pole, 7)
+            assert (g, t) == (-f, -s)
+            assert (f + g).is_zero and (s + t).is_zero
+
+
+def test_cover_sum_divides_out_a_common_cyclotomic_factor():
+    # a(1, q) - 4 a(2, q^2) = (5q + 7) (q - 1) / ((q - 1)^2 (q + 1)^2)
+    exact, _ = cover_sum({1: 1, 2: -4}, 2, 0)
+    assert (exact.num, exact.den) == ((7, 5), (-1, -1, 1, 1))
+    assert exact == a_series(1) - 4 * a_series(2)
 
 
 # --- split_check: residuals in x, mapped to q ---------------------------------------

@@ -21,9 +21,8 @@ from bps_kit.series import (
     laurent_polynomial_to_qrf,
     polar_split,
     q_power,
-    weighted_sum,
 )
-from bps_kit.series import _clear_denominators, _int_divexact
+from bps_kit.series import _clear_denominators, _cyclotomic, _int_divexact
 from bps_kit.jfunctions import a_series, b_series
 
 from oracles import (
@@ -33,7 +32,6 @@ from oracles import (
     long_division_inverse,
     poly_long_division,
     substitute,
-    weighted_sum_naive,
 )
 
 Fr = Fraction
@@ -501,13 +499,7 @@ def test_clear_denominators_matches_fraction_products(coeffs):
     assert _clear_denominators(tuple(coeffs)) == tuple(int(c * lcm) for c in coeffs)
 
 
-# --- weighted sums over one common denominator --------------------------------------
-
-BIG = 2**300 + 1
-WEIGHTS = st.one_of(
-    st.sampled_from([0, 1, -1, Fr(3, 7), Fr(-3, 7), BIG, -BIG]),
-    small_fractions,
-)
+# --- random rational functions ----------------------------------------------------
 
 
 @st.composite
@@ -522,39 +514,19 @@ def rational_functions(draw):
     return qrf(num, [0] * draw(st.integers(0, 2)) + den)
 
 
-@given(pairs=st.lists(st.tuples(WEIGHTS, rational_functions()), max_size=6))
-@settings(max_examples=120, deadline=None)
-def test_weighted_sum_matches_pairwise_oracle(pairs):
-    total = weighted_sum(pairs)
-    expected = weighted_sum_naive(pairs)
-    assert (total.num, total.den) == (expected.num, expected.den)
-    assert_canonical(total)
-
-
-def test_weighted_sum_of_nothing_is_zero():
-    for pairs in ([], [(0, a_series(2))], [(5, qrf([]))]):
-        total = weighted_sum(pairs)
-        assert (total.num, total.den) == ((), (Fr(1),))
-
-
-def test_weighted_sum_of_one_pair_is_the_scaled_function():
-    f = qrf([1, -2, 3], [0, 2, 0, -5])
-    for w in (1, -1, Fr(3, 7), BIG):
-        # a zero pair beside it is dropped, so only the scaling is left
-        total = weighted_sum([(0, b_series(3)), (w, f)])
-        assert (total.num, total.den) == ((f * w).num, (f * w).den)
-
-
-def test_weighted_sum_cancels_to_zero():
-    for w, f in [(Fr(3, 7), a_series(4)), (-BIG, qrf([1, 1], [0, -3, 1]))]:
-        total = weighted_sum([(w, f), (-w, f)])
-        assert (total.num, total.den) == ((), (Fr(1),))
-
-
-def test_weighted_sum_reduces_to_a_constant():
-    # 1/(1-q) - q/(1-q) == 1: the common factor 1-q cancels in the one gcd
-    total = weighted_sum([(1, qrf([1], [1, -1])), (-1, qrf([0, 1], [1, -1]))])
-    assert (total.num, total.den) == ((Fr(1),), (Fr(1),))
+@pytest.mark.parametrize("n", range(1, 31))
+def test_cyclotomic_table_against_sympy_and_the_divisor_product(n):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    phi = _cyclotomic(n)
+    assert all(type(c) is int for c in phi)
+    assert phi == tuple(reversed(sympy.Poly(sympy.cyclotomic_poly(n, q), q).all_coeffs()))
+    # q^n - 1 is the product of Phi_d over the divisors d of n
+    prod = sympy.Integer(1)
+    for d in range(1, n + 1):
+        if n % d == 0:
+            prod *= sum(c * q**e for e, c in enumerate(_cyclotomic(d)))
+    assert sympy.expand(prod - (q**n - 1)) == 0
 
 
 def test_int_divexact_rejects_an_inexact_quotient():
