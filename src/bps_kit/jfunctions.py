@@ -379,10 +379,13 @@ def jmgs_rhs(
     if weights and q_order < 0:
         raise ValueError("expansion order must be nonnegative")
     cache: dict = {}  # local to the call: no size the caller picks outlives it
+    counts = _DivisionCounts()
     terms = {}
     for total, per_r in weights.items():
         parts = [
-            _cover_sum({r: w[j] for r, w in per_r.items()}, 3 if j == n_div else 2, q_order, cache)
+            _cover_sum(
+                {r: w[j] for r, w in per_r.items()}, 3 if j == n_div else 2, q_order, cache, counts
+            )
             for j in range(n_div + 1)
         ]
         terms[total] = JmgsTerm(
@@ -391,7 +394,23 @@ def jmgs_rhs(
             structure_exact=parts[n_div][0],
             structure_expansion=parts[n_div][1],
         )
+    log.debug(
+        "jmgs_rhs: %d sums; Phi_d skipped by multiplicity %d, rejected mod q^d - 1 %d; "
+        "divisions tried %d, succeeded %d",
+        counts.sums, counts.skipped, counts.rejected, counts.tried, counts.divided,
+    )
     return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
+
+
+@dataclass(slots=True)
+class _DivisionCounts:
+    """How the cyclotomic trial divisions of one jmgs_rhs call went."""
+
+    sums: int = 0
+    skipped: int = 0  # Phi_d with fewer than two weighted multiples of d
+    rejected: int = 0  # Phi_d that do not divide N mod (q^d - 1)
+    tried: int = 0  # divisions of N by Phi_d
+    divided: int = 0  # of them, the exact ones
 
 
 # The cover series over x = q^r, keyed by their pole order m at x = 1:
@@ -405,7 +424,7 @@ _COVER_FORMS = {
 
 
 def _cover_sum(
-    weights: Mapping[int, Fraction], pole: int, q_order: int, cache: dict
+    weights: Mapping[int, Fraction], pole: int, q_order: int, cache: dict, counts: _DivisionCounts
 ) -> tuple[QRationalFunction, LaurentSeries]:
     """Sum of w_r * a(r, q^r) (pole 2) or of w_r * b(r, q^r) (pole 3), with its expansion.
 
@@ -414,11 +433,29 @@ def _cover_sum(
     r | n, over S.  As q^r - 1 is the product of Phi_d over d | r, the
     exact sum is N / (S L), with L the product of Phi_d^pole over the
     divisors d of the r with w_r != 0, and N the sum of S w_r num_r(q^r)
-    times the Phi_d^pole of L with d not dividing r.  Each Phi_d is
-    irreducible, so dividing it out of N while it divides, at most pole
-    times, leaves N coprime to the rest of L, which is monic: the result
-    is canonical with no gcd.  `cache` holds, per (r values, pole), the
-    divisors, the polynomials multiplying each S w_r and the denominators.
+    P_r, where P_r is the product of the Phi_d^pole of L with d not
+    dividing r.  Each Phi_d is irreducible, so dividing it out of N while
+    it divides, at most pole times, leaves N coprime to the rest of L,
+    which is monic: the result is canonical with no gcd.
+
+    Most Phi_d do not divide N, and two rules spare those the division.
+
+    * Phi_d divides N only if two or more weighted r are multiples of d.
+      For d | r, q^r = 1 mod Phi_d, so num_r(q^r) = num_r(1) mod Phi_d,
+      which is c = 1 for a and c = 2 for b; every term with d not
+      dividing r carries Phi_d^pole.  So N = c S sum_{d | r} w_r P_r
+      mod Phi_d, and each such P_r is coprime to Phi_d: with one such r
+      the right side is not 0 mod Phi_d.  (Near a primitive d-th root
+      zeta, 1 - q^r ~ r (unit) (q - zeta) for d | r, so the first Phi_d
+      cancels exactly when sum_{d | r} w_r / r^pole = 0.)
+    * Phi_d divides q^d - 1, so it divides N exactly when it divides
+      N mod (q^d - 1), the d slice sums sum(N[j::d]), j < d.  That
+      polynomial of degree < d is tested first; only when Phi_d divides
+      it is N divided, and that division stays the check.
+
+    `cache` holds, per (r values, pole), the divisors, the divisors that
+    the first rule leaves, the polynomials multiplying each S w_r and the
+    denominators; `counts` tallies the divisions.
     """
     numerator, coeff = _COVER_FORMS[pole]
     scale = math.lcm(*[w.denominator for w in weights.values()])
@@ -429,7 +466,8 @@ def _cover_sum(
     for r, w in ints.items():
         for k, n in enumerate(range(0, q_order, r)):
             sums[n] += w * coeff(r, k)
-    expansion = LaurentSeries(QVAR, 0, list(map(as_fraction, sums)), q_order)
+    expansion = LaurentSeries._from_fractions(QVAR, list(map(as_fraction, sums)))
+    counts.sums += 1
     key = (tuple(ints), pole)
     if key not in cache:
         divisors = sorted({d for r in ints for d in range(1, r + 1) if r % d == 0})
@@ -441,8 +479,9 @@ def _cover_sum(
             parts[r] = functools.reduce(
                 _int_mul, [powers[d] for d in divisors if r % d], tuple(spread)
             )
-        cache[key] = divisors, parts, {}
-    divisors, parts, dens = cache[key]
+        tested = [i for i, d in enumerate(divisors) if sum([r % d == 0 for r in ints]) > 1]
+        cache[key] = divisors, tested, parts, {}
+    divisors, tested, parts, dens = cache[key]
     num = [0] * max([len(p) for p in parts.values()], default=0)
     for r, w in ints.items():
         for i, c in enumerate(parts[r]):
@@ -452,13 +491,26 @@ def _cover_sum(
     if not num:
         return QRationalFunction._from_canonical((), (Fraction(1),)), expansion
     num = tuple(num)
+    counts.skipped += len(divisors) - len(tested)
     lefts = [pole] * len(divisors)  # the power of each Phi_d left in the denominator
-    for i, d in enumerate(divisors):
+    for i in tested:
+        d = divisors[i]
+        cyc = _cyclotomic(d)
         while lefts[i]:
+            fold = [sum(num[j::d]) for j in range(d)]
+            while fold and fold[-1] == 0:
+                fold.pop()
             try:
-                num = _int_divexact(num, _cyclotomic(d))
+                _int_divexact(tuple(fold), cyc)
+            except ArithmeticError:
+                counts.rejected += 1
+                break
+            counts.tried += 1
+            try:
+                num = _int_divexact(num, cyc)
             except ArithmeticError:
                 break
+            counts.divided += 1
             lefts[i] -= 1
     lefts = tuple(lefts)
     if lefts not in dens:

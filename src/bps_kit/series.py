@@ -321,6 +321,19 @@ class LaurentSeries:
         raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
+    def _from_fractions(cls, var: str, coeffs: list) -> "LaurentSeries":
+        # trusted construction: coeffs is a list of Fractions, the coefficients
+        # of var^0 .. var^(len - 1), truncated at len; only leading zeros are
+        # stripped, so min_exp is the valuation (len for the zero series)
+        start = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+        out = object.__new__(cls)
+        object.__setattr__(out, "var", var)
+        object.__setattr__(out, "min_exp", start)
+        object.__setattr__(out, "coeffs", tuple(coeffs[start:]))
+        object.__setattr__(out, "trunc_order", len(coeffs))
+        return out
+
+    @classmethod
     def from_terms(cls, var: str, terms: Mapping[int, object], trunc_order: int) -> "LaurentSeries":
         if not terms:
             return cls(var, trunc_order, (), trunc_order)

@@ -389,6 +389,15 @@ JMGS_RANK1_ARGV = [
     "--pairing", str(GOLDEN / "jmgs_rank1_pairing.json"),
     "--rmax", "12", "--qorder", "12", "--json",
 ]
+# rank 1: GV_12, GV_6, GV_4 and GV_3 weight the covers r = 1..4 of total degree
+# 12 so that both exact parts there lose a factor 1 + q, the one golden case
+# where a trial division by Phi_d with d > 1 succeeds
+JMGS_PHI2_ARGV = [
+    "jmgs",
+    "--gv", str(GOLDEN / "jmgs_rank1_phi2_gv.json"),
+    "--pairing", str(GOLDEN / "jmgs_rank1_pairing.json"),
+    "--rmax", "4", "--qorder", "12", "--json",
+]
 
 # (golden file, argv, exit code); a ".txt" golden is the text format of the
 # ".json" golden of the same stem
@@ -398,6 +407,7 @@ GOLDEN_CASES = [
     ("jmgs_rmax4_qorder8.json", JMGS_ARGV + ["--json"], 0),
     ("jmgs_rmax4_qorder8.txt", JMGS_ARGV, 0),
     ("jmgs_rank1_rmax12.json", JMGS_RANK1_ARGV, 0),
+    ("jmgs_rank1_phi2_rmax4.json", JMGS_PHI2_ARGV, 0),
 ] + [(f"ab_series_r{r}.json", ["ab-series", "--r", str(r), "--json"], 0) for r in range(1, 5)] + [
     ("ab_series_r2.txt", ["ab-series", "--r", "2"], 0),
 ]

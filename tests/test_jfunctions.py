@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from bps_kit.series import (
     polar_split,
     q_power,
 )
+from bps_kit.serialize import table_from_dict
 from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
 
 from oracles import (
@@ -564,9 +567,13 @@ WEIGHTS = st.sampled_from([0, 1, -1, Fr(3, 7), Fr(-3, 7), BIG, -BIG])
 COVER = {2: a_series, 3: b_series}
 
 
-def cover_sum(weights, pole, q_order):
+def cover_sum(weights, pole, q_order, counts=None):
     return jfunctions._cover_sum(
-        {r: Fr(w) for r, w in weights.items()}, pole, q_order, {}
+        {r: Fr(w) for r, w in weights.items()},
+        pole,
+        q_order,
+        {},
+        jfunctions._DivisionCounts() if counts is None else counts,
     )
 
 
@@ -603,14 +610,15 @@ def test_closed_forms_match_the_cover_series(r):
     weights=st.dictionaries(st.integers(1, 8), WEIGHTS, max_size=4),
     pole=st.sampled_from([2, 3]),
     q_order=st.integers(0, 16),
-    cancel=st.booleans(),
+    cancel=st.sampled_from([None, 1, 2, 3]),
 )
 @settings(max_examples=60, deadline=None)
 def test_cover_sum_matches_pairwise_oracle(weights, pole, q_order, cancel):
-    if cancel and len(weights) > 1:
-        # near q = 1, a(r, q^r) ~ 1/(r^2 (1-q)^2) and b(r, q^r) ~ -2/(r^3 (1-q)^3):
-        # weights with sum w_r / r^pole = 0 cancel one factor q - 1
-        *rest, last = sorted(weights)
+    multiples = sorted(r for r in weights if cancel and r % cancel == 0)
+    if len(multiples) > 1:
+        # near a primitive d-th root of unity z, 1 - q^r ~ r (unit) (q - z) for
+        # d | r: weights with sum over d | r of w_r / r^pole = 0 cancel one Phi_d
+        *rest, last = multiples
         weights[last] = -sum(Fr(weights[r], r**pole) for r in rest) * last**pole
     exact, expansion = cover_sum(weights, pole, q_order)
     expected = weighted_sum_naive([(w, COVER[pole](r)) for r, w in weights.items()])
@@ -649,6 +657,39 @@ def test_cover_sum_divides_out_a_common_cyclotomic_factor():
     exact, _ = cover_sum({1: 1, 2: -4}, 2, 0)
     assert (exact.num, exact.den) == ((7, 5), (-1, -1, 1, 1))
     assert exact == a_series(1) - 4 * a_series(2)
+
+
+def test_cover_sum_divides_out_phi_2_only_where_it_cancels():
+    # -1/2^2 + 4/4^2 = 0 on the multiples of 2, so one Phi_2 = 1 + q cancels;
+    # Phi_1 does not (-6 - 1/4 - 6/9 + 4/16 != 0), and Phi_3 and Phi_4 have
+    # one weighted multiple each, so they cannot divide
+    counts = jfunctions._DivisionCounts()
+    weights = {1: -6, 2: -1, 3: -6, 4: 4}
+    exact, expansion = cover_sum(weights, 2, 8, counts)
+    expected = weighted_sum_naive([(w, a_series(r)) for r, w in weights.items()])
+    assert (exact.num, exact.den) == (expected.num, expected.den)
+    den = qrf([-1, 1]) ** 2 * qrf([1, 1]) * qrf([1, 1, 1]) ** 2 * qrf([1, 0, 1]) ** 2
+    assert exact.den == den.num and len(exact.den) - 1 == 11
+    assert expansion == expected.expand(8)
+    # Phi_3 and Phi_4 skipped; Phi_1 and the second Phi_2 rejected mod q^d - 1
+    assert (counts.sums, counts.skipped, counts.rejected, counts.tried, counts.divided) == (
+        1, 2, 2, 1, 1
+    )
+
+
+def test_jmgs_rhs_logs_its_trial_divisions(caplog):
+    golden = Path(__file__).resolve().parent / "golden"
+    with open(golden / "jmgs_rank1_phi2_gv.json", encoding="utf-8") as fh:
+        gv = table_from_dict(json.load(fh))
+    caplog.set_level(logging.DEBUG, logger="bps_kit.jfunctions")
+    rhs = jmgs_rhs(gv, DivisorPairing(((1,),)), 4, 12)
+    # the divisor sum at degree 12 loses one Phi_2, the structure sum two
+    term = rhs.terms[(12,)]
+    assert (term.divisor_exact[0].den_degree, term.structure_exact.den_degree) == (11, 16)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "jmgs_rhs: 26 sums; Phi_d skipped by multiplicity 44, rejected mod q^d - 1 22; "
+        "divisions tried 3, succeeded 3"
+    ]
 
 
 # --- split_check: residuals in x, mapped to q ---------------------------------------

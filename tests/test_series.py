@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bps_kit.series import (
@@ -161,6 +161,29 @@ def test_qseries_reads_are_bounded():
     with pytest.raises(TruncationError):
         s.coefficient(2)
     assert s.coefficient(-1) == 0
+
+
+@given(
+    zeros=st.integers(0, 4),
+    coeffs=st.lists(st.one_of(st.just(Fr(0)), st.fractions(-5, 5, max_denominator=7)), max_size=6),
+)
+@example(zeros=0, coeffs=[])
+@example(zeros=3, coeffs=[])
+@example(zeros=2, coeffs=[Fr(1, 3), Fr(0)])
+def test_trusted_series_constructor_matches_the_public_one(zeros, coeffs):
+    # leading zeros, all-zero lists and the empty list (n = 0)
+    coeffs = [Fr(0)] * zeros + coeffs
+    n = len(coeffs)
+    fast = LaurentSeries._from_fractions(QVAR, list(coeffs))
+    slow = LaurentSeries(QVAR, 0, coeffs, n)
+    fields = ("var", "min_exp", "coeffs", "trunc_order")
+    assert [getattr(fast, f) for f in fields] == [getattr(slow, f) for f in fields]
+    assert type(fast.coeffs) is tuple
+    # min_exp is the valuation, or the truncation order for the zero series
+    if any(coeffs):
+        assert fast.coeffs[0] != 0
+    else:
+        assert fast.coeffs == () and fast.min_exp == n
 
 
 def test_qrf_evaluate_pole():
