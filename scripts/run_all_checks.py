@@ -2,10 +2,10 @@
 """Reproduce every headline number and identity from one command.
 
 Runs the bundled quintic table through both directions of the
-transform, collapses the closed-form cover table to its delta, prints
-the series anchors, and verifies the proper-part identity for the
-localization coefficients.  Everything is exact; the script exits
-nonzero if any check fails.
+transform, collapses the closed-form cover table to its delta, checks
+the relations of the quotient rings, prints the series anchors, and
+verifies the proper-part identity for the localization coefficients.
+Everything is exact; the script exits nonzero if any check fails.
 """
 
 from __future__ import annotations
@@ -16,12 +16,18 @@ from fractions import Fraction
 
 from bps_kit import (
     DivisorPairing,
+    X_RING,
+    Y_RING,
+    absorption_check,
     check_integrality,
     conifold_gv_table,
+    gen_p,
+    gen_t,
     gv_to_gw,
     gw_to_gv,
     j_x_coefficient,
     jmgs_rhs,
+    ring_one,
     sin_power_series,
     split_check,
     x_element_from_cover_data,
@@ -56,6 +62,21 @@ def main() -> int:
         "closed forms collapse to a lone 1 at (0,1) for g<=20, d<=80",
         dict(delta.entries) == {(0, (1,)): Fraction(1)},
     )
+
+    print("quotient rings:")
+    one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
+    one_x, p_x = ring_one(X_RING), gen_p(X_RING)
+    check(
+        "(1-P)^2 and (1-Pt)^2 (1-t) vanish in Y, (1-P)^2 in X",
+        ((one - p) ** 2).is_zero
+        and ((one - p * t) ** 2 * (one - t)).is_zero
+        and ((one_x - p_x) ** 2).is_zero,
+    )
+    check(
+        "(1-Pt)^4 = 0 while (1-Pt)^3 != 0",
+        ((one - p * t) ** 4).is_zero and not ((one - p * t) ** 3).is_zero,
+    )
+    check("(1-Pt)^2 absorbs t in (1 - P q^m t) for m <= 10", absorption_check(10))
 
     print("series anchors:")
     s = sin_power_series(1, 0, 4)

@@ -67,21 +67,29 @@ __all__ = [
 # Each object below is a rational function F(x), built once in x; at
 # Novikov degree r the public builders return F(q^r), by substitution.
 
-_ONE_MINUS_X = QRationalFunction([1, -1])
+# The cover series over x = q^r, keyed by their pole order m at x = 1:
+#   a(r, x) = (r - (r-1) x) / (x-1)^2 = sum_k (r + k) x^k,
+#   b(r, x) = (-r^2 + (2r^2+1) x + (1-r^2) x^2) / (x-1)^3 = sum_k (r^2 - k^2) x^k;
+# each entry holds the numerator over (x-1)^m and the coefficient of x^k.
+_COVER_FORMS = {
+    2: (lambda r: (r, 1 - r), lambda r, k: r + k),
+    3: (lambda r: (-r * r, 2 * r * r + 1, 1 - r * r), lambda r, k: r * r - k * k),
+}
 
 
-def _a_at(r: int) -> QRationalFunction:
+def _cover_at(r: int, pole: int) -> QRationalFunction:
+    """a(r, x) (pole 2) or b(r, x) (pole 3), from its entry in _COVER_FORMS.
+
+    The numerator is 1 (for a) or 2 (for b) at x = 1, so it is coprime to
+    the monic (x-1)^pole and the form is already canonical.
+    """
     if r < 1:
         raise ValueError("cover degree must be positive")
-    u = _ONE_MINUS_X
-    return (r - 1) / u + 1 / u**2
-
-
-def _b_at(r: int) -> QRationalFunction:
-    if r < 1:
-        raise ValueError("cover degree must be positive")
-    u = _ONE_MINUS_X
-    return (r * r - 1) / u + 3 / u**2 - 2 / u**3
+    num = [Fraction(c) for c in _COVER_FORMS[pole][0](r)]
+    while num[-1] == 0:
+        num.pop()
+    den = tuple([Fraction(math.comb(pole, k) * (-1) ** (pole - k)) for k in range(pole + 1)])
+    return QRationalFunction._from_canonical(tuple(num), den)
 
 
 @functools.cache
@@ -110,7 +118,7 @@ def _i_at(r: int) -> KElem:
 
 def _j_y_at(r: int) -> KElem:
     _, _, _, divisor, structure = _rank6_factors()
-    return divisor * _a_at(r) + structure * _b_at(r)
+    return divisor * _cover_at(r, 2) + structure * _cover_at(r, 3)
 
 
 def _elem_at_power(el: KElem, r: int) -> KElem:
@@ -121,12 +129,12 @@ def _elem_at_power(el: KElem, r: int) -> KElem:
 
 def a_series(r: int) -> QRationalFunction:
     """Divisor-direction cover coefficient of degree r; a(r, 0) = r."""
-    return _a_at(r).at_power(r)
+    return _cover_at(r, 2).at_power(r)
 
 
 def b_series(r: int) -> QRationalFunction:
     """Structure-sheaf cover coefficient of degree r; b(r, 0) = r^2."""
-    return _b_at(r).at_power(r)
+    return _cover_at(r, 3).at_power(r)
 
 
 def i_coefficient(r: int) -> KElem:
@@ -411,16 +419,6 @@ class _DivisionCounts:
     rejected: int = 0  # Phi_d that do not divide N mod (q^d - 1)
     tried: int = 0  # divisions of N by Phi_d
     divided: int = 0  # of them, the exact ones
-
-
-# The cover series over x = q^r, keyed by their pole order m at x = 1:
-#   a(r, x) = (r - (r-1) x) / (x-1)^2 = sum_k (r + k) x^k,
-#   b(r, x) = (-r^2 + (2r^2+1) x + (1-r^2) x^2) / (x-1)^3 = sum_k (r^2 - k^2) x^k;
-# each entry holds the numerator over (x-1)^m and the coefficient of x^k.
-_COVER_FORMS = {
-    2: (lambda r: (r, 1 - r), lambda r, k: r + k),
-    3: (lambda r: (-r * r, 2 * r * r + 1, 1 - r * r), lambda r, k: r * r - k * k),
-}
 
 
 def _cover_sum(

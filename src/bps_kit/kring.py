@@ -9,13 +9,14 @@ coordinate vectors on a fixed monomial basis:
     big ring:   {1, P, t, Pt, t^2, Pt^2}     (rank 6)
     small ring: {1, P}                        (rank 2)
 
-The rewrite system substitutes P^2 -> 2P - 1 first and then eliminates
-t^3 and P t^3 using the two independent combinations of the cubic
-relation (the relation itself and P times it).  Those two normal forms
-are solved for at import time from the relations rather than
-transcribed, and the 2x2 elimination matrix is checked to be
-unimodular, so the basis really is a free Z-basis.  Confluence of the
-rewrite order is covered by tests, not assumed.
+Both rings are built at import from their relations, as a tower of
+simple extensions: relation i is a polynomial in generator i over the
+ring of the earlier generators, and its leading coefficient must be a
+unit there (the builder raises otherwise).  That makes the monomials
+below its degree, times the basis so far, a free Z-basis, and
+multiplication by generator i the block companion matrix of the
+relation.  The basis, the multiplication table and the normal form of
+every monomial follow from these integer matrices.
 
 Coefficients are generic: anything with commutative +, -, * works, so
 the same tables serve exact rationals and rational functions in q.
@@ -52,105 +53,26 @@ class NotInvertibleError(ZeroDivisionError):
     """Raised when a ring element has no inverse."""
 
 
-Mono = tuple[int, int]  # (exponent of P, exponent of t)
-Poly = dict[Mono, Fraction]
-
-
-def _padd_into(target: Poly, src: Poly, scale: Fraction = Fraction(1)) -> None:
-    for m, c in src.items():
-        v = target.get(m, Fraction(0)) + c * scale
-        if v:
-            target[m] = v
-        elif m in target:
-            del target[m]
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for (pa, ta), ca in a.items():
-        for (pb, tb), cb in b.items():
-            m = (pa + pb, ta + tb)
-            v = out.get(m, Fraction(0)) + ca * cb
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
-
-
-def _reduce_p(poly: Poly) -> Poly:
-    """Substitute P^2 -> 2P - 1 until every P-exponent is 0 or 1."""
-    work = dict(poly)
-    while True:
-        m = next((mm for mm in work if mm[0] >= 2), None)
-        if m is None:
-            return work
-        a, b = m
-        c = work.pop(m)
-        _padd_into(work, {(a - 1, b): Fraction(2), (a - 2, b): Fraction(-1)}, c)
-
-
-def _cubic_relation() -> Poly:
-    # (1 - Pt)^2 (1 - t), expanded in the free polynomial ring
-    one_minus_pt: Poly = {(0, 0): Fraction(1), (1, 1): Fraction(-1)}
-    one_minus_t: Poly = {(0, 0): Fraction(1), (0, 1): Fraction(-1)}
-    return _pmul(_pmul(one_minus_pt, one_minus_pt), one_minus_t)
-
-
-def _solve_t_cubed() -> tuple[Poly, Poly]:
-    """Normal forms of t^3 and P t^3 on the degree-<3 monomials.
-
-    Derived from the cubic relation R and P*R: after the P-reduction
-    each is a combination of {P^a t^b : a < 2, b <= 3}; eliminating the
-    two cubic monomials is a 2x2 solve whose matrix must be unimodular
-    for the basis to be a free Z-basis.
-    """
-    r1 = _reduce_p(_cubic_relation())
-    r2 = _reduce_p(_pmul({(1, 0): Fraction(1)}, _cubic_relation()))
-    a11 = r1.pop((0, 3), Fraction(0))
-    a12 = r1.pop((1, 3), Fraction(0))
-    a21 = r2.pop((0, 3), Fraction(0))
-    a22 = r2.pop((1, 3), Fraction(0))
-    det = a11 * a22 - a12 * a21
-    if abs(det) != 1:
-        raise AssertionError(
-            f"cubic elimination matrix has determinant {det}; basis is not free"
-        )
-    # [a11 a12; a21 a22] * [t^3; Pt^3] = [-r1; -r2]
-    t3: Poly = {}
-    pt3: Poly = {}
-    _padd_into(t3, r1, -a22 / det)
-    _padd_into(t3, r2, a12 / det)
-    _padd_into(pt3, r1, a21 / det)
-    _padd_into(pt3, r2, -a11 / det)
-    return t3, pt3
-
-
-_T3, _PT3 = _solve_t_cubed()
-
-
-def _normalize_y(poly: Poly) -> Poly:
-    """Full reduction to the rank-6 basis of the big ring."""
-    work = _reduce_p(poly)
-    while True:
-        m = next((mm for mm in work if mm[1] >= 3), None)
-        if m is None:
-            return work
-        a, b = m
-        c = work.pop(m)
-        cube = _T3 if a == 0 else _PT3
-        shifted = {(pa, ta + b - 3): cc for (pa, ta), cc in cube.items()}
-        _padd_into(work, _reduce_p(shifted), c)
+# Monomials P^a t^b are keyed (a, b); a ring's generators are a prefix of
+# these names.
+_VARS = ("P", "t")
+Mono = tuple[int, int]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class RingSpec:
-    """A finite-rank quotient ring with a precomputed multiplication table."""
+    """A finite-rank quotient ring with a precomputed multiplication table.
+
+    `gen_matrices[i]` is multiplication by generator `_VARS[i]`, stored by
+    columns: column j is that generator times basis element j.
+    """
 
     name: str
     basis: tuple[Mono, ...]
     basis_names: tuple[str, ...]
     table: tuple[tuple[tuple[int, ...], ...], ...]
+    gen_matrices: tuple[Matrix, ...]
 
     @property
     def rank(self) -> int:
@@ -158,47 +80,6 @@ class RingSpec:
 
     def __repr__(self):
         return f"RingSpec({self.name}, rank {self.rank})"
-
-
-def _coords_from_poly(basis: tuple[Mono, ...], poly: Poly) -> tuple[Fraction, ...]:
-    index = {m: i for i, m in enumerate(basis)}
-    out = [Fraction(0)] * len(basis)
-    for m, c in poly.items():
-        if m not in index:
-            raise AssertionError(f"monomial {m} survived normalization")
-        out[index[m]] = c
-    return tuple(out)
-
-
-def _build_ring(name: str, basis: tuple[Mono, ...], names: tuple[str, ...], normalize) -> RingSpec:
-    table = []
-    for m1 in basis:
-        row = []
-        for m2 in basis:
-            prod = normalize({(m1[0] + m2[0], m1[1] + m2[1]): Fraction(1)})
-            coords = _coords_from_poly(basis, prod)
-            if any(c.denominator != 1 for c in coords):
-                raise AssertionError(f"non-integer structure constants at {m1}*{m2}")
-            row.append(tuple(int(c) for c in coords))
-        table.append(tuple(row))
-    return RingSpec(name, basis, names, tuple(table))
-
-
-def _normalize_x(poly: Poly) -> Poly:
-    reduced = _reduce_p(poly)
-    if any(t != 0 for (_, t) in reduced):
-        raise RingMismatchError("the rank-2 ring has no t generator")
-    return reduced
-
-
-Y_RING = _build_ring(
-    "Y",
-    ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)),
-    ("1", "P", "t", "P·t", "t^2", "P·t^2"),
-    _normalize_y,
-)
-
-X_RING = _build_ring("X", ((0, 0), (1, 0)), ("1", "P"), _normalize_x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,9 +254,19 @@ def gen_p(ring: RingSpec) -> KElem:
 
 
 def gen_t(ring: RingSpec) -> KElem:
-    if ring is not Y_RING:
-        raise RingMismatchError("only the rank-6 ring has a t generator")
     return element(ring, {(0, 1): 1})
+
+
+def _unit(n: int, j: int) -> list[int]:
+    return [int(i == j) for i in range(n)]
+
+
+def _times_monomial(mats: tuple[Matrix, ...], mono: tuple[int, ...], v: list) -> list:
+    """The integer vector v times a monomial, one generator matrix at a time."""
+    for mat, e in zip(mats, mono):
+        for _ in range(e):
+            v = [sum(x * col[r] for x, col in zip(v, mat)) for r in range(len(v))]
+    return v
 
 
 def element(ring: RingSpec, monomials: Mapping[Mono, object]) -> KElem:
@@ -385,18 +276,90 @@ def element(ring: RingSpec, monomials: Mapping[Mono, object]) -> KElem:
     integer normal forms of the monomials are combined linearly so the
     reduction works over either coefficient domain.
     """
-    normalize = _normalize_y if ring is Y_RING else _normalize_x
+    n_gens = len(ring.gen_matrices)
+    one = _unit(ring.rank, 0)
     out = [None] * ring.rank
-    index = {m: i for i, m in enumerate(ring.basis)}
-    for (a, b), coeff in monomials.items():
+    for mono, coeff in monomials.items():
+        a, b = mono
         if a < 0 or b < 0:
             raise ValueError("monomials need nonnegative exponents")
-        nf = normalize({(a, b): Fraction(1)})
-        for m, c in nf.items():
-            k = index[m]
-            term = coeff * c
-            out[k] = term if out[k] is None else out[k] + term
+        if any(mono[n_gens:]):
+            raise RingMismatchError(f"ring {ring.name} has no {_VARS[n_gens]} generator")
+        for k, c in enumerate(_times_monomial(ring.gen_matrices, mono, one)):
+            if c:
+                term = coeff * c
+                out[k] = term if out[k] is None else out[k] + term
     return KElem(ring, tuple([Fraction(0) if c is None else c for c in out]))
+
+
+def _build_ring(name: str, gens: tuple[str, ...], relations: tuple[dict, ...]) -> RingSpec:
+    """Z[gens] / (relations), built as a tower of simple extensions.
+
+    Relation i maps exponent tuples (ordered as `_VARS`) to integer
+    coefficients.  It is read as a polynomial c_d g^d + ... + c_0 in
+    g = gens[i] over the ring of gens[:i], and c_d must be a unit there:
+    then g^d = -c_d^-1 (c_{d-1} g^{d-1} + ... + c_0), and the old basis
+    times 1, g, ..., g^(d-1) is a free Z-basis of the new ring.
+    """
+    if gens != _VARS[: len(gens)]:
+        raise ValueError(f"generators must be a prefix of {_VARS}")
+    ring = RingSpec(name, ((0,) * len(_VARS),), ("1",), (((1,),),), ())  # Z
+    for i, (gen, relation) in enumerate(zip(gens, relations, strict=True)):
+        if any(any(m[i + 1 :]) for m in relation):
+            raise ValueError(f"relation for {gen} involves a later generator")
+        n, mats = ring.rank, ring.gen_matrices
+        degree = max(m[i] for m, c in relation.items() if c)
+        coeffs = [[0] * n for _ in range(degree + 1)]
+        for mono, c in relation.items():
+            lower = _times_monomial(mats, mono, _unit(n, 0))
+            coeffs[mono[i]] = [x + c * y for x, y in zip(coeffs[mono[i]], lower)]
+        try:
+            lead_inv = KElem(ring, tuple(coeffs[degree])).inverse()
+        except NotInvertibleError:
+            lead_inv = None
+        if lead_inv is None or any(c.denominator != 1 for c in lead_inv.coords):
+            raise ValueError(f"relation for {gen}: leading coefficient is not a unit")
+        tails = [
+            [int(x) for x in (-lead_inv * KElem(ring, tuple(c))).coords]
+            for c in coeffs[:degree]
+        ]
+
+        def in_block(k: int, v) -> tuple[int, ...]:
+            return (0,) * (n * k) + tuple(v) + (0,) * (n * (degree - 1 - k))
+
+        # the earlier generators act on each block alike
+        lifted = tuple(
+            tuple(in_block(k, col) for k in range(degree) for col in mat) for mat in mats
+        )
+        # g moves block k to block k + 1, and the last block onto the tails
+        companion = tuple(
+            in_block(k + 1, _unit(n, j))
+            if k < degree - 1
+            else sum((tuple(_times_monomial(mats, b, tail)) for tail in tails), ())
+            for k in range(degree)
+            for j, b in enumerate(ring.basis)
+        )
+        mats = lifted + (companion,)
+        basis = tuple(b[:i] + (k,) + b[i + 1 :] for k in range(degree) for b in ring.basis)
+        size = len(basis)
+        table = tuple(
+            tuple(tuple(_times_monomial(mats, m, _unit(size, j))) for j in range(size))
+            for m in basis
+        )
+        names = tuple(
+            "·".join(g if e == 1 else f"{g}^{e}" for g, e in zip(gens, m) if e) or "1"
+            for m in basis
+        )
+        ring = RingSpec(name, basis, names, table, mats)
+    return ring
+
+
+# (1-P)^2 and (1-Pt)^2 (1-t), expanded
+_LINE_RELATION = {(0, 0): 1, (1, 0): -2, (2, 0): 1}
+_BUNDLE_RELATION = {(0, 0): 1, (0, 1): -1, (1, 1): -2, (1, 2): 2, (2, 2): 1, (2, 3): -1}
+
+Y_RING = _build_ring("Y", ("P", "t"), (_LINE_RELATION, _BUNDLE_RELATION))
+X_RING = _build_ring("X", ("P",), (_LINE_RELATION,))
 
 
 def absorption_check(m_max: int) -> bool:

@@ -664,6 +664,9 @@ class QRationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        if len(self.num) <= 1 and self.den == (1,):
+            # a constant equals its Fraction, so it must hash alike
+            return hash(self.num[0] if self.num else Fraction(0))
         return hash((self.num, self.den))
 
     def evaluate(self, x) -> Fraction:

@@ -296,6 +296,29 @@ def j_y_coefficient_in_q(r: int):
     return n2 * (one + (one - p)) * a_series_in_q(r) + n2 * (one - p) * b_series_in_q(r)
 
 
+# --- quotient-ring normal forms ------------------------------------------------
+
+
+def groebner_normal_forms(a_max: int, b_max: int) -> dict:
+    """Remainders of P^a t^b, a <= a_max and b <= b_max, in Z[P, t] / I.
+
+    I is generated by (1-P)^2 and (1-Pt)^2 (1-t); the remainders come from
+    sympy's lex Groebner basis with t > P.  Each maps (a, b) to a dict
+    {(exponent of P, exponent of t): Fraction}.  Needs sympy.
+    """
+    import sympy
+
+    p, t = sympy.symbols("P t")
+    basis = sympy.groebner([(1 - p) ** 2, (1 - p * t) ** 2 * (1 - t)], t, p, order="lex")
+    out = {}
+    for a in range(a_max + 1):
+        for b in range(b_max + 1):
+            _, rem = basis.reduce(p**a * t**b)
+            terms = sympy.Poly(rem, p, t).terms()
+            out[(a, b)] = {m: Fr(int(c.p), int(c.q)) for m, c in terms if c}
+    return out
+
+
 # --- GV-weighted sums of rational functions --------------------------------------
 
 

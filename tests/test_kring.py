@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from bps_kit.kring import (
     RingMismatchError,
     X_RING,
     Y_RING,
+    _build_ring,
     absorption_check,
     element,
     gen_p,
@@ -22,6 +24,7 @@ from bps_kit.kring import (
     ring_one,
 )
 from bps_kit.series import QRationalFunction, q_power
+from oracles import groebner_normal_forms
 
 Fr = Fraction
 
@@ -95,41 +98,82 @@ def test_ideal_membership_under_multiplication():
         assert (rel2 * x).is_zero
 
 
-def _reduce_two_ways(a, b):
-    """Reduce P^a t^b with the two rules applied in both orders."""
-    from bps_kit.kring import _normalize_y, _T3, _PT3, _padd_into
+# The rings as the earlier rewrite-system code built them; the tower
+# builder must reproduce them exactly.
+PINNED_Y_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2))
+PINNED_Y_NAMES = ("1", "P", "t", "P·t", "t^2", "P·t^2")
+PINNED_Y_TABLE = (
+    (
+        (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1),
+    ),
+    (
+        (0, 1, 0, 0, 0, 0), (-1, 2, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+        (0, 0, -1, 2, 0, 0), (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, -1, 2),
+    ),
+    (
+        (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0),
+        (0, 0, 0, 0, 0, 1), (3, -2, -7, 4, 5, -2), (2, -1, -4, 1, 2, 1),
+    ),
+    (
+        (0, 0, 0, 1, 0, 0), (0, 0, -1, 2, 0, 0), (0, 0, 0, 0, 0, 1),
+        (0, 0, 0, 0, -1, 2), (2, -1, -4, 1, 2, 1), (1, 0, -1, -2, -1, 4),
+    ),
+    (
+        (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1), (3, -2, -7, 4, 5, -2),
+        (2, -1, -4, 1, 2, 1), (11, -8, -24, 16, 14, -8), (8, -5, -16, 8, 8, -2),
+    ),
+    (
+        (0, 0, 0, 0, 0, 1), (0, 0, 0, 0, -1, 2), (2, -1, -4, 1, 2, 1),
+        (1, 0, -1, -2, -1, 4), (8, -5, -16, 8, 8, -2), (5, -2, -8, 0, 2, 4),
+    ),
+)
 
-    # order 1: the library order (P first, then t-cubes, re-reducing P)
-    via_library = _normalize_y({(a, b): Fr(1)})
 
-    # order 2: eliminate t-cubes first (tracking P-degree with the raw
-    # cubic forms), only then reduce P-exponents.
-    work = {(a, b): Fr(1)}
-    while True:
-        m = next((mm for mm in work if mm[1] >= 3 and mm[0] <= 1), None)
-        m_high_p = next((mm for mm in work if mm[0] >= 2), None)
-        if m is None and m_high_p is None:
-            break
-        if m is not None:
-            pa, tb = m
-            c = work.pop(m)
-            cube = _T3 if pa == 0 else _PT3
-            shifted = {(qa, qt + tb - 3): cc for (qa, qt), cc in cube.items()}
-            _padd_into(work, shifted, c)
-        else:
-            pa, tb = m_high_p
-            c = work.pop(m_high_p)
-            _padd_into(work, {(pa - 1, tb): Fr(2), (pa - 2, tb): Fr(-1)}, c)
-    return via_library, work
+def test_rings_match_pinned_tables():
+    assert Y_RING.basis == PINNED_Y_BASIS
+    assert Y_RING.basis_names == PINNED_Y_NAMES
+    assert Y_RING.table == PINNED_Y_TABLE
+    assert X_RING.basis == ((0, 0), (1, 0))
+    assert X_RING.basis_names == ("1", "P")
+    assert X_RING.table == (((1, 0), (0, 1)), ((0, 1), (-1, 2)))
 
 
-def test_rewrite_confluence_on_all_small_monomials():
-    for a in range(5):
-        for b in range(7):
-            via_library, other_order = _reduce_two_ways(a, b)
-            assert via_library == {
-                m: c for m, c in other_order.items() if c != 0
-            }, (a, b)
+def test_normal_forms_match_groebner_remainders():
+    pytest.importorskip("sympy")
+    expected = groebner_normal_forms(4, 6)
+    assert len(expected) == 35
+    for (a, b), remainder in expected.items():
+        assert set(remainder) <= set(Y_RING.basis), (a, b)
+        coords = tuple(remainder.get(m, Fr(0)) for m in Y_RING.basis)
+        assert element(Y_RING, {(a, b): 1}).coords == coords, (a, b)
+
+
+def test_builder_makes_the_quintic_ring_from_one_relation():
+    # K(P^4) = Z[P] / ((1-P)^5): built by the same call, not a public ring
+    relation = {(k, 0): math.comb(5, k) * (-1) ** k for k in range(6)}
+    ring = _build_ring("P4", ("P",), (relation,))
+    assert ring.rank == 5
+    assert ring.basis_names == ("1", "P", "P^2", "P^3", "P^4")
+    n = ring_one(ring) - gen_p(ring)
+    assert (n**5).is_zero
+    assert not (n**4).is_zero
+    with pytest.raises(RingMismatchError):
+        gen_t(ring)
+
+
+@pytest.mark.parametrize(
+    "gens, relations",
+    [
+        # 2P - 1: leading coefficient 2 is not a unit in Z
+        (("P",), ({(0, 0): -1, (1, 0): 2},)),
+        # (P - 1) t + 1 over Z[P]/((1-P)^2): P - 1 is nilpotent
+        (("P", "t"), ({(0, 0): 1, (1, 0): -2, (2, 0): 1}, {(0, 0): 1, (0, 1): -1, (1, 1): 1})),
+    ],
+)
+def test_builder_rejects_a_non_unit_leading_coefficient(gens, relations):
+    with pytest.raises(ValueError, match="not a unit"):
+        _build_ring("bad", gens, relations)
 
 
 def test_nilpotency_structure():

@@ -24,6 +24,7 @@ from bps_kit.series import (
 )
 from bps_kit.series import _clear_denominators, _cyclotomic, _int_divexact
 from bps_kit.jfunctions import a_series, b_series
+from bps_kit.kring import KElem, Y_RING
 
 from oracles import (
     dict_mul,
@@ -146,6 +147,14 @@ def test_equality_and_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert a != a.truncate(3)
+    # a constant rational function equals its Fraction, so hashes alike
+    one = QRationalFunction.constant(1)
+    assert one == Fr(1) and hash(one) == hash(Fr(1))
+    assert len({one, Fr(1)}) == 1
+    assert hash(QRationalFunction.constant(0)) == hash(Fr(0))
+    x = KElem(Y_RING, (one,) + (Fr(0),) * 5)
+    y = KElem(Y_RING, (Fr(1),) + (QRationalFunction.constant(0),) * 5)
+    assert x == y and hash(x) == hash(y)
 
 
 def test_truncate_cannot_extend():
