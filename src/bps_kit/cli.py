@@ -41,7 +41,6 @@ from .serialize import (
     render_kelem_text,
     render_table_text,
     table_from_dict,
-    table_to_dict,
 )
 from .series import PoleAtZeroError, PoleLocationError, QRationalFunction, TruncationError
 from .transform import (
@@ -101,6 +100,33 @@ def _dump(doc, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
+def _dump_table(table, nl: str = "\n") -> str:
+    """``_dump(table_to_dict(table), nl)``, writing the entries from one template.
+
+    Every entry has the same shape, so one ``%``-template per table, built
+    from its rank and the indent, writes each entry in a single step.
+    """
+    inner = nl + "  "
+    entry = inner + "  "
+    field = entry + "  "
+    part = field + "  "
+    template = (
+        "{" + field + '"genus": %d,' + field + '"degree": ['
+        + part + ("," + part).join(["%d"] * table.lattice_rank)
+        + field + "]," + field + '"value": "%s"' + entry + "}"
+    )
+    cells = [template % (g, *deg, str(v)) for (g, deg), v in table.sorted_items()]
+    entries = "[" + entry + ("," + entry).join(cells) + inner + "]" if cells else "[]"
+    head = {
+        "kind": table.kind,
+        "lattice_rank": table.lattice_rank,
+        "genus_max": table.genus_max,
+        "degree_max": list(table.degree_max),
+    }
+    items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in head.items()]
+    return "{" + inner + ("," + inner).join(items + ['"entries": ' + entries]) + nl + "}"
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -142,7 +168,7 @@ def cmd_gw2gv(args) -> int:
         result = gw_to_gv_genus0_mobius(table)
     else:
         result = gw_to_gv(table)
-    _emit(args, _dump(table_to_dict(result)))
+    _emit(args, _dump_table(result))
     if args.check_integrality:
         report = check_integrality(result)
         print(_render_integrality(args, report))
@@ -155,7 +181,7 @@ def cmd_gv2gw(args) -> int:
     table = _load_table(args.input)
     if table.kind != KIND_GV:
         raise TableKindError(f"{args.input}: expected a GV table, found {table.kind}")
-    _emit(args, _dump(table_to_dict(gv_to_gw(table))))
+    _emit(args, _dump_table(gv_to_gw(table)))
     return EXIT_OK
 
 
@@ -177,15 +203,13 @@ def cmd_conifold(args) -> int:
     gv = gw_to_gv(gw)
     is_delta = dict(gv.entries) == {(0, (1,)): Fraction(1)}
     if args.json:
+        # {"gw": ..., "gv": ..., "is_delta": ...} with the tables one level down
+        inner = "\n  "
         _emit(
             args,
-            _dump(
-                {
-                    "gw": table_to_dict(gw),
-                    "gv": table_to_dict(gv),
-                    "is_delta": is_delta,
-                }
-            ),
+            "{" + inner + '"gw": ' + _dump_table(gw, inner)
+            + "," + inner + '"gv": ' + _dump_table(gv, inner)
+            + "," + inner + '"is_delta": ' + _dump(is_delta) + "\n}",
         )
     else:
         _emit(

@@ -15,6 +15,7 @@ end-to-end exercise of the genus-filtered solve this package has.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from fractions import Fraction
 
@@ -58,17 +59,29 @@ def conifold_gw(g: int, d: int) -> Fraction:
 
 
 def conifold_gw_table(g_max: int, d_max: int) -> InvariantTable:
-    """Rank-1 table of the closed-form cover contributions up to the bounds."""
+    """Rank-1 table of the closed-form cover contributions up to the bounds.
+
+    Each genus g >= 2 computes its constant |B_2g| / (2g (2g-2)!) once;
+    a cell is then that constant times d^(2g-3).
+    """
+    g_max, d_max = operator.index(g_max), operator.index(d_max)
     if d_max < 1:
         raise ValueError("degree bound must be at least 1")
     if g_max < 0:
         raise ValueError("genus bound must be nonnegative")
-    entries = {
-        (g, (d,)): conifold_gw(g, d)
-        for g in range(g_max + 1)
-        for d in range(1, d_max + 1)
-    }
-    return InvariantTable(KIND_GW, 1, g_max, (d_max,), entries)
+    degrees = range(1, d_max + 1)
+    entries = {}
+    for g in range(g_max + 1):
+        if g == 0:
+            entries.update({(0, (d,)): Fraction(1, d**3) for d in degrees})
+        elif g == 1:
+            entries.update({(1, (d,)): Fraction(1, 12 * d) for d in degrees})
+        else:
+            c = abs(bernoulli(2 * g)) / (2 * g * math.factorial(2 * g - 2))
+            num, den, e = c.numerator, c.denominator, 2 * g - 3
+            entries.update({(g, (d,)): Fraction(num * d**e, den) for d in degrees})
+    # every cell is in bounds and nonzero (B_2g != 0 for g >= 1)
+    return InvariantTable._from_valid(KIND_GW, 1, g_max, (d_max,), entries)
 
 
 def conifold_gv_table(g_max: int, d_max: int) -> InvariantTable:

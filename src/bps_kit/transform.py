@@ -89,20 +89,23 @@ class InvariantTable:
     def __post_init__(self):
         if self.kind not in (KIND_GW, KIND_GV):
             raise TableKindError(f"unknown table kind {self.kind!r}")
-        if self.lattice_rank < 1:
-            raise TableBoundError("lattice rank must be positive")
-        if self.genus_max < 0:
-            raise TableBoundError("genus bound must be nonnegative")
         try:
+            rank = operator.index(self.lattice_rank)
+            genus_max = operator.index(self.genus_max)
             dmax = tuple(map(operator.index, self.degree_max))
         except TypeError as exc:
-            raise TableBoundError(f"degree_max {self.degree_max} has a non-integer bound") from exc
-        rank = self.lattice_rank
+            raise TableBoundError(
+                f"bounds (rank {self.lattice_rank!r}, genus {self.genus_max!r}, "
+                f"degree {self.degree_max!r}) must be integers"
+            ) from exc
+        if rank < 1:
+            raise TableBoundError("lattice rank must be positive")
+        if genus_max < 0:
+            raise TableBoundError("genus bound must be nonnegative")
         if len(dmax) != rank or any(d < 0 for d in dmax):
             raise TableBoundError(
                 f"degree_max {self.degree_max} incompatible with rank {rank}"
             )
-        genus_max = self.genus_max
         clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
         zeros: set[tuple[int, tuple[int, ...]]] = set()
         # normalised degree vectors that passed the rank, nonzero and bound
@@ -133,9 +136,24 @@ class InvariantTable:
                 clean[key] = v
             else:
                 zeros.add(key)
+        object.__setattr__(self, "lattice_rank", rank)
+        object.__setattr__(self, "genus_max", genus_max)
         object.__setattr__(self, "degree_max", dmax)
         # read-only, so a validated table cannot gain an out-of-bounds cell
         object.__setattr__(self, "entries", types.MappingProxyType(clean))
+
+    @classmethod
+    def _from_valid(cls, kind, rank, genus_max, degree_max, entries) -> "InvariantTable":
+        # trusted construction: the bounds are those of a validated table (or
+        # checked ints), and entries holds only nonzero Fractions keyed by
+        # in-bounds int cells, so the checks of __post_init__ are skipped
+        out = object.__new__(cls)
+        object.__setattr__(out, "kind", kind)
+        object.__setattr__(out, "lattice_rank", rank)
+        object.__setattr__(out, "genus_max", genus_max)
+        object.__setattr__(out, "degree_max", degree_max)
+        object.__setattr__(out, "entries", types.MappingProxyType(entries))
+        return out
 
     def value(self, genus: int, degree: tuple[int, ...]) -> Fraction:
         try:
@@ -156,7 +174,8 @@ class InvariantTable:
         return self.entries.get((genus, degree), Fraction(0))
 
     def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+        # keys are unique, so the values are never compared
+        return sorted(self.entries.items())
 
 
 @dataclass(frozen=True)
@@ -198,13 +217,14 @@ def sin_power_series(k: int, genus: int, order: int) -> LaurentSeries:
 def _lambda_coefficients(genus_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """table[g][h] = [lam^(2h-2)] (2 sin(lam/2))**(2g-2) for g, h <= genus_max."""
     order = 2 * genus_max - 1
-    out = []
-    for g in range(genus_max + 1):
-        series = sin_power_series(1, g, order)
-        out.append(
-            tuple(series.coefficient(2 * h - 2) for h in range(genus_max + 1))
-        )
-    return tuple(out)
+    powers = [sin_power_series(1, g, order) for g in range(min(genus_max, 2) + 1)]
+    # (2 sin)^(2g-2) = (2 sin)^(2g-4) (2 sin)^2: one series product per genus
+    for _ in range(3, genus_max + 1):
+        powers.append((powers[-1] * powers[2]).truncate(order))
+    return tuple(
+        tuple(series.coefficient(2 * h - 2) for h in range(genus_max + 1))
+        for series in powers
+    )
 
 
 class _CoverCoefficients:
@@ -276,7 +296,7 @@ def gv_to_gw(table: InvariantTable) -> InvariantTable:
         value = _reduced_sum(cell_terms)
         if value:
             entries[cell] = value
-    return InvariantTable(
+    return InvariantTable._from_valid(
         KIND_GW, table.lattice_rank, table.genus_max, table.degree_max, entries
     )
 
@@ -315,7 +335,7 @@ def gw_to_gv(table: InvariantTable) -> InvariantTable:
                         pending.setdefault((h, gamma), []).append(
                             (num * c_num, den * c_den)
                         )
-    return InvariantTable(
+    return InvariantTable._from_valid(
         KIND_GV, table.lattice_rank, table.genus_max, table.degree_max, solved
     )
 
@@ -360,7 +380,7 @@ def gw_to_gv_genus0_mobius(table: InvariantTable) -> InvariantTable:
                 )
         if total:
             entries[(0, (d,))] = total
-    return InvariantTable(KIND_GV, 1, 0, table.degree_max, entries)
+    return InvariantTable._from_valid(KIND_GV, 1, 0, table.degree_max, entries)
 
 
 def check_integrality(table: InvariantTable) -> IntegralityReport:
@@ -368,9 +388,7 @@ def check_integrality(table: InvariantTable) -> IntegralityReport:
     if table.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {table.kind}")
     violations = tuple(
-        (g, deg, v)
-        for (g, deg), v in table.sorted_items()
-        if v.denominator != 1
+        sorted((g, deg, v) for (g, deg), v in table.entries.items() if v.denominator != 1)
     )
     return IntegralityReport(is_integral=not violations, violations=violations)
 
@@ -380,6 +398,6 @@ def genus_zero_slice(table: InvariantTable) -> InvariantTable:
     entries = {
         (g, deg): v for (g, deg), v in table.entries.items() if g == 0
     }
-    return InvariantTable(
+    return InvariantTable._from_valid(
         table.kind, table.lattice_rank, 0, table.degree_max, entries
     )

@@ -84,3 +84,22 @@ def test_conifold_gw_table_contents():
     assert t.value(0, (1,)) == 1
     assert t.value(0, (2,)) == Fr(1, 8)
     assert t.value(1, (2,)) == Fr(1, 24)
+
+
+def test_conifold_gw_table_matches_closed_forms_cell_by_cell():
+    # the table scales one constant per genus by d^(2g-3); each cell must
+    # equal the per-cell closed form
+    t = conifold_gw_table(20, 80)
+    assert (t.lattice_rank, t.genus_max, t.degree_max) == (1, 20, (80,))
+    assert dict(t.entries) == {
+        (g, (d,)): conifold_gw(g, d) for g in range(21) for d in range(1, 81)
+    }
+
+
+def test_conifold_gw_table_rejects_bad_bounds():
+    for g_max, d_max in [(-1, 3), (2, 0)]:
+        with pytest.raises(ValueError):
+            conifold_gw_table(g_max, d_max)
+    for g_max, d_max in [(2.0, 3), (2, 3.0), ("2", 3)]:
+        with pytest.raises(TypeError):
+            conifold_gw_table(g_max, d_max)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bps_kit.cli import _dump, main
-from bps_kit.serialize import SchemaError, fraction_from_str, table_from_dict
-from bps_kit.transform import TableBoundError
+from bps_kit.cli import _dump, _dump_table, main
+from bps_kit.serialize import SchemaError, fraction_from_str, table_from_dict, table_to_dict
+from bps_kit.transform import KIND_GV, KIND_GW, InvariantTable, TableBoundError, degree_vectors
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -62,6 +62,38 @@ def test_dump_edge_shapes():
     for bad in [object(), {1, 2}, [b"x"], {"a": 1.5}]:
         with pytest.raises(TypeError):
             _dump(bad)
+
+
+@st.composite
+def tables(draw):
+    """Tables of ranks 1-3, genus 0-3, possibly empty, with signed fractional values."""
+    rank = draw(st.integers(1, 3))
+    genus_max = draw(st.integers(0, 3))
+    degree_max = tuple(draw(st.integers(1, 12 if rank == 1 else 3)) for _ in range(rank))
+    cells = [(g, deg) for deg in degree_vectors(degree_max) for g in range(genus_max + 1)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=8))
+    values = st.fractions(max_denominator=10**30).filter(bool)
+    entries = {cell: draw(values) for cell in chosen}
+    kind = draw(st.sampled_from([KIND_GV, KIND_GW]))
+    return InvariantTable(kind, rank, genus_max, degree_max, entries)
+
+
+@given(tables())
+@settings(max_examples=200)
+def test_dump_table_matches_json_dumps(table):
+    assert _dump_table(table) == json.dumps(table_to_dict(table), indent=2)
+    # one level down, as in the conifold document
+    nested = '{\n  "gw": ' + _dump_table(table, "\n  ") + "\n}"
+    assert nested == json.dumps({"gw": table_to_dict(table)}, indent=2)
+
+
+def test_dump_table_edge_shapes():
+    for table in [
+        InvariantTable(KIND_GV, 1, 0, (1,), {}),
+        InvariantTable(KIND_GW, 3, 0, (0, 0, 1), {(0, (0, 0, 1)): Fraction(-7, 3)}),
+        InvariantTable(KIND_GV, 2, 4, (2, 0), {(4, (2, 0)): Fraction(-(2**300), 3**100)}),
+    ]:
+        assert _dump_table(table) == json.dumps(table_to_dict(table), indent=2)
 
 
 # --- the parser: Fraction(s), with SchemaError where Fraction raises -------------

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bps_kit.covers import conifold_gw_table
 from bps_kit.transform import (
     KIND_GV,
     KIND_GW,
     InvariantTable,
     TableBoundError,
     TableKindError,
+    _lambda_coefficients,
     check_integrality,
     degree_vectors,
     genus_zero_slice,
@@ -441,12 +443,89 @@ def test_table_checks_each_cell_of_a_degree_vector_seen_before():
     assert dict(table.entries) == {**ok, (2, (1, 0)): Fr(3)}
 
 
+def _library_tables():
+    """Tables the library builds without re-running the constructor's checks."""
+    rng = random.Random(1414)
+    gw = random_table(rng, 2, 2, (3, 2))
+    gv = gw_to_gv(gw)
+    rank1 = random_table(rng, 1, 0, (6,))
+    return [
+        gv,
+        gv_to_gw(gv),
+        gw_to_gv(InvariantTable(KIND_GW, 2, 1, (2, 2), {})),
+        gw_to_gv_genus0_mobius(rank1),
+        genus_zero_slice(gw),
+        conifold_gw_table(3, 5),
+    ]
+
+
 def test_table_entries_are_read_only():
     # every cell passed the bound checks on construction; no later write may
     # add one that would not
     table = InvariantTable(KIND_GV, 1, 0, (2,), {(0, (1,)): Fr(1)})
-    with pytest.raises(TypeError):
-        table.entries[(7, (99,))] = Fr(3)
-    with pytest.raises(TypeError):
-        del table.entries[(0, (1,))]
+    for t in [table, *_library_tables()]:
+        with pytest.raises(TypeError):
+            t.entries[(7, (99,))] = Fr(3)
+        with pytest.raises(TypeError):
+            del t.entries[next(iter(t.entries), (0, (1,)))]
     assert dict(table.entries) == {(0, (1,)): Fr(1)}
+
+
+def test_library_tables_pass_the_constructor_checks():
+    # the transforms build their outputs without re-validating them; the same
+    # bounds and cells must pass the public constructor unchanged
+    for t in _library_tables():
+        checked = InvariantTable(t.kind, t.lattice_rank, t.genus_max, t.degree_max, dict(t.entries))
+        assert t == checked
+        assert dict(t.entries) == dict(checked.entries)
+        assert type(t.degree_max) is tuple
+        assert all(type(d) is int for d in (t.lattice_rank, t.genus_max, *t.degree_max))
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, "1", None])
+def test_table_rejects_non_integer_rank_and_genus_bound(bad):
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GV, bad, 2, (3,), {(0, (1,)): Fr(1)})
+    with pytest.raises(TableBoundError):
+        InvariantTable(KIND_GV, 1, bad, (3,), {(0, (1,)): Fr(1)})
+
+
+def test_table_normalises_integer_like_bounds():
+    # a bool or an __index__ object is an integer bound, stored as an int
+    table = InvariantTable(KIND_GV, True, _Index(2), (3,), {(0, (1,)): Fr(1)})
+    assert (table.lattice_rank, table.genus_max) == (1, 2)
+    assert type(table.lattice_rank) is int and type(table.genus_max) is int
+    assert gv_to_gw(table) == gv_to_gw(InvariantTable(KIND_GV, 1, 2, (3,), {(0, (1,)): Fr(1)}))
+
+
+def test_integrality_violations_are_listed_by_genus_then_degree():
+    entries = {
+        (2, (1, 0)): Fr(1, 2),
+        (0, (2, 1)): Fr(-1, 3),
+        (1, (0, 1)): Fr(5),
+        (0, (1, 2)): Fr(7, 4),
+        (1, (1, 1)): Fr(2, 9),
+        (0, (0, 1)): Fr(-3),
+        (2, (0, 2)): Fr(-5, 6),
+    }
+    report = check_integrality(InvariantTable(KIND_GV, 2, 2, (2, 2), entries))
+    assert not report.is_integral
+    assert report.violations == (
+        (0, (1, 2), Fr(7, 4)),
+        (0, (2, 1), Fr(-1, 3)),
+        (1, (1, 1), Fr(2, 9)),
+        (2, (0, 2), Fr(-5, 6)),
+        (2, (1, 0), Fr(1, 2)),
+    )
+
+
+def test_lambda_coefficients_match_sine_power_series():
+    # the table builds genus g >= 3 from genus g - 1 by one series product; each
+    # row must equal the coefficients of the direct expansion
+    top = 20
+    rows = [sin_power_series(1, g, 2 * top - 1) for g in range(top + 1)]
+    for genus_max in range(top + 1):
+        assert _lambda_coefficients(genus_max) == tuple(
+            tuple(rows[g].coefficient(2 * h - 2) for h in range(genus_max + 1))
+            for g in range(genus_max + 1)
+        )
