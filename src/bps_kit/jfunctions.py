@@ -35,6 +35,7 @@ from .series import (
     LaurentSeries,
     QRationalFunction,
     _cyclotomic,
+    _from_poles_at_0_and_1,
     _int_divexact,
     _int_mul,
     polar_split,
@@ -78,53 +79,63 @@ _COVER_FORMS = {
 
 
 def _cover_at(r: int, pole: int) -> QRationalFunction:
-    """a(r, x) (pole 2) or b(r, x) (pole 3), from its entry in _COVER_FORMS.
-
-    The numerator is 1 (for a) or 2 (for b) at x = 1, so it is coprime to
-    the monic (x-1)^pole and the form is already canonical.
-    """
+    """a(r, x) (pole 2) or b(r, x) (pole 3), from its entry in _COVER_FORMS."""
     if r < 1:
         raise ValueError("cover degree must be positive")
-    num = [Fraction(c) for c in _COVER_FORMS[pole][0](r)]
-    while num[-1] == 0:
-        num.pop()
-    den = tuple([Fraction(math.comb(pole, k) * (-1) ** (pole - k)) for k in range(pole + 1)])
-    return QRationalFunction._from_canonical(tuple(num), den)
+    return _from_poles_at_0_and_1(list(_COVER_FORMS[pole][0](r)), 0, pole)
 
 
 @functools.cache
-def _rank6_factors() -> tuple[KElem, KElem, KElem, KElem, KElem]:
-    """The r-independent factors of I and J in the rank-6 ring, built once.
+def _rank6_factors() -> tuple[int, tuple, tuple[tuple[int, int], ...]]:
+    """The r-independent numerators of I and J in the rank-6 ring, built once.
 
-    Returns (1-Pt)^2, (Pt)^-2, (1-P x)^-2, (1-Pt)^2 (1+(1-P)) and
-    (1-Pt)^2 (1-P).  Sharing them is safe: KElem and QRationalFunction
-    are immutable.
+    Returns pole; parts[k][c], the integer numerator over (x-1)^pole of
+    coordinate c of M^(k+2) (1-P x)^-2, M = 1 - Pt, for k = 0, 1, ... while
+    M^(k+2) != 0; and coordinate c of (1-Pt)^2 (1+(1-P)) and (1-Pt)^2 (1-P)
+    per c.  Raises ArithmeticError if M^(rank+1) != 0, or if a part has a
+    coordinate that is not an integer polynomial over (x-1)^pole.
     """
-    one = ring_one(Y_RING)
-    p = gen_p(Y_RING)
-    t = gen_t(Y_RING)
-    n2 = (one - p * t) ** 2
-    pt_inv2 = (p * t).inverse() ** 2
+    one, p, rank = ring_one(Y_RING), gen_p(Y_RING), Y_RING.rank
+    m = one - p * gen_t(Y_RING)
     factor_inv2 = (one - p * q_power(1)).inverse() ** 2
-    return n2, pt_inv2, factor_inv2, n2 * (one + (one - p)), n2 * (one - p)
+    pole = max(QRationalFunction._coerce(c).den_degree for c in factor_inv2.coords)
+    lifted = factor_inv2 * (q_power(1) - 1) ** pole
+    width = max(len(QRationalFunction._coerce(c).num) for c in lifted.coords)  # bounds every part
+    nums, power = [], m * m
+    while not power.is_zero:
+        if len(nums) == (rank - 1) * rank:  # power is M^(rank+1)
+            raise ArithmeticError("1 - Pt is not nilpotent")
+        for f in map(QRationalFunction._coerce, (power * lifted).coords):
+            if not f.is_polynomial or any(c.denominator != 1 for c in f.num):
+                raise ArithmeticError(f"{f} over (x-1)^{pole} is not an integer polynomial")
+            nums.append(tuple(map(int, f.num)) + (0,) * (width - len(f.num)))
+        power = power * m
+    parts = tuple([tuple(nums[k : k + rank]) for k in range(0, len(nums), rank)])
+    constants = zip((m * m * (one + (one - p))).coords, (m * m * (one - p)).coords)
+    return pole, parts, tuple([(int(cd), int(cs)) for cd, cs in constants])
+
+
+def _nilpotent_weights(r: int, count: int) -> list[int]:  # (1-M)^(-2r) in powers of M
+    return [math.comb(2 * r + k - 1, k) for k in range(count)]
 
 
 def _i_at(r: int) -> KElem:
+    # one integer combination per coordinate, over x^(r-1) (x-1)^pole
     if r < 1:
         raise ValueError("Novikov degree must be positive")
-    n2, pt_inv2, factor_inv2, _, _ = _rank6_factors()
-    return n2 * pt_inv2**r * factor_inv2 * q_power(1 - r)
+    pole, parts, _ = _rank6_factors()
+    weights = _nilpotent_weights(r, len(parts))
+    nums = [[sum(map(operator.mul, weights, col)) for col in zip(*n)] for n in zip(*parts)]
+    return KElem(Y_RING, tuple([_from_poles_at_0_and_1(n, r - 1, pole) for n in nums]))
 
 
 def _j_y_at(r: int) -> KElem:
-    _, _, _, divisor, structure = _rank6_factors()
-    return divisor * _cover_at(r, 2) + structure * _cover_at(r, 3)
-
-
-def _elem_at_power(el: KElem, r: int) -> KElem:
-    # rational-function coordinates are substituted, Fractions stay as they are
-    coords = [c.at_power(r) if isinstance(c, QRationalFunction) else c for c in el.coords]
-    return KElem(el.ring, tuple(coords))
+    # each coordinate is cd a(r, x) + cs b(r, x), over (x-1)^3
+    if r < 1:
+        raise ValueError("cover degree must be positive")
+    a, b = _int_mul(_COVER_FORMS[2][0](r), (-1, 1)), _COVER_FORMS[3][0](r)
+    nums = [[cd * u + cs * v for u, v in zip(a, b)] for cd, cs in _rank6_factors()[2]]
+    return KElem(Y_RING, tuple([_from_poles_at_0_and_1(n, 0, 3) for n in nums]))
 
 
 def a_series(r: int) -> QRationalFunction:
@@ -145,15 +156,15 @@ def i_coefficient(r: int) -> KElem:
 
         (1-Pt)^2 / ((Pt)^{2r} x^{r-1} (1 - P x)^2)   at x = q^r.
 
-    Both ring inversions go through the generic linear solve; Pt is
-    invertible because 1 - Pt is nilpotent.
+    (Pt)^{-2r} = (1-M)^{-2r} is a finite sum, as M = 1 - Pt is nilpotent;
+    only 1 - P x is inverted, once, by the generic linear solve.
     """
-    return _elem_at_power(_i_at(r), r)
+    return KElem(Y_RING, tuple([c.at_power(r) for c in _i_at(r).coords]))
 
 
 def j_y_coefficient(r: int) -> KElem:
     """Novikov-degree-r coefficient of the cover-summed series, rank-6 ring."""
-    return _elem_at_power(_j_y_at(r), r)
+    return KElem(Y_RING, tuple([c.at_power(r) for c in _j_y_at(r).coords]))
 
 
 def j_x_coefficient(r: int) -> KElem:
@@ -172,12 +183,6 @@ def x_element_from_cover_data(
     one = ring_one(X_RING)
     p = gen_p(X_RING)
     return (one + (one - p)) * divisor_coeff + (one - p) * structure_coeff
-
-
-def _as_qrf(c) -> QRationalFunction:
-    if isinstance(c, QRationalFunction):
-        return c
-    return QRationalFunction.constant(c)
 
 
 @dataclass(frozen=True)
@@ -282,12 +287,12 @@ def split_check(r_max: int) -> SplitCheckReport:
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    zero = QRationalFunction.constant(0)
+    coerce, zero = QRationalFunction._coerce, QRationalFunction.constant(0)
     results = []
     for r in range(1, r_max + 1):
         residuals = []
         for i, j in zip(_i_at(r).coords, _j_y_at(r).coords):
-            proper, expected = polar_split(_as_qrf(i)).proper, _as_qrf(j)
+            proper, expected = polar_split(coerce(i)).proper, coerce(j)
             residuals.append(zero if proper == expected else (proper - expected).at_power(r))
         passed = all(res.is_zero for res in residuals)
         log.debug("split_check r=%d in x = q^r: %s", r, "passed" if passed else "failed")

@@ -439,10 +439,19 @@ class LaurentSeries:
             raise ValueError("series powers must use nonnegative integer exponents")
         if n == 0:
             return LaurentSeries.one(self.var, self.trunc_order)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+        # square and multiply, as KElem.__pow__ does.  A product adds the
+        # valuations and keeps the smaller precision past the valuation, so
+        # any order of products gives the truncation of repeated products;
+        # the result starts from a power of self, never from the series 1,
+        # whose truncation order would cut a negative valuation short.
+        result, base = None, self
+        while True:
+            if n & 1:
+                result = base if result is None else result * base
+            n >>= 1
+            if not n:
+                return result
+            base = base * base
 
     def inverse(self, order: int) -> "LaurentSeries":
         """Multiplicative inverse, truncated at (excluding) `order`.
@@ -725,6 +734,34 @@ def q_power(n: int) -> QRationalFunction:
     if n >= 0:
         return QRationalFunction((Fraction(0),) * n + (Fraction(1),))
     return QRationalFunction((Fraction(1),), (Fraction(0),) * (-n) + (Fraction(1),))
+
+
+def _q_minus_one_to(m: int) -> tuple[int, ...]:
+    return tuple([math.comb(m, k) * (-1) ** (m - k) for k in range(m + 1)])
+
+
+def _from_poles_at_0_and_1(num: list[int], at_0: int, at_1: int) -> QRationalFunction:
+    """num / (q^at_0 (q-1)^at_1) in canonical form, by trial division alone.
+
+    q and q - 1 are the only irreducible factors of the denominator, and
+    they divide the integer polynomial num exactly when num(0) = 0 and
+    num(1) = 0.  So once q is stripped while num(0) = 0 and q - 1 divided
+    out while num(1) = 0, num is coprime to the denominator, which is
+    monic: no gcd is needed.
+    """
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return QRationalFunction._from_canonical((), (Fraction(1),))
+    low = min(at_0, next(i for i, c in enumerate(num) if c))
+    num = tuple(num[low:])
+    while at_1 and not sum(num):
+        num = _int_divexact(num, (-1, 1))
+        at_1 -= 1
+    den = (0,) * (at_0 - low) + _q_minus_one_to(at_1)
+    return QRationalFunction._from_canonical(
+        tuple([Fraction(c) for c in num]), tuple([Fraction(c) for c in den])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -259,19 +259,23 @@ def _repeated_product(x, n: int):
     return out
 
 
-def a_series_in_q(r: int):
-    """a(r, q^r) = (r-1)/(1-q^r) + 1/(1-q^r)^2, from the formula in q."""
-    u = _one_minus_q_to(r)
+def a_series_in_q(r: int, power: int | None = None):
+    """a(r, q^r) = (r-1)/(1-q^r) + 1/(1-q^r)^2, from the formula in q.
+
+    Here and below, ``power`` puts q^power where q^r stands; power 1
+    builds in x = q^r.
+    """
+    u = _one_minus_q_to(r if power is None else power)
     return (r - 1) / u + 1 / (u * u)
 
 
-def b_series_in_q(r: int):
+def b_series_in_q(r: int, power: int | None = None):
     """b(r, q^r) = (r^2-1)/(1-q^r) + 3/(1-q^r)^2 - 2/(1-q^r)^3."""
-    u = _one_minus_q_to(r)
+    u = _one_minus_q_to(r if power is None else power)
     return (r * r - 1) / u + 3 / (u * u) - 2 / (u * u * u)
 
 
-def i_coefficient_in_q(r: int):
+def i_coefficient_in_q(r: int, power: int | None = None):
     """(1-Pt)^2 / ((Pt)^{2r} q^{r(r-1)} (1 - P q^r)^2), built in q.
 
     Powers of ring elements are repeated products, so the oracle does not
@@ -280,20 +284,22 @@ def i_coefficient_in_q(r: int):
     from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
     from bps_kit.series import q_power
 
+    power = r if power is None else power
     one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
     n2 = (one - p * t) * (one - p * t)
-    factor_inv = (one - p * q_power(r)).inverse()
+    factor_inv = (one - p * q_power(power)).inverse()
     pt_inv_power = _repeated_product((p * t).inverse(), 2 * r)
-    return n2 * pt_inv_power * factor_inv * factor_inv * q_power(-r * (r - 1))
+    return n2 * pt_inv_power * factor_inv * factor_inv * q_power(-power * (r - 1))
 
 
-def j_y_coefficient_in_q(r: int):
+def j_y_coefficient_in_q(r: int, power: int | None = None):
     """(1-Pt)^2 ((1 + (1-P)) a(r, q^r) + (1-P) b(r, q^r)), built in q."""
     from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
 
     one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
     n2 = (one - p * t) * (one - p * t)
-    return n2 * (one + (one - p)) * a_series_in_q(r) + n2 * (one - p) * b_series_in_q(r)
+    a, b = a_series_in_q(r, power), b_series_in_q(r, power)
+    return n2 * (one + (one - p)) * a + n2 * (one - p) * b
 
 
 # --- quotient-ring normal forms ------------------------------------------------

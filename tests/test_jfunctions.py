@@ -794,3 +794,77 @@ def test_proper_part_commutes_with_substitution():
                         polar_split(f_q)
                     continue
                 assert polar_split(f_x).proper.at_power(r) == polar_split(f_q).proper
+
+
+# --- the closed-form builders of I and J in x -------------------------------------------
+
+
+@pytest.mark.parametrize("r", range(1, 31))
+def test_i_builder_matches_the_ring_product_oracle(r):
+    built, oracle = jfunctions._i_at(r), i_coefficient_in_q(r, 1)
+    assert built == oracle
+    assert all(isinstance(c, QRationalFunction) for c in built.coords)
+
+
+@pytest.mark.parametrize("r", range(1, 31))
+def test_j_builder_matches_the_ring_product_oracle(r):
+    n2 = (ONE - P * T) * (ONE - P * T)
+    divisor, structure = n2 * (ONE + (ONE - P)), n2 * (ONE - P)
+    built = jfunctions._j_y_at(r)
+    assert built == divisor * jfunctions._cover_at(r, 2) + structure * jfunctions._cover_at(r, 3)
+    assert built == j_y_coefficient_in_q(r, 1)
+    assert all(isinstance(c, QRationalFunction) for c in built.coords)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 13, 30])
+def test_builders_return_canonical_coordinates(r):
+    for el in (jfunctions._i_at(r), jfunctions._j_y_at(r)):
+        for c in el.coords:
+            assert_canonical(c)
+
+
+def test_one_minus_pt_is_nilpotent_of_order_four():
+    m = ONE - P * T
+    assert not (m * m * m).is_zero
+    assert (m * m * m * m).is_zero
+    pole, parts, constants = jfunctions._rank6_factors()
+    assert len(parts) == 2  # M^2 and M^3
+    assert pole == 3
+    assert len(constants) == Y_RING.rank
+    assert all(len(part) == Y_RING.rank for part in parts)
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_off_by_one_nilpotent_weights_fail_the_split_check(monkeypatch, shift):
+    monkeypatch.setattr(
+        jfunctions,
+        "_nilpotent_weights",
+        lambda r, count: [math.comb(2 * r + k - 1 + shift, k) for k in range(count)],
+    )
+    report = split_check(3)
+    assert not report.all_passed
+    for res in report.results:
+        assert not res.passed
+        assert any(not x.is_zero for x in res.residuals)
+
+
+@pytest.fixture
+def fresh_rank6_factors():
+    jfunctions._rank6_factors.cache_clear()
+    yield
+    jfunctions._rank6_factors.cache_clear()
+
+
+def test_one_minus_pt_that_is_not_nilpotent_is_a_hard_error(monkeypatch, fresh_rank6_factors):
+    # with t = 0, M = 1 - Pt is 1, and no power of it vanishes
+    monkeypatch.setattr(jfunctions, "gen_t", lambda ring: ring_one(ring) - ring_one(ring))
+    with pytest.raises(ArithmeticError, match="not nilpotent"):
+        jfunctions._rank6_factors()
+
+
+def test_a_factor_off_the_powers_of_x_minus_one_is_a_hard_error(monkeypatch, fresh_rank6_factors):
+    # with q_power(1) = x/2, 1 - P x/2 has its pole at x = 2
+    real_q_power = jfunctions.q_power
+    monkeypatch.setattr(jfunctions, "q_power", lambda n: real_q_power(n) * Fr(1, 2))
+    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
+        jfunctions._rank6_factors()

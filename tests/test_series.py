@@ -22,7 +22,12 @@ from bps_kit.series import (
     polar_split,
     q_power,
 )
-from bps_kit.series import _clear_denominators, _cyclotomic, _int_divexact
+from bps_kit.series import (
+    _clear_denominators,
+    _cyclotomic,
+    _from_poles_at_0_and_1,
+    _int_divexact,
+)
 from bps_kit.jfunctions import a_series, b_series
 from bps_kit.kring import KElem, Y_RING
 
@@ -99,6 +104,30 @@ def test_add_truncates_to_weakest():
     assert s.coefficient(1) == 2
     with pytest.raises(TruncationError):
         s.coefficient(4)
+
+
+@pytest.mark.parametrize("var", [LAMBDA, QVAR])
+def test_pow_matches_repeated_products(var):
+    # negative valuation, a gap, and a short precision: a product keeps the
+    # smaller precision past the valuation, so each power's truncation
+    # order moves with its valuation
+    x = LaurentSeries.from_terms(var, {-2: 3, -1: Fr(1, 2), 0: -1, 1: 0, 3: 5}, 4)
+    assert x**0 == LaurentSeries.one(var, 4)
+    repeated = x
+    for n in range(1, 9):
+        power = x**n
+        assert power.trunc_order == repeated.trunc_order == 4 - 2 * (n - 1)
+        assert (power.min_exp, power.coeffs) == (repeated.min_exp, repeated.coeffs)
+        assert power == repeated
+        repeated = repeated * x
+
+
+def test_pow_of_the_zero_series_and_bad_exponents():
+    zero = LaurentSeries.zero(LAMBDA, 3)
+    assert zero**5 == zero * zero * zero * zero * zero
+    for n in (-1, 1.0):
+        with pytest.raises(ValueError):
+            LaurentSeries.one(LAMBDA, 3) ** n
 
 
 def test_invert_geometric():
@@ -584,6 +613,28 @@ def test_at_power_matches_substitution_oracle(f, g, r):
     assert_canonical(fr)
     assert (f + g).at_power(r) == fr + g.at_power(r)
     assert (f * g).at_power(r) == fr * g.at_power(r)
+
+
+@given(
+    num=st.lists(st.integers(-4, 4), max_size=7),
+    at_0=st.integers(0, 3),
+    at_1=st.integers(0, 4),
+    factors=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+@settings(max_examples=120, deadline=None)
+def test_poles_at_0_and_1_match_the_gcd_construction(num, at_0, at_1, factors):
+    # num times q^i (q-1)^j, so that the trial divisions have work to do
+    zeros, ones = factors
+    lifted = list(num)
+    for _ in range(ones):
+        lifted = [b - a for a, b in zip(lifted + [0], [0] + lifted)]
+    lifted = [0] * zeros + lifted
+    den = [0] * at_0 + [math.comb(at_1, k) * (-1) ** (at_1 - k) for k in range(at_1 + 1)]
+    f = _from_poles_at_0_and_1(list(lifted), at_0, at_1)
+    expected = QRationalFunction(lifted, den)
+    assert (f.num, f.den) == (expected.num, expected.den)
+    assert all(type(c) is Fraction for c in f.num + f.den)
+    assert_canonical(f)
 
 
 def test_at_power_needs_a_positive_power():
