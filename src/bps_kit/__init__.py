@@ -41,7 +41,6 @@ from .series import (
     LaurentSeries,
     PolarSplit,
     QRationalFunction,
-    laurent_polynomial_to_qrf,
     polar_split,
     q_power,
 )

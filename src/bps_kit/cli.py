@@ -42,7 +42,7 @@ from .serialize import (
     render_table_text,
     table_from_dict,
 )
-from .series import PoleAtZeroError, PoleLocationError, QRationalFunction, TruncationError
+from .series import PoleAtZeroError, PoleLocationError, TruncationError
 from .transform import (
     KIND_GV,
     KIND_GW,
@@ -290,11 +290,7 @@ def cmd_jfunction(args) -> int:
     expansion = j_expansion(args.which, args.rmax)
     parts = []  # one JSON object or one text block per degree
     for r, el in expansion.sorted_terms():
-        exact = [
-            c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
-            for c in el.coords
-        ]
-        series = [f.expand(args.qorder) for f in exact]
+        series = [c.expand(args.qorder) for c in el.coords]
         if args.json:
             parts.append(
                 {

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .kring import KElem, X_RING, Y_RING, gen_p, gen_t, ring_one
+from .kring import KElem, RingSpec, X_RING, Y_RING, gen_p, gen_t, ring_one
 from .series import (
     QVAR,
     LaurentSeries,
@@ -39,7 +39,6 @@ from .series import (
     _int_divexact,
     _int_mul,
     polar_split,
-    q_power,
 )
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
@@ -89,30 +88,33 @@ def _cover_at(r: int, pole: int) -> QRationalFunction:
 def _rank6_factors() -> tuple[int, tuple, tuple[tuple[int, int], ...]]:
     """The r-independent numerators of I and J in the rank-6 ring, built once.
 
-    Returns pole; parts[k][c], the integer numerator over (x-1)^pole of
-    coordinate c of M^(k+2) (1-P x)^-2, M = 1 - Pt, for k = 0, 1, ... while
+    With N = 1 - P, N^2 = 0, so 1 - P x = (1 - x) + N x and
+
+        (1 - P x)^-2 = ((x - 1) + 2x N) / (x - 1)^3.
+
+    Returns the pole 3; parts[k][c] = (-a_c, a_c + 2 b_c), the integer
+    numerator over (x-1)^3 of coordinate c of M^(k+2) (1-P x)^-2, where
+    a = M^(k+2), b = a N and M = 1 - Pt, for k = 0, 1, ... while
     M^(k+2) != 0; and coordinate c of (1-Pt)^2 (1+(1-P)) and (1-Pt)^2 (1-P)
-    per c.  Raises ArithmeticError if M^(rank+1) != 0, or if a part has a
-    coordinate that is not an integer polynomial over (x-1)^pole.
+    per c.  Raises ArithmeticError if N^2 != 0 or M^(rank+1) != 0.
     """
-    one, p, rank = ring_one(Y_RING), gen_p(Y_RING), Y_RING.rank
-    m = one - p * gen_t(Y_RING)
-    factor_inv2 = (one - p * q_power(1)).inverse() ** 2
-    pole = max(QRationalFunction._coerce(c).den_degree for c in factor_inv2.coords)
-    lifted = factor_inv2 * (q_power(1) - 1) ** pole
-    width = max(len(QRationalFunction._coerce(c).num) for c in lifted.coords)  # bounds every part
-    nums, power = [], m * m
+    one, p = ring_one(Y_RING), gen_p(Y_RING)
+    m, n = one - p * gen_t(Y_RING), one - p
+    if not (n * n).is_zero:
+        raise ArithmeticError("(1 - P)^2 is not zero")
+    parts, power = [], m * m
     while not power.is_zero:
-        if len(nums) == (rank - 1) * rank:  # power is M^(rank+1)
+        if len(parts) == Y_RING.rank - 1:  # power is M^(rank+1)
             raise ArithmeticError("1 - Pt is not nilpotent")
-        for f in map(QRationalFunction._coerce, (power * lifted).coords):
-            if not f.is_polynomial or any(c.denominator != 1 for c in f.num):
-                raise ArithmeticError(f"{f} over (x-1)^{pole} is not an integer polynomial")
-            nums.append(tuple(map(int, f.num)) + (0,) * (width - len(f.num)))
+        pairs = zip(power.coords, (power * n).coords)
+        parts.append(tuple([(int(-a), int(a + 2 * b)) for a, b in pairs]))
         power = power * m
-    parts = tuple([tuple(nums[k : k + rank]) for k in range(0, len(nums), rank)])
-    constants = zip((m * m * (one + (one - p))).coords, (m * m * (one - p)).coords)
-    return pole, parts, tuple([(int(cd), int(cs)) for cd, cs in constants])
+    constants = zip((m * m * (one + n)).coords, (m * m * n).coords)
+    return 3, tuple(parts), tuple([(int(cd), int(cs)) for cd, cs in constants])
+
+
+# per coordinate c of the rank-2 ring: (coordinate c of 1 + (1-P) = 2 - P, of 1 - P)
+_X_CONSTANTS = ((2, 1), (-1, -1))
 
 
 def _nilpotent_weights(r: int, count: int) -> list[int]:  # (1-M)^(-2r) in powers of M
@@ -129,13 +131,17 @@ def _i_at(r: int) -> KElem:
     return KElem(Y_RING, tuple([_from_poles_at_0_and_1(n, r - 1, pole) for n in nums]))
 
 
-def _j_y_at(r: int) -> KElem:
+def _j_at(ring: RingSpec, constants: tuple[tuple[int, int], ...], r: int) -> KElem:
     # each coordinate is cd a(r, x) + cs b(r, x), over (x-1)^3
     if r < 1:
         raise ValueError("cover degree must be positive")
     a, b = _int_mul(_COVER_FORMS[2][0](r), (-1, 1)), _COVER_FORMS[3][0](r)
-    nums = [[cd * u + cs * v for u, v in zip(a, b)] for cd, cs in _rank6_factors()[2]]
-    return KElem(Y_RING, tuple([_from_poles_at_0_and_1(n, 0, 3) for n in nums]))
+    nums = [[cd * u + cs * v for u, v in zip(a, b)] for cd, cs in constants]
+    return KElem(ring, tuple([_from_poles_at_0_and_1(n, 0, 3) for n in nums]))
+
+
+def _j_y_at(r: int) -> KElem:
+    return _j_at(Y_RING, _rank6_factors()[2], r)
 
 
 def a_series(r: int) -> QRationalFunction:
@@ -156,8 +162,9 @@ def i_coefficient(r: int) -> KElem:
 
         (1-Pt)^2 / ((Pt)^{2r} x^{r-1} (1 - P x)^2)   at x = q^r.
 
-    (Pt)^{-2r} = (1-M)^{-2r} is a finite sum, as M = 1 - Pt is nilpotent;
-    only 1 - P x is inverted, once, by the generic linear solve.
+    (Pt)^{-2r} = (1-M)^{-2r} is a finite sum, as M = 1 - Pt is nilpotent,
+    and (1 - P x)^-2 = ((x-1) + 2x (1-P)) / (x-1)^3, as (1-P)^2 = 0; so no
+    ring element is inverted (see _rank6_factors).
     """
     return KElem(Y_RING, tuple([c.at_power(r) for c in _i_at(r).coords]))
 
@@ -169,7 +176,7 @@ def j_y_coefficient(r: int) -> KElem:
 
 def j_x_coefficient(r: int) -> KElem:
     """Same combination with the (1-Pt)^2 factor removed, rank-2 ring."""
-    return x_element_from_cover_data(a_series(r), b_series(r))
+    return KElem(X_RING, tuple([c.at_power(r) for c in _j_at(X_RING, _X_CONSTANTS, r).coords]))
 
 
 def x_element_from_cover_data(
@@ -178,7 +185,9 @@ def x_element_from_cover_data(
     """Assemble (1+(1-P)) * divisor + (1-P) * structure in the rank-2 ring.
 
     This is the fixed dictionary between abstract divisor/structure
-    symbols and rank-2 ring classes used by the delta cross-check.
+    symbols and rank-2 ring classes used by the delta cross-check.  It
+    shares no code with :func:`j_x_coefficient`, so the two agreeing on
+    a(r, q^r) and b(r, q^r) is an independent check.
     """
     one = ring_one(X_RING)
     p = gen_p(X_RING)

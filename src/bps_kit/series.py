@@ -31,7 +31,6 @@ __all__ = [
     "QRationalFunction",
     "PolarSplit",
     "polar_split",
-    "laurent_polynomial_to_qrf",
     "q_power",
     "TruncationError",
     "VariableMismatchError",
@@ -874,11 +873,3 @@ def polar_split(f: QRationalFunction) -> PolarSplit:
     if not rem:
         return PolarSplit(laurent, QRationalFunction._from_canonical((), (Fraction(1),)))
     return PolarSplit(laurent, QRationalFunction._from_canonical(rem, den))
-
-
-def laurent_polynomial_to_qrf(terms: Mapping[int, object]) -> QRationalFunction:
-    """Rebuild a rational function from Laurent-polynomial coefficients."""
-    out = QRationalFunction.constant(0)
-    for e, c in terms.items():
-        out = out + q_power(e) * _as_fraction(c)
-    return out

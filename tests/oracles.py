@@ -302,6 +302,45 @@ def j_y_coefficient_in_q(r: int, power: int | None = None):
     return n2 * (one + (one - p)) * a + n2 * (one - p) * b
 
 
+def rank6_factors_generic():
+    """The rank-6 numerators of I and J, by generic arithmetic over Q(x).
+
+    The library's ``_rank6_factors`` takes (1 - P x)^-2 from a closed form;
+    this inverts 1 - P x by the ring's linear solve over rational functions
+    in x, squares it, lifts it by (x - 1)^pole and reads off the integer
+    numerators of M^(k+2) times the lift, M = 1 - Pt, padded to one width.
+    Same return shape: (pole, parts, constants).
+    """
+    from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
+    from bps_kit.series import QRationalFunction, q_power
+
+    one, p, rank = ring_one(Y_RING), gen_p(Y_RING), Y_RING.rank
+    m = one - p * gen_t(Y_RING)
+    factor_inv2 = (one - p * q_power(1)).inverse() ** 2
+    pole = max(QRationalFunction._coerce(c).den_degree for c in factor_inv2.coords)
+    lifted = factor_inv2 * (q_power(1) - 1) ** pole
+    width = max(len(QRationalFunction._coerce(c).num) for c in lifted.coords)
+    nums, power = [], m * m
+    while not power.is_zero:
+        for f in map(QRationalFunction._coerce, (power * lifted).coords):
+            assert f.is_polynomial and all(c.denominator == 1 for c in f.num)
+            nums.append(tuple(map(int, f.num)) + (0,) * (width - len(f.num)))
+        power = power * m
+    parts = tuple([tuple(nums[k : k + rank]) for k in range(0, len(nums), rank)])
+    constants = zip((m * m * (one + (one - p))).coords, (m * m * (one - p)).coords)
+    return pole, parts, tuple([(int(cd), int(cs)) for cd, cs in constants])
+
+
+def laurent_polynomial_to_qrf(terms):
+    """Rebuild a rational function from Laurent-polynomial coefficients {e: c}."""
+    from bps_kit.series import QRationalFunction, q_power
+
+    out = QRationalFunction.constant(0)
+    for e, c in terms.items():
+        out = out + q_power(e) * Fr(c)
+    return out
+
+
 # --- quotient-ring normal forms ------------------------------------------------
 
 

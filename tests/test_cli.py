@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bps_kit import cli
+from bps_kit import cli, jfunctions, series
 from bps_kit.cli import build_parser, main
 from bps_kit.datasets import quintic_gw_table
 from bps_kit.serialize import (
@@ -435,6 +435,27 @@ def test_cli_golden_json(tmp_path, capsys, golden, argv, code):
     stdout = GOLDEN / f"{stem}.stdout.{suffix}"
     expected = stdout.read_bytes() if stdout.exists() else b""
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+# Every q-rational object on these commands is built from integer numerators
+# with trial division, so none of them may run a polynomial gcd.
+QRATIONAL_CASES = [
+    case
+    for case in GOLDEN_CASES
+    if case[1][0] in ("ab-series", "ifunction", "jfunction", "split-check", "jmgs")
+]
+
+
+@pytest.mark.parametrize("golden, argv, code", QRATIONAL_CASES, ids=[c[0] for c in QRATIONAL_CASES])
+def test_q_rational_commands_run_no_polynomial_gcd(monkeypatch, tmp_path, golden, argv, code):
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd on a q-rational CLI path")
+
+    monkeypatch.setattr(series, "_poly_gcd_monic", no_gcd)
+    jfunctions._rank6_factors.cache_clear()  # its build runs under the patch too
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_main_builds_the_parser_once(capsys):

@@ -34,7 +34,6 @@ from bps_kit.series import (
     QVAR,
     LaurentSeries,
     QRationalFunction,
-    laurent_polynomial_to_qrf,
     polar_split,
     q_power,
 )
@@ -48,6 +47,8 @@ from oracles import (
     inv_power_series_coeff,
     j_y_coefficient_in_q,
     jmgs_rhs_naive,
+    laurent_polynomial_to_qrf,
+    rank6_factors_generic,
     substitute,
     weighted_sum_naive,
 )
@@ -862,9 +863,21 @@ def test_one_minus_pt_that_is_not_nilpotent_is_a_hard_error(monkeypatch, fresh_r
         jfunctions._rank6_factors()
 
 
-def test_a_factor_off_the_powers_of_x_minus_one_is_a_hard_error(monkeypatch, fresh_rank6_factors):
-    # with q_power(1) = x/2, 1 - P x/2 has its pole at x = 2
-    real_q_power = jfunctions.q_power
-    monkeypatch.setattr(jfunctions, "q_power", lambda n: real_q_power(n) * Fr(1, 2))
-    with pytest.raises(ArithmeticError, match="not an integer polynomial"):
+def test_one_minus_p_whose_square_is_not_zero_is_a_hard_error(monkeypatch, fresh_rank6_factors):
+    # with P replaced by 2P, (1 - 2P)^2 = 4P - 3, and the closed form of
+    # (1 - P x)^-2 does not hold
+    monkeypatch.setattr(jfunctions, "gen_p", lambda ring: gen_p(ring) * 2)
+    with pytest.raises(ArithmeticError, match=r"\(1 - P\)\^2 is not zero"):
         jfunctions._rank6_factors()
+
+
+def test_rank6_factors_closed_form_matches_the_generic_inverse(fresh_rank6_factors):
+    assert jfunctions._rank6_factors() == rank6_factors_generic()
+
+
+@pytest.mark.parametrize("r", range(1, 31))
+def test_j_x_builder_is_independent_of_the_cover_data_assembly(r):
+    built = j_x_coefficient(r)
+    assembled = x_element_from_cover_data(a_series(r), b_series(r))
+    assert built == assembled
+    assert [type(c) for c in built.coords] == [type(c) for c in assembled.coords]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bps_kit import kring
 from bps_kit.kring import (
     KElem,
     NotInvertibleError,
@@ -258,6 +259,28 @@ def test_power_is_the_repeated_product():
 def test_absorption_identity():
     assert absorption_check(1)
     assert absorption_check(10)
+    with pytest.raises(ValueError):
+        absorption_check(0)
+
+
+def absorption_by_powers_of_q(ring, m_max):
+    """The m-by-m check: n2 (1 - P t q^m) == n2 (1 - P q^m) for m <= m_max."""
+    one, p, t = ring_one(ring), gen_p(ring), gen_t(ring)
+    n2 = (one - p * t) ** 2
+    return all(
+        n2 * (one - p * t * q_power(m)) == n2 * (one - p * q_power(m))
+        for m in range(1, m_max + 1)
+    )
+
+
+@pytest.mark.parametrize("m_max", [1, 4])
+def test_absorption_as_one_identity_matches_the_loop_over_m(monkeypatch, m_max):
+    assert absorption_check(m_max) and absorption_by_powers_of_q(Y_RING, m_max)
+    # t^2 = 0 in place of (1-Pt)^2 (1-t) = 0: a rank-4 ring with no absorption
+    mutated = _build_ring("Y", ("P", "t"), (kring._LINE_RELATION, {(0, 2): 1}))
+    monkeypatch.setattr(kring, "Y_RING", mutated)
+    assert not absorption_check(m_max)
+    assert not absorption_by_powers_of_q(mutated, m_max)
 
 
 def test_absorption_absorbs_all_powers_of_t():

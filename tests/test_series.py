@@ -18,7 +18,6 @@ from bps_kit.series import (
     QRationalFunction,
     TruncationError,
     VariableMismatchError,
-    laurent_polynomial_to_qrf,
     polar_split,
     q_power,
 )
@@ -35,6 +34,7 @@ from oracles import (
     dict_mul,
     inv_power_series_coeff,
     laurent_add_naive,
+    laurent_polynomial_to_qrf,
     long_division_inverse,
     poly_long_division,
     substitute,
