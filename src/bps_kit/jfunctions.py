@@ -36,7 +36,7 @@ from .series import (
     QRationalFunction,
     _cyclotomic,
     _from_poles_at_0_and_1,
-    _int_divexact,
+    _int_divmod,
     _int_mul,
     polar_split,
 )
@@ -512,16 +512,14 @@ def _cover_sum(
             fold = [sum(num[j::d]) for j in range(d)]
             while fold and fold[-1] == 0:
                 fold.pop()
-            try:
-                _int_divexact(tuple(fold), cyc)
-            except ArithmeticError:
+            if _int_divmod(fold, cyc)[1]:
                 counts.rejected += 1
                 break
             counts.tried += 1
-            try:
-                num = _int_divexact(num, cyc)
-            except ArithmeticError:
+            quo, rem = _int_divmod(num, cyc)
+            if rem:
                 break
+            num = quo
             counts.divided += 1
             lefts[i] -= 1
     lefts = tuple(lefts)

@@ -1,7 +1,10 @@
 """Exact series and rational-function arithmetic over the rationals.
 
-Everything in this module is built on :class:`fractions.Fraction`; no
-floating point appears anywhere.  Two value types are provided:
+No floating point appears anywhere.  Polynomial work runs on one kernel
+of integer coefficient tuples: product, division with remainder, gcd
+and the Taylor step.  Rational polynomials are scaled to integers over
+one lcm on the way in, and :class:`fractions.Fraction` appears only
+where a value is stored or returned.  Two value types are provided:
 
 * :class:`LaurentSeries` -- a truncated Laurent series in one formal
   variable (lambda, or q for the expansions of rational functions
@@ -24,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 __all__ = [
     "LaurentSeries",
@@ -73,8 +76,10 @@ def _as_fraction(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers (ascending coefficient tuples, trimmed, () = 0)
+# integer polynomial kernel (ascending int tuples, trimmed, () = 0)
 #
+# Rational polynomials are scaled to integers over one lcm by
+# _clear_denominators; Fractions are built again only for stored results.
 # Hot paths build tuples as tuple([...]), not tuple(<generator>): a generator
 # has no length hint, so CPython allocates a 10-slot tuple and resizes it.
 # When such short tuples die they fill the interpreter's per-size tuple free
@@ -82,59 +87,17 @@ def _as_fraction(x) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(p: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    out = list(p)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _clear_denominators(*polys) -> tuple[int, list[tuple[int, ...]]]:
+    """L and each of `polys` times L, where L is the lcm of all their denominators."""
+    lcm = math.lcm(*[c.denominator for p in polys for c in p])
+    return lcm, [tuple([c.numerator * (lcm // c.denominator) for c in p]) for p in polys]
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim(
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
-
-
-def _pneg(a):
-    return tuple([-c for c in a])
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _ptrim(out)
-
-
-def _pdivmod(a, b):
-    """Exact polynomial division with remainder over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while len(r) >= len(b):
-        if r[-1] == 0:
-            r.pop()
-            continue
-        k = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        r.pop()
-    return _ptrim(q), _ptrim(r)
-
-
-def _clear_denominators(p) -> tuple[int, ...]:
-    lcm = math.lcm(*[c.denominator for c in p])
-    return tuple([c.numerator * (lcm // c.denominator) for c in p])
+def _int_trim(p) -> tuple[int, ...]:
+    end = len(p)
+    while end and p[end - 1] == 0:
+        end -= 1
+    return tuple(p[:end])
 
 
 def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -146,24 +109,13 @@ def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple([c // g for c in p])
 
 
-def _int_prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # pseudo-remainder; result differs from the true remainder by content only
-    out = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while out and len(out) - 1 >= db:
-        la = out[-1]
-        if la == 0:
-            out.pop()
-            continue
-        shift = len(out) - 1 - db
-        out = [lb * c for c in out]
-        for i, cb in enumerate(b):
-            out[shift + i] -= la * cb
-        out.pop()
-        while out and out[-1] == 0:
-            out.pop()
-    return tuple(out)
+def _int_add(a: tuple[int, ...], b: tuple[int, ...], scale: int = 1) -> tuple[int, ...]:
+    """a + scale * b, trimmed."""
+    out = [0] * max(len(a), len(b))
+    out[: len(a)] = a
+    for i, c in enumerate(b):
+        out[i] += scale * c
+    return _int_trim(out)
 
 
 def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -179,11 +131,12 @@ def _int_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _int_divexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient a / b of trimmed integer polynomials that b divides over Z.
+def _int_divmod(a, b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of trimmed integer polynomials a by b, over Z.
 
-    Raises ArithmeticError when the quotient is not an integer polynomial
-    or the remainder is not zero.
+    Raises ArithmeticError when a quotient coefficient is not an integer,
+    which cannot happen when b is monic.  b divides a exactly when the
+    remainder is ().
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -199,41 +152,43 @@ def _int_divexact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
             q[k] = c
             for i in range(db):  # the top coefficient cancels by construction
                 r[k + i] -= c * b[i]
-    if any(r[:db]):
-        raise ArithmeticError("inexact polynomial division")
-    return tuple(q)
+    return tuple(q), _int_trim(r[:db])
 
 
 def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Primitive gcd, up to sign, of nonzero integer polynomials a and b.
 
-    A primitive pseudo-remainder sequence: dividing out the integer
-    content at every step keeps coefficient growth under control, which
-    matters once the ring solves start producing degree ~50 numerators.
+    A primitive pseudo-remainder sequence.  The pseudo-remainder of A by
+    B is the remainder of lead(B)^(deg A - deg B + 1) * A, whose division
+    by B is exact over Z; dividing out the integer content at every step
+    keeps coefficient growth under control.
     """
     A = _int_primitive(a)
     B = _int_primitive(b)
     if len(A) < len(B):
         A, B = B, A
     while B:
-        R = _int_prem(A, B)
-        A, B = B, _int_primitive(R)
+        scale = B[-1] ** (len(A) - len(B) + 1)
+        A, B = B, _int_primitive(_int_divmod([scale * c for c in A], B)[1])
     return A
 
 
-def _monic(p):
-    if not p:
-        return ()
-    lead = p[-1]
-    if lead == 1:
-        return tuple(p)
-    return tuple([c / lead for c in p])
+def _reduce(n: tuple[int, ...], d: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Canonical Fraction tuples of n/d, for trimmed integer n and d != ().
 
-
-def _poly_gcd_monic(a, b):
-    """Monic gcd of nonzero a and b over the rationals, through :func:`_int_gcd`."""
-    g = _int_gcd(_clear_denominators(a), _clear_denominators(b))
-    return _monic(tuple([Fraction(c) for c in g]))
+    n and d are divided exactly by their gcd (primitive, so by Gauss's
+    lemma the quotients are integer polynomials), then once by the
+    leading coefficient of d.
+    """
+    if not n:
+        return (), (Fraction(1),)
+    if len(n) > 1 and len(d) > 1:
+        g = _int_gcd(n, d)
+        if len(g) > 1:
+            n = _int_divmod(n, g)[0]
+            d = _int_divmod(d, g)[0]
+    lead = d[-1]
+    return tuple([Fraction(c, lead) for c in n]), tuple([Fraction(c, lead) for c in d])
 
 
 def _spread(p, r: int):
@@ -243,15 +198,25 @@ def _spread(p, r: int):
     return tuple(out)
 
 
-def _poly_taylor(num, den, order: int) -> list[Fraction]:
-    """First `order` Taylor coefficients of num/den at 0 (den[0] != 0)."""
+def _poly_taylor(num, den, order: int) -> list:
+    """First `order` Taylor coefficients of num/den at 0.
+
+    den[0] must be a unit of the coefficient ring: integer tuples with
+    den[0] = +-1 give integers, and Fraction tuples with den[0] != 0 give
+    Fractions.  Zero coefficients of den are skipped, so a sparse
+    denominator costs only its nonzero terms.
+    """
     d0 = den[0]
-    out: list[Fraction] = []
+    inv = d0 if d0 == 1 or d0 == -1 else 1 / d0
+    terms = [(k, c) for k, c in enumerate(den) if k and c]
+    out: list = []
     for m in range(order):
-        s = num[m] if m < len(num) else Fraction(0)
-        for k in range(1, min(m, len(den) - 1) + 1):
-            s -= den[k] * out[m - k]
-        out.append(s / d0)
+        s = num[m] if m < len(num) else 0  # int 0, so integers stay integers
+        for k, c in terms:
+            if k > m:
+                break
+            s -= c * out[m - k]
+        out.append(s * inv)
     return out
 
 
@@ -463,7 +428,6 @@ class LaurentSeries:
         if self.is_zero:
             raise ZeroDivisionError("cannot invert the zero series")
         v = self.min_exp
-        lead = self.coeffs[0]
         max_order = self.trunc_order - 2 * v
         if order > max_order:
             raise TruncationError(
@@ -472,16 +436,8 @@ class LaurentSeries:
         n = order + v  # number of output coefficients, starting at exponent -v
         if n <= 0:
             return LaurentSeries.zero(self.var, order)
-        out = [Fraction(0)] * n
-        out[0] = 1 / lead
-        for m in range(1, n):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                a_k = self.coeffs[k] if k < len(self.coeffs) else Fraction(0)
-                if a_k != 0:
-                    s += a_k * out[m - k]
-            out[m] = -s / lead
-        return LaurentSeries(self.var, -v, out, order)
+        # self / var^v is a power series with constant term lead != 0
+        return LaurentSeries(self.var, -v, _poly_taylor((1,), self.coeffs, n), order)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -524,21 +480,13 @@ class QRationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(Fraction(1),)):
-        n = _ptrim(_as_fraction(c) for c in num)
-        d = _ptrim(_as_fraction(c) for c in den)
+        _, (n, d) = _clear_denominators(
+            [_as_fraction(c) for c in num], [_as_fraction(c) for c in den]
+        )
+        d = _int_trim(d)
         if not d:
             raise ZeroDivisionError("zero denominator")
-        if not n:
-            d = (Fraction(1),)
-        else:
-            g = _poly_gcd_monic(n, d)
-            if len(g) > 1:
-                n, _ = _pdivmod(n, g)
-                d, _ = _pdivmod(d, g)
-            lead = d[-1]
-            if lead != 1:
-                n = tuple([c / lead for c in n])
-                d = tuple([c / lead for c in d])
+        n, d = _reduce(_int_trim(n), d)
         object.__setattr__(self, "num", n)
         object.__setattr__(self, "den", d)
 
@@ -599,15 +547,15 @@ class QRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QRationalFunction(
-            _padd(_pmul(self.num, o.den), _pmul(o.num, self.den)),
-            _pmul(self.den, o.den),
+        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
+        return QRationalFunction._from_canonical(
+            *_reduce(_int_add(_int_mul(a, d), _int_mul(c, b)), _int_mul(b, d))
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QRationalFunction(_pneg(self.num), self.den)
+        return QRationalFunction._from_canonical(tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -632,7 +580,8 @@ class QRationalFunction:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QRationalFunction(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
+        return QRationalFunction._from_canonical(*_reduce(_int_mul(a, c), _int_mul(b, d)))
 
     __rmul__ = __mul__
 
@@ -642,7 +591,8 @@ class QRationalFunction:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return QRationalFunction(_pmul(self.num, o.den), _pmul(self.den, o.num))
+        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
+        return QRationalFunction._from_canonical(*_reduce(_int_mul(a, d), _int_mul(b, c)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -717,8 +667,8 @@ class QRationalFunction:
         if first < 0:
             # display with a positive lowest denominator coefficient; the
             # stored form stays monic
-            num = _pneg(num)
-            den = _pneg(den)
+            num = [-c for c in num]
+            den = [-c for c in den]
         ns = _poly_str(num)
         if self.is_polynomial:
             return ns
@@ -755,7 +705,7 @@ def _from_poles_at_0_and_1(num: list[int], at_0: int, at_1: int) -> QRationalFun
     low = min(at_0, next(i for i, c in enumerate(num) if c))
     num = tuple(num[low:])
     while at_1 and not sum(num):
-        num = _int_divexact(num, (-1, 1))
+        num = _int_divmod(num, (-1, 1))[0]
         at_1 -= 1
     den = (0,) * (at_0 - low) + _q_minus_one_to(at_1)
     return QRationalFunction._from_canonical(
@@ -789,7 +739,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     p = (-1,) + (0,) * (d - 1) + (1,)
     for e in range(1, d):
         if d % e == 0:
-            p = _int_divexact(p, _cyclotomic(e))
+            p = _int_divmod(p, _cyclotomic(e))[0]
     return p
 
 
@@ -808,26 +758,24 @@ def _euler_phi(d: int) -> int:
     return out
 
 
-def _check_roots_of_unity(poly) -> None:
+def _check_roots_of_unity(poly: tuple[int, ...]) -> None:
     """Raise PoleLocationError unless every root of `poly` is a root of unity.
 
-    Each Phi_d is monic, so it divides the integer form of `poly` over Q
-    exactly when it does over Z.
+    Each Phi_d is monic, so it divides the integer polynomial `poly` over
+    Q exactly when it does over Z.
     """
-    w = _int_primitive(_clear_denominators(poly))
+    w = poly
     deg0 = len(w) - 1
-    if deg0 <= 0:
-        return
     d = 1
     # phi(d) >= sqrt(d/2), so no cyclotomic factor can hide past 2*deg^2
     while len(w) > 1 and d <= 2 * deg0 * deg0 + 1:
         if _euler_phi(d) <= len(w) - 1:
             cyc = _cyclotomic(d)
             while len(w) > 1:
-                try:
-                    w = _int_divexact(w, cyc)
-                except ArithmeticError:
+                quo, rem = _int_divmod(w, cyc)
+                if rem:
                     break
+                w = quo
         d += 1
     if len(w) > 1:
         raise PoleLocationError(
@@ -843,33 +791,45 @@ def polar_split(f: QRationalFunction) -> PolarSplit:
     decomposition uniquely: the difference of two candidates would be a
     Laurent polynomial vanishing at infinity and regular at 0, hence 0.
 
-    Writing f = num / (q^k den) with den(0) != 0, and p for the first k
-    Taylor coefficients of num / den, the polynomial num - p den is
-    divisible by q^k, so f = p / q^k + n / den with n = (num - p den) / q^k.
-    Every common factor of n and den divides num, so n is coprime to den,
-    and so is the remainder of n mod den: the proper part is built with
-    no gcd.
+    Write f = num / (q^k den) with den(0) != 0.  The split runs over Z by
+    a cyclotomic-product lemma: den is monic, and a monic polynomial over
+    Q whose roots are all roots of unity is the product of the minimal
+    polynomials of its roots, each a cyclotomic Phi_d.  So when the
+    roots-of-unity check passes on the integer form of den, den was an
+    integer polynomial already, monic, with den(0) = +-1 (Phi_1(0) = -1
+    and Phi_d(0) = 1 for d > 1); any other den raises PoleLocationError.
+    num is cleared once to N / L with N integral.  The Taylor step
+    divides by den(0) = +-1 and the division by den is by a monic
+    polynomial, so both stay in integers, and Fractions c / L are built
+    only for the output coefficients.
+
+    With p the first k Taylor coefficients of N / den, the polynomial
+    N - p den is divisible by q^k, so f = (p / q^k + n / den) / L with
+    n = (N - p den) / q^k.  Every common factor of n and den divides N,
+    so n is coprime to den, and so is the remainder of n mod den: the
+    proper part is built with no gcd.
     """
-    # strip the q-power from the denominator
-    k = 0
-    den = f.den
-    while den[0] == 0:  # the monic denominator ends in a nonzero
-        den = den[1:]
-        k += 1
-    _check_roots_of_unity(den)
+    _, (den,) = _clear_denominators(f.den)
+    k = next(i for i, c in enumerate(den) if c)  # strip the q-power
+    den = den[k:]
+    _check_roots_of_unity(den)  # so den is f.den[k:] by the lemma
+    lcm, (n,) = _clear_denominators(f.num)
 
     laurent: dict[int, Fraction] = {}
-    n = f.num
     if k > 0:
-        principal = _poly_taylor(f.num, den, k)
+        principal = _poly_taylor(n, den, k)
         for i, c in enumerate(principal):
-            if c != 0:
-                laurent[i - k] = c
-        n = _padd(f.num, _pneg(_pmul(principal, den)))[k:]
-    quo, rem = _pdivmod(n, den)
+            if c:
+                laurent[i - k] = Fraction(c, lcm)
+        # (n - principal * den) / q^k: from q^k up, principal * den only
+        # involves the last deg(den) principal coefficients, from t on
+        t = max(k - len(den) + 1, 0)
+        n = _int_add(n[k:], _int_mul(principal[t:], den)[k - t :], -1)
+    quo, rem = _int_divmod(n, den)
     for e, c in enumerate(quo):
-        if c != 0:
-            laurent[e] = c
+        if c:
+            laurent[e] = Fraction(c, lcm)
     if not rem:
         return PolarSplit(laurent, QRationalFunction._from_canonical((), (Fraction(1),)))
-    return PolarSplit(laurent, QRationalFunction._from_canonical(rem, den))
+    proper = tuple([Fraction(c, lcm) for c in rem])
+    return PolarSplit(laurent, QRationalFunction._from_canonical(proper, f.den[k:]))

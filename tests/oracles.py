@@ -220,6 +220,106 @@ def poly_long_division(num: list[Fraction], den: list[Fraction]):
     return quo, num
 
 
+# --- the polar split over the rationals ------------------------------------------
+
+
+def _ptrim(p):
+    out = list(p)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _padd(a, b):
+    n = max(len(a), len(b))
+    return _ptrim(
+        (a[i] if i < len(a) else Fr(0)) + (b[i] if i < len(b) else Fr(0)) for i in range(n)
+    )
+
+
+def poly_mul(a, b):
+    """Product of ascending coefficient sequences, as a trimmed tuple."""
+    if not a or not b:
+        return ()
+    out = [Fr(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _ptrim(out)
+
+
+def _taylor(num, den, order: int) -> list[Fraction]:
+    out: list[Fraction] = []
+    for m in range(order):
+        s = num[m] if m < len(num) else Fr(0)
+        for k in range(1, min(m, len(den) - 1) + 1):
+            s -= den[k] * out[m - k]
+        out.append(s / den[0])
+    return out
+
+
+def _totient(d: int) -> int:
+    """Euler's phi from the product formula over the primes dividing d."""
+    out, p = d, 2
+    while p * p <= d:
+        if d % p == 0:
+            out -= out // p
+            while d % p == 0:
+                d //= p
+        p += 1
+    return out - out // d if d > 1 else out
+
+
+@functools.cache
+def cyclotomic_fraction(d: int) -> tuple[Fraction, ...]:
+    """Phi_d over the rationals: q^d - 1 divided by Phi_e for each proper divisor e."""
+    p = [Fr(-1)] + [Fr(0)] * (d - 1) + [Fr(1)]
+    for e in divisors(d)[:-1]:
+        p, rem = poly_long_division(p, cyclotomic_fraction(e))
+        assert not rem
+    return tuple(p)
+
+
+def polar_split_fraction(num, den):
+    """The split of num/den into a Laurent polynomial plus a proper part, over Q.
+
+    num/den is in canonical form (Fraction tuples, coprime, den monic).
+    This is the Fraction-arithmetic split the library ran before its
+    integer one: strip q^k from den, check that every other root of den
+    is a root of unity by dividing out each Phi_d with phi(d) <= deg den,
+    take the first k Taylor coefficients p of num/den, and divide
+    (num - p den)/q^k by den with remainder.  Returns (laurent, (proper
+    numerator, proper denominator)) and raises the library's
+    PoleLocationError for any other pole.
+    """
+    from bps_kit.series import PoleLocationError
+
+    k = next(i for i, c in enumerate(den) if c)
+    den = tuple(den[k:])
+    rest, deg0 = den, len(den) - 1
+    d = 1
+    while len(rest) > 1 and d <= 2 * deg0 * deg0 + 1:
+        if _totient(d) <= len(rest) - 1:
+            while len(rest) > 1:
+                quo, rem = poly_long_division(list(rest), list(cyclotomic_fraction(d)))
+                if rem:
+                    break
+                rest = _ptrim(quo)
+        d += 1
+    if len(rest) > 1:
+        raise PoleLocationError("pole away from q = 0 and roots of unity")
+    laurent: dict[int, Fraction] = {}
+    n = tuple(num)
+    if k:
+        principal = _taylor(n, den, k)
+        laurent.update({i - k: c for i, c in enumerate(principal) if c})
+        n = _padd(n, tuple([-c for c in poly_mul(tuple(principal), den)]))[k:]
+    quo, rem = poly_long_division(list(n), list(den))
+    laurent.update({e: c for e, c in enumerate(quo) if c})
+    rem = _ptrim(rem)
+    return laurent, ((rem, den) if rem else ((), (Fr(1),)))
+
+
 # --- substitution x = q^r -------------------------------------------------------
 
 

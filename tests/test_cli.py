@@ -451,7 +451,7 @@ def test_q_rational_commands_run_no_polynomial_gcd(monkeypatch, tmp_path, golden
     def no_gcd(a, b):
         raise AssertionError("polynomial gcd on a q-rational CLI path")
 
-    monkeypatch.setattr(series, "_poly_gcd_monic", no_gcd)
+    monkeypatch.setattr(series, "_int_gcd", no_gcd)
     jfunctions._rank6_factors.cache_clear()  # its build runs under the patch too
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == code

@@ -25,18 +25,21 @@ from bps_kit.series import (
     _clear_denominators,
     _cyclotomic,
     _from_poles_at_0_and_1,
-    _int_divexact,
+    _int_divmod,
 )
 from bps_kit.jfunctions import a_series, b_series
 from bps_kit.kring import KElem, Y_RING
 
 from oracles import (
+    cyclotomic_fraction,
     dict_mul,
     inv_power_series_coeff,
     laurent_add_naive,
     laurent_polynomial_to_qrf,
     long_division_inverse,
+    polar_split_fraction,
     poly_long_division,
+    poly_mul,
     substitute,
 )
 
@@ -366,19 +369,70 @@ def test_expand_is_multiplicative(n1, n2):
     assert (f * g).expand(order) == (f.expand(order) * g.expand(order)).truncate(order)
 
 
+@st.composite
+def unreduced_quotients(draw):
+    """(num * g * content, den * g): a common factor g and a non-unit rational content."""
+    num = draw(st.lists(small_fractions, max_size=4))
+    den = draw(st.lists(small_fractions, min_size=1, max_size=4).filter(any))
+    g = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any))
+    content = draw(st.sampled_from([Fr(2, 3), Fr(-5, 7), Fr(6), Fr(1, 10**12), Fr(-(10**20), 3)]))
+    return [c * content for c in poly_mul(num, g)], list(poly_mul(den, g))
+
+
 @given(
     num=st.lists(small_fractions, min_size=1, max_size=4),
     den_choice=st.sampled_from([(1, -1), (1, 0, -1), (1, -2, 1)]),
+    h=unreduced_quotients(),
 )
 @settings(max_examples=60)
-def test_qrf_field_axioms_sampled(num, den_choice):
+def test_qrf_field_axioms_sampled(num, den_choice, h):
     f = qrf(num, den_choice)
     g = qrf([1, 2], [1, 0, 0, -1])
+    h = qrf(*h)
     assert f + g == g + f
     assert f * g == g * f
     assert f - f == QRationalFunction.constant(0)
+    assert (f + g) + h == f + (g + h)
+    assert f * (g + h) == f * g + f * h
     if not f.is_zero:
         assert f / f == QRationalFunction.constant(1)
+    if not h.is_zero:
+        assert (f * h) / h == f
+
+
+def sympy_canonical(expr):
+    """Ascending (numerator, denominator) of sympy's cancel(expr), made monic."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    n, d = sympy.fraction(sympy.cancel(expr))
+    lead = sympy.Poly(d, q).LC()
+
+    def coeffs(p):
+        out = [Fr(int(c.p), int(c.q)) for c in reversed(sympy.Poly(p / lead, q).all_coeffs())]
+        while out and out[-1] == 0:
+            out.pop()
+        return tuple(out)
+
+    return coeffs(n), coeffs(d)
+
+
+@given(a=unreduced_quotients(), b=unreduced_quotients())
+@settings(max_examples=80, deadline=None)
+def test_integer_reduced_qrf_matches_sympy_cancel(a, b):
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+
+    def expr(p):
+        return sum([sympy.Rational(c.numerator, c.denominator) * q**e for e, c in enumerate(p)])
+
+    ea, eb = expr(a[0]) / expr(a[1]), expr(b[0]) / expr(b[1])
+    f, g = qrf(*a), qrf(*b)
+    cases = [(f, ea), (g, eb), (f + g, ea + eb), (f - g, ea - eb), (f * g, ea * eb)]
+    if not g.is_zero:
+        cases.append((f / g, ea / eb))
+    for got, want in cases:
+        assert (got.num, got.den) == sympy_canonical(want)
+        assert all(type(c) is Fraction for c in got.num + got.den)
 
 
 # --- polar_split -------------------------------------------------------------
@@ -506,6 +560,57 @@ def test_split_is_unique(laurent, proper, c):
     assert sp.proper != proper + c
 
 
+# --- the integer split against the Fraction split ---------------------------------
+
+rational_coefficients = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**30)
+
+
+@st.composite
+def cyclotomic_denominators(draw):
+    """q^k times a product of Phi_d^e with d <= 12 and e <= 3."""
+    den = (Fr(1),)
+    for d, e in draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)), max_size=3)):
+        for _ in range(e):
+            den = poly_mul(den, cyclotomic_fraction(d))
+    return (Fr(0),) * draw(st.integers(0, 4)) + den
+
+
+@given(num=st.lists(rational_coefficients, max_size=14), den=cyclotomic_denominators())
+@settings(max_examples=150, deadline=None)
+def test_integer_split_matches_the_fraction_split(num, den):
+    f = qrf(num, den)
+    sp = polar_split(f)
+    laurent, proper = polar_split_fraction(f.num, f.den)
+    assert sp.laurent == laurent
+    assert (sp.proper.num, sp.proper.den) == proper
+    assert all(type(c) is Fraction for c in [*sp.laurent.values(), *sp.proper.num, *sp.proper.den])
+
+
+FOREIGN_FACTORS = [
+    (-2, 1),  # q - 2
+    (-1, -1, 1),  # q^2 - q - 1
+    (-1, 2),  # a root at 1/2
+    (-2, 0, 1),  # q^2 - 2
+    (1, Fr(-6, 5), 1),  # roots on the unit circle that are not roots of unity
+]
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_FACTORS)
+@given(
+    c=rational_coefficients.filter(bool),
+    j=st.integers(0, 3),
+    den=cyclotomic_denominators(),
+)
+@settings(max_examples=25, deadline=None)
+def test_a_pole_off_the_roots_of_unity_raises_in_both_splits(foreign, c, j, den):
+    # a monomial numerator cannot cancel the foreign factor
+    f = qrf([0] * j + [c], poly_mul(den, foreign))
+    with pytest.raises(PoleLocationError):
+        polar_split(f)
+    with pytest.raises(PoleLocationError):
+        polar_split_fraction(f.num, f.den)
+
+
 # --- scaling by a scalar ----------------------------------------------------------
 
 SCALARS = [0, 1, -1, Fr(3, 7), Fr(-3, 7), 10**40 + 7, -(3**90)]
@@ -557,7 +662,11 @@ def test_clear_denominators_matches_fraction_products(coeffs):
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    assert _clear_denominators(tuple(coeffs)) == tuple(int(c * lcm) for c in coeffs)
+    ints = tuple(int(c * lcm) for c in coeffs)
+    assert _clear_denominators(tuple(coeffs)) == (lcm, [ints])
+    # several polynomials share one lcm
+    half = len(coeffs) // 2
+    assert _clear_denominators(coeffs[:half], coeffs[half:]) == (lcm, [ints[:half], ints[half:]])
 
 
 # --- random rational functions ----------------------------------------------------
@@ -591,14 +700,15 @@ def test_cyclotomic_table_against_sympy_and_the_divisor_product(n):
 
 
 def test_int_divexact_rejects_an_inexact_quotient():
-    assert _int_divexact((1, 0, -1), (1, -1)) == (1, 1)
-    assert _int_divexact((), (3, 1)) == ()
+    # an exact division is one with remainder (); an inexact one shows
+    # a nonzero remainder or, for a quotient off Z, raises
+    assert _int_divmod((1, 0, -1), (1, -1)) == ((1, 1), ())
+    assert _int_divmod((), (3, 1)) == ((), ())
+    assert _int_divmod((1, 0, 1), (1, 1)) == ((-1, 1), (2,))  # nonzero remainder
     with pytest.raises(ArithmeticError):
-        _int_divexact((1, 0, 1), (1, 1))  # nonzero remainder
-    with pytest.raises(ArithmeticError):
-        _int_divexact((1, 2), (2,))  # quotient (1/2, 1) is not integral
-    with pytest.raises(ArithmeticError):
-        _int_divexact((3,), (1, 1))  # lower degree than the divisor
+        _int_divmod((1, 2), (2,))  # quotient (1/2, 1) is not integral
+    assert _int_divmod((3,), (1, 1)) == ((), (3,))  # lower degree than the divisor
+    assert _int_divmod((0, 6, 4), (3, 2)) == ((0, 2), ())  # a non-monic exact divisor
 
 
 # --- substitution q -> q^r -----------------------------------------------------------
