@@ -23,13 +23,10 @@ from .jfunctions import (
     DivisorPairing,
     JmgsRhs,
     JmgsTerm,
-    NovikovExpansion,
     SplitCheckReport,
     a_series,
     b_series,
     i_coefficient,
-    i_expansion,
-    j_expansion,
     j_x_coefficient,
     j_y_coefficient,
     jmgs_rhs,

@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Subcommands: gw2gv, gv2gw, conifold, sin-series, ab-series, ifunction,
-jfunction, split-check, jmgs, check-integrality.  Structured output is
-JSON with exact rational strings; --json switches reports from text to
-JSON, --output sends the primary document to a file.  Exit codes:
+jfunction, split-check, jmgs, check-integrality.  Each one parses its
+arguments, calls the library and emits the result; every document it
+reads or writes has its format in :mod:`bps_kit.serialize`.  Structured
+output is JSON with exact rational strings; --json switches reports from
+text to JSON, --output sends the primary document to a file.  Exit codes:
 0 success/verified, 1 malformed input, 2 domain/bound violation,
 3 verification failure.  Set BPS_KIT_LOG=DEBUG (or INFO, ...) for logs.
 """
@@ -17,24 +19,26 @@ import logging
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .covers import conifold_gw_table
 from .jfunctions import (
     DivisorPairing,
     a_series,
     b_series,
-    i_expansion,
-    j_expansion,
+    i_coefficient,
+    j_x_coefficient,
+    j_y_coefficient,
     jmgs_rhs,
     split_check,
 )
 from .kring import NotInvertibleError, RingMismatchError
 from .serialize import (
     SchemaError,
+    dumps,
     integrality_to_dict,
     kelem_to_dict,
     laurent_to_dict,
+    pairing_from_dict,
     qrf_to_dict,
     qseries_to_dict,
     render_integrality_text,
@@ -44,8 +48,6 @@ from .serialize import (
 )
 from .series import PoleAtZeroError, PoleLocationError, TruncationError
 from .transform import (
-    KIND_GV,
-    KIND_GW,
     TableBoundError,
     TableKindError,
     check_integrality,
@@ -61,70 +63,6 @@ EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
 
 log = logging.getLogger("bps_kit")
-
-
-# How json.dumps writes each scalar, keyed by its exact type.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _dump(doc, nl: str = "\n") -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, without its pure-Python encoder.
-
-    With an indent, ``json.dumps`` cannot use the C encoder; this writer
-    keeps the C string escaper and joins whole lists of scalars at once.
-    ``doc`` holds what the serializers build: dicts with string keys, lists,
-    tuples, strings, ints, bools and None.  ``nl`` is a newline and the
-    indent of the line ``doc`` starts on.
-    """
-    scalar = _SCALARS.get(type(doc))
-    if scalar is not None:
-        return scalar(doc)
-    inner = nl + "  "
-    if isinstance(doc, dict):
-        if not doc:
-            return "{}"
-        items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in doc.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
-        kinds = set(map(type, doc))
-        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(scalar, doc) if scalar else [_dump(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
-
-
-def _dump_table(table, nl: str = "\n") -> str:
-    """``_dump(table_to_dict(table), nl)``, writing the entries from one template.
-
-    Every entry has the same shape, so one ``%``-template per table, built
-    from its rank and the indent, writes each entry in a single step.
-    """
-    inner = nl + "  "
-    entry = inner + "  "
-    field = entry + "  "
-    part = field + "  "
-    template = (
-        "{" + field + '"genus": %d,' + field + '"degree": ['
-        + part + ("," + part).join(["%d"] * table.lattice_rank)
-        + field + "]," + field + '"value": "%s"' + entry + "}"
-    )
-    cells = [template % (g, *deg, str(v)) for (g, deg), v in table.sorted_items()]
-    entries = "[" + entry + ("," + entry).join(cells) + inner + "]" if cells else "[]"
-    head = {
-        "kind": table.kind,
-        "lattice_rank": table.lattice_rank,
-        "genus_max": table.genus_max,
-        "degree_max": list(table.degree_max),
-    }
-    items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in head.items()]
-    return "{" + inner + ("," + inner).join(items + ['"entries": ' + entries]) + nl + "}"
 
 
 def _load_json(path: str):
@@ -153,7 +91,7 @@ def _load_table(path: str):
 
 
 def _render_integrality(args, report) -> str:
-    return _dump(integrality_to_dict(report)) if args.json else render_integrality_text(report)
+    return dumps(integrality_to_dict(report)) if args.json else render_integrality_text(report)
 
 
 def cmd_gw2gv(args) -> int:
@@ -161,14 +99,12 @@ def cmd_gw2gv(args) -> int:
         # the table and the report would be two JSON documents on one stdout
         raise ValueError("--json --check-integrality needs --output for the table")
     table = _load_table(args.input)
-    if table.kind != KIND_GW:
-        raise TableKindError(f"{args.input}: expected a GW table, found {table.kind}")
     if args.genus0_mobius:
         log.info("using the genus-zero Mobius inversion path")
         result = gw_to_gv_genus0_mobius(table)
     else:
         result = gw_to_gv(table)
-    _emit(args, _dump_table(result))
+    _emit(args, dumps(result))
     if args.check_integrality:
         report = check_integrality(result)
         print(_render_integrality(args, report))
@@ -178,18 +114,12 @@ def cmd_gw2gv(args) -> int:
 
 
 def cmd_gv2gw(args) -> int:
-    table = _load_table(args.input)
-    if table.kind != KIND_GV:
-        raise TableKindError(f"{args.input}: expected a GV table, found {table.kind}")
-    _emit(args, _dump_table(gv_to_gw(table)))
+    _emit(args, dumps(gv_to_gw(_load_table(args.input))))
     return EXIT_OK
 
 
 def cmd_check_integrality(args) -> int:
-    table = _load_table(args.input)
-    if table.kind != KIND_GV:
-        raise TableKindError(f"{args.input}: expected a GV table, found {table.kind}")
-    report = check_integrality(table)
+    report = check_integrality(_load_table(args.input))
     _emit(args, _render_integrality(args, report))
     return EXIT_OK if report.is_integral else EXIT_VERIFY
 
@@ -203,14 +133,7 @@ def cmd_conifold(args) -> int:
     gv = gw_to_gv(gw)
     is_delta = dict(gv.entries) == {(0, (1,)): Fraction(1)}
     if args.json:
-        # {"gw": ..., "gv": ..., "is_delta": ...} with the tables one level down
-        inner = "\n  "
-        _emit(
-            args,
-            "{" + inner + '"gw": ' + _dump_table(gw, inner)
-            + "," + inner + '"gv": ' + _dump_table(gv, inner)
-            + "," + inner + '"is_delta": ' + _dump(is_delta) + "\n}",
-        )
+        _emit(args, dumps({"gw": gw, "gv": gv, "is_delta": is_delta}))
     else:
         _emit(
             args,
@@ -229,7 +152,7 @@ def cmd_conifold(args) -> int:
 def cmd_sin_series(args) -> int:
     series = sin_power_series(args.k, args.genus, args.order)
     if args.json:
-        _emit(args, _dump(laurent_to_dict(series)))
+        _emit(args, dumps(laurent_to_dict(series)))
     else:
         _emit(args, str(series))
     return EXIT_OK
@@ -248,7 +171,7 @@ def cmd_ab_series(args) -> int:
     if args.json:
         _emit(
             args,
-            _dump(
+            dumps(
                 {
                     "r": args.r,
                     "a": qrf_to_dict(a),
@@ -265,31 +188,27 @@ def cmd_ab_series(args) -> int:
     return EXIT_OK
 
 
+def _rmax(args) -> int:
+    """--rmax, the largest Novikov degree, checked to be at least 1."""
+    if args.rmax < 1:
+        raise TableBoundError("--rmax must be at least 1")
+    return args.rmax
+
+
 def cmd_ifunction(args) -> int:
-    expansion = i_expansion(args.rmax)
+    terms = [(r, i_coefficient(r)) for r in range(1, _rmax(args) + 1)]
     if args.json:
-        _emit(
-            args,
-            _dump(
-                [
-                    {"r": r, "coefficient": kelem_to_dict(el)}
-                    for r, el in expansion.sorted_terms()
-                ]
-            ),
-        )
+        _emit(args, dumps([{"r": r, "coefficient": kelem_to_dict(el)} for r, el in terms]))
     else:
-        blocks = [
-            f"degree {r}:\n{render_kelem_text(el)}"
-            for r, el in expansion.sorted_terms()
-        ]
-        _emit(args, "\n".join(blocks))
+        _emit(args, "\n".join([f"degree {r}:\n{render_kelem_text(el)}" for r, el in terms]))
     return EXIT_OK
 
 
 def cmd_jfunction(args) -> int:
-    expansion = j_expansion(args.which, args.rmax)
+    build = j_x_coefficient if args.which == "X" else j_y_coefficient
     parts = []  # one JSON object or one text block per degree
-    for r, el in expansion.sorted_terms():
+    for r in range(1, _rmax(args) + 1):
+        el = build(r)
         series = [c.expand(args.qorder) for c in el.coords]
         if args.json:
             parts.append(
@@ -303,18 +222,16 @@ def cmd_jfunction(args) -> int:
             lines = [f"degree {r}:", render_kelem_text(el), f"  expansions to O(q^{args.qorder}):"]
             lines += [f"  [{name}] {s}" for name, s in zip(el.ring.basis_names, series)]
             parts.append("\n".join(lines))
-    _emit(args, _dump(parts) if args.json else "\n".join(parts))
+    _emit(args, dumps(parts) if args.json else "\n".join(parts))
     return EXIT_OK
 
 
 def cmd_split_check(args) -> int:
-    if args.rmax < 1:
-        raise TableBoundError("--rmax must be at least 1")
-    report = split_check(args.rmax)
+    report = split_check(_rmax(args))
     if args.json:
         _emit(
             args,
-            _dump(
+            dumps(
                 [
                     {
                         "r": res.r,
@@ -334,30 +251,9 @@ def cmd_split_check(args) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
-def _load_pairing(path: str) -> DivisorPairing:
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or set(doc) - {"vectors", "description"} or "vectors" not in doc:
-        raise SchemaError(f"{path}: pairing file needs exactly a 'vectors' field")
-    vectors = doc["vectors"]
-    if (
-        not isinstance(vectors, list)
-        or not vectors
-        or not all(
-            isinstance(v, list)
-            and v
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
-            for v in vectors
-        )
-    ):
-        raise SchemaError(f"{path}: 'vectors' must be a nonempty list of integer vectors")
-    if len({len(v) for v in vectors}) != 1:
-        raise SchemaError(f"{path}: pairing vectors must share one length")
-    return DivisorPairing(tuple(tuple(v) for v in vectors))
-
-
 def cmd_jmgs(args) -> int:
     gv = _load_table(args.gv)
-    pairing = _load_pairing(args.pairing)
+    pairing = DivisorPairing(pairing_from_dict(_load_json(args.pairing)))
     rhs = jmgs_rhs(gv, pairing, args.rmax, args.qorder)
     if args.json:
         terms = []
@@ -376,7 +272,7 @@ def cmd_jmgs(args) -> int:
             )
         _emit(
             args,
-            _dump(
+            dumps(
                 {
                     "constant": str(rhs.constant),
                     "lattice_rank": rhs.lattice_rank,

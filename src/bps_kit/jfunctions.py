@@ -51,9 +51,6 @@ __all__ = [
     "j_y_coefficient",
     "j_x_coefficient",
     "x_element_from_cover_data",
-    "NovikovExpansion",
-    "i_expansion",
-    "j_expansion",
     "split_check",
     "SplitCheckReport",
     "SplitCheckResult",
@@ -192,52 +189,6 @@ def x_element_from_cover_data(
     one = ring_one(X_RING)
     p = gen_p(X_RING)
     return (one + (one - p)) * divisor_coeff + (one - p) * structure_coeff
-
-
-@dataclass(frozen=True)
-class NovikovExpansion:
-    """Ring-valued coefficients indexed by positive Novikov degree.
-
-    All stored elements must live in one ring; degrees run from 1 to
-    degree_max (missing degrees are zero).
-    """
-
-    degree_max: int
-    terms: Mapping[int, KElem]
-
-    def __post_init__(self):
-        if self.degree_max < 1:
-            raise ValueError("degree_max must be at least 1")
-        rings = {el.ring.name for el in self.terms.values()}
-        if len(rings) > 1:
-            raise ValueError(f"mixed rings in one expansion: {sorted(rings)}")
-        for r in self.terms:
-            if not 1 <= r <= self.degree_max:
-                raise ValueError(f"degree {r} outside [1, {self.degree_max}]")
-        object.__setattr__(self, "terms", dict(self.terms))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-
-def i_expansion(r_max: int) -> NovikovExpansion:
-    """All localization coefficients up to Novikov degree r_max."""
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
-    return NovikovExpansion(r_max, {r: i_coefficient(r) for r in range(1, r_max + 1)})
-
-
-def j_expansion(which: str, r_max: int) -> NovikovExpansion:
-    """Cover-summed coefficients up to degree r_max; which is "X" or "Y"."""
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
-    if which == "X":
-        build = j_x_coefficient
-    elif which == "Y":
-        build = j_y_coefficient
-    else:
-        raise ValueError(f"unknown ring selector {which!r}")
-    return NovikovExpansion(r_max, {r: build(r) for r in range(1, r_max + 1)})
 
 
 @dataclass(frozen=True)
@@ -390,6 +341,8 @@ def jmgs_rhs(
         )
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
+    if q_order < 0:
+        raise ValueError("expansion order must be nonnegative")
     n_div = len(pairing.vectors)
     # weights[total][r] = (divisor weights..., structure weight) of the one
     # degree d = total / r; dicts keep the order in which totals appear
@@ -398,8 +351,6 @@ def jmgs_rhs(
         w = tuple(value * sum(x * y for x, y in zip(vec, d)) for vec in pairing.vectors)
         for r in range(1, r_max + 1):
             weights.setdefault(tuple(r * x for x in d), {})[r] = w + (value,)
-    if weights and q_order < 0:
-        raise ValueError("expansion order must be nonnegative")
     cache: dict = {}  # local to the call: no size the caller picks outlives it
     counts = _DivisionCounts()
     terms = {}

@@ -1,4 +1,4 @@
-"""JSON schemas and text rendering for tables, series, and ring elements.
+"""Every document the CLI reads or writes: JSON schemas, the JSON writer, text rendering.
 
 Rational values always travel as strings ("p/q" or "p") so nothing is
 ever forced through a float.  Table files carry their own bounds:
@@ -11,15 +11,21 @@ ever forced through a float.  Table files carry their own bounds:
       "entries": [{"genus": int, "degree": [int, ...], "value": "p/q"}, ...]
     }
 
-plus an optional top-level "description" string.  Unknown fields are
+and pairing files hold one integer vector per divisor direction:
+
+    {"vectors": [[int, ...], ...]}
+
+Either may carry a top-level "description" string.  Unknown fields are
 rejected.  Schema problems raise :class:`SchemaError`; entries that
 violate the declared bounds surface as TableBoundError from the table
-constructor.
+constructor.  :func:`dumps` writes every JSON document, an
+:class:`~bps_kit.transform.InvariantTable` as its table document.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .kring import KElem
 from .series import QVAR, LaurentSeries, QRationalFunction
@@ -27,10 +33,10 @@ from .transform import InvariantTable
 
 __all__ = [
     "SchemaError",
-    "fraction_to_str",
     "fraction_from_str",
-    "table_to_dict",
     "table_from_dict",
+    "pairing_from_dict",
+    "dumps",
     "laurent_to_dict",
     "qseries_to_dict",
     "qrf_to_dict",
@@ -44,10 +50,6 @@ __all__ = [
 
 class SchemaError(ValueError):
     """Raised on malformed input documents (wrong shape, types, or fields)."""
-
-
-def fraction_to_str(v: Fraction) -> str:
-    return str(v)
 
 
 def fraction_from_str(s) -> Fraction:
@@ -75,6 +77,13 @@ def _require_keys(doc: dict, required: set[str], optional: set[str], what: str):
         raise SchemaError(f"{what} has unknown fields: {sorted(unknown)}")
 
 
+def _require_document_keys(doc, required: set[str], what: str):
+    """_require_keys for a whole file, which may also carry a "description" string."""
+    _require_keys(doc, required, {"description"}, what)
+    if not isinstance(doc.get("description", ""), str):
+        raise SchemaError(f"{what}: description must be a string")
+
+
 def _int_field(doc, key, what, minimum=None):
     v = doc[key]
     if not isinstance(v, int) or isinstance(v, bool):
@@ -98,28 +107,9 @@ _ENTRY_FIELDS = frozenset(("genus", "degree", "value"))
 # --- invariant tables -------------------------------------------------------
 
 
-def table_to_dict(table: InvariantTable, description: str | None = None) -> dict:
-    doc = {
-        "kind": table.kind,
-        "lattice_rank": table.lattice_rank,
-        "genus_max": table.genus_max,
-        "degree_max": list(table.degree_max),
-        "entries": [
-            {"genus": g, "degree": list(deg), "value": fraction_to_str(v)}
-            for (g, deg), v in table.sorted_items()
-        ],
-    }
-    if description is not None:
-        doc["description"] = description
-    return doc
-
-
 def table_from_dict(doc) -> InvariantTable:
-    _require_keys(
-        doc,
-        {"kind", "lattice_rank", "genus_max", "degree_max", "entries"},
-        {"description"},
-        "table file",
+    _require_document_keys(
+        doc, {"kind", "lattice_rank", "genus_max", "degree_max", "entries"}, "table file"
     )
     kind = doc["kind"]
     if kind not in ("GW", "GV"):
@@ -152,6 +142,17 @@ def table_from_dict(doc) -> InvariantTable:
     return InvariantTable(kind, rank, genus_max, degree_max, entries)
 
 
+def pairing_from_dict(doc) -> tuple[tuple[int, ...], ...]:
+    """The vectors of a pairing file: a nonempty list of integer vectors of one nonzero length."""
+    _require_document_keys(doc, {"vectors"}, "pairing file")
+    if not isinstance(doc["vectors"], list) or not doc["vectors"]:
+        raise SchemaError("pairing file: vectors must be a nonempty list")
+    vectors = tuple([_int_vector(v, f"pairing vector #{i}") for i, v in enumerate(doc["vectors"])])
+    if not vectors[0] or len({len(v) for v in vectors}) != 1:
+        raise SchemaError("pairing file: vectors must be nonempty and share one length")
+    return vectors
+
+
 # --- series ------------------------------------------------------------------
 
 
@@ -161,7 +162,7 @@ def laurent_to_dict(s: LaurentSeries) -> dict:
         "variable": s.var,
         "min_exp": s.min_exp,
         "trunc_order": s.trunc_order,
-        "coefficients": [fraction_to_str(c) for c in s.coeffs],
+        "coefficients": list(map(str, s.coeffs)),
     }
 
 
@@ -178,31 +179,101 @@ def qseries_to_dict(s: LaurentSeries) -> dict:
     return {
         "type": "q_series",
         "trunc_order": s.trunc_order,
-        "coefficients": ["0"] * s.min_exp + [fraction_to_str(c) for c in s.coeffs],
+        "coefficients": ["0"] * s.min_exp + list(map(str, s.coeffs)),
     }
 
 
 def qrf_to_dict(f: QRationalFunction) -> dict:
     return {
         "type": "q_rational",
-        "numerator": [fraction_to_str(c) for c in f.num],
-        "denominator": [fraction_to_str(c) for c in f.den],
+        "numerator": list(map(str, f.num)),
+        "denominator": list(map(str, f.den)),
     }
 
 
 def kelem_to_dict(e: KElem) -> dict:
-    coords = []
-    for c in e.coords:
-        if isinstance(c, QRationalFunction):
-            coords.append(qrf_to_dict(c))
-        else:
-            coords.append(fraction_to_str(c))
+    coords = [qrf_to_dict(c) if isinstance(c, QRationalFunction) else str(c) for c in e.coords]
     return {
         "type": "ring_element",
         "ring": e.ring.name,
         "basis": list(e.ring.basis_names),
         "coords": coords,
     }
+
+
+# --- the JSON writer -------------------------------------------------------------
+
+# How json.dumps writes each scalar, keyed by its exact type.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, without its pure-Python encoder.
+
+    ``doc`` holds what the serializers build: dicts with string keys, lists,
+    tuples, strings, ints, bools and None.  An InvariantTable anywhere in it
+    is written as its table document.  Anything else raises TypeError.
+    """
+    return _dump(doc, "\n")
+
+
+def _dump(doc, nl: str) -> str:
+    """The writer behind dumps; ``nl`` is a newline and the indent of the line ``doc`` starts on.
+
+    With an indent, ``json.dumps`` cannot use the C encoder; this writer
+    keeps the C string escaper and joins whole lists of scalars at once.
+    """
+    scalar = _SCALARS.get(type(doc))
+    if scalar is not None:
+        return scalar(doc)
+    inner = nl + "  "
+    if isinstance(doc, dict):
+        if not doc:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in doc.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(doc, (list, tuple)):
+        if not doc:
+            return "[]"
+        kinds = set(map(type, doc))
+        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, doc) if scalar else [_dump(v, inner) for v in doc]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(doc, InvariantTable):
+        return _dump_table(doc, nl)
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
+def _dump_table(table: InvariantTable, nl: str) -> str:
+    """A table document, writing the entries from one template.
+
+    Every entry has the same shape, so one ``%``-template per table, built
+    from its rank and the indent, writes each entry in a single step.
+    """
+    inner = nl + "  "
+    entry = inner + "  "
+    field = entry + "  "
+    part = field + "  "
+    template = (
+        "{" + field + '"genus": %d,' + field + '"degree": ['
+        + part + ("," + part).join(["%d"] * table.lattice_rank)
+        + field + "]," + field + '"value": "%s"' + entry + "}"
+    )
+    cells = [template % (g, *deg, str(v)) for (g, deg), v in table.sorted_items()]
+    entries = "[" + entry + ("," + entry).join(cells) + inner + "]" if cells else "[]"
+    head = {
+        "kind": table.kind,
+        "lattice_rank": table.lattice_rank,
+        "genus_max": table.genus_max,
+        "degree_max": list(table.degree_max),
+    }
+    items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in head.items()]
+    return "{" + inner + ("," + inner).join(items + ['"entries": ' + entries]) + nl + "}"
 
 
 # --- text rendering ------------------------------------------------------------
@@ -215,7 +286,7 @@ def render_table_text(table: InvariantTable) -> str:
     ]
     for (g, deg), v in table.sorted_items():
         deg_s = ",".join(str(d) for d in deg)
-        lines.append(f"  g={g} d=({deg_s})  {fraction_to_str(v)}")
+        lines.append(f"  g={g} d=({deg_s})  {v}")
     if not table.entries:
         lines.append("  (all entries zero)")
     return "\n".join(lines)
@@ -232,7 +303,7 @@ def integrality_to_dict(report) -> dict:
     return {
         "is_integral": report.is_integral,
         "violations": [
-            {"genus": g, "degree": list(d), "value": fraction_to_str(v)}
+            {"genus": g, "degree": list(d), "value": str(v)}
             for g, d, v in report.violations
         ],
     }

@@ -522,3 +522,23 @@ def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int):
             structure_expansion=structure.expand(q_order),
         )
     return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
+
+
+# --- table documents ---------------------------------------------------------------
+
+
+def table_to_dict(table, description: str | None = None) -> dict:
+    """The table file document of an InvariantTable, as a plain dict for json.dumps."""
+    doc = {
+        "kind": table.kind,
+        "lattice_rank": table.lattice_rank,
+        "genus_max": table.genus_max,
+        "degree_max": list(table.degree_max),
+        "entries": [
+            {"genus": g, "degree": list(deg), "value": str(v)}
+            for (g, deg), v in sorted(table.entries.items())
+        ],
+    }
+    if description is not None:
+        doc["description"] = description
+    return doc

@@ -18,10 +18,11 @@ from bps_kit.serialize import (
     qrf_to_dict,
     qseries_to_dict,
     table_from_dict,
-    table_to_dict,
 )
 from bps_kit.series import LAMBDA, QVAR, LaurentSeries, QRationalFunction
 from bps_kit.transform import InvariantTable, KIND_GV, KIND_GW
+
+from oracles import table_to_dict
 
 Fr = Fraction
 
@@ -334,6 +335,33 @@ def test_cli_jmgs_bad_pairing(tmp_path, capsys):
     pairing = tmp_path / "pairing.json"
     write_json(pairing, {"vectors": "nope"})
     assert main(["jmgs", "--gv", str(gv), "--pairing", str(pairing), "--rmax", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ifunction"], ["jfunction", "--which", "X"], ["jfunction", "--which", "Y"], ["split-check"]],
+    ids=["ifunction", "jfunction X", "jfunction Y", "split-check"],
+)
+@pytest.mark.parametrize("rmax", ["0", "-3"])
+def test_cli_rmax_below_one_exits_2(capsys, argv, rmax):
+    for json_flag in ([], ["--json"]):
+        assert main(argv + ["--rmax", rmax] + json_flag) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "domain error: --rmax must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "entries", [[], [{"genus": 0, "degree": [1], "value": "1"}]], ids=["no cell", "one cell"]
+)
+def test_cli_jmgs_negative_qorder_exits_2_on_any_table(tmp_path, capsys, entries):
+    gv = tmp_path / "gv.json"
+    write_json(gv, {"kind": "GV", "lattice_rank": 1, "genus_max": 0, "degree_max": [1], "entries": entries})
+    pairing = tmp_path / "pairing.json"
+    write_json(pairing, {"vectors": [[1]]})
+    argv = ["jmgs", "--gv", str(gv), "--pairing", str(pairing), "--rmax", "2", "--qorder", "-1"]
+    assert main(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "domain error: expansion order must be nonnegative\n")
 
 
 def test_cli_deterministic_output():

@@ -1,5 +1,5 @@
-"""The table boundary: the indented JSON writer, the rational parser and the
-table loader's error paths, each against what it must stay equal to."""
+"""The file boundary: the indented JSON writer, the rational parser and the
+file loaders' error paths, each against what it must stay equal to."""
 
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bps_kit.cli import _dump, _dump_table, main
-from bps_kit.serialize import SchemaError, fraction_from_str, table_from_dict, table_to_dict
+from bps_kit.cli import main
+from bps_kit.serialize import SchemaError, dumps, fraction_from_str, pairing_from_dict, table_from_dict
 from bps_kit.transform import KIND_GV, KIND_GW, InvariantTable, TableBoundError, degree_vectors
+
+from oracles import table_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -47,21 +49,21 @@ def json_trees(depth: int):
 @given(json_trees(4))
 @settings(max_examples=300)
 def test_dump_matches_json_dumps(doc):
-    assert _dump(doc) == json.dumps(doc, indent=2)
+    assert dumps(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
 def test_dump_matches_json_dumps_on_golden_documents(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert _dump(doc) == json.dumps(doc, indent=2)
+    assert dumps(doc) == json.dumps(doc, indent=2)
 
 
 def test_dump_edge_shapes():
     for doc in [[], {}, [[]], {"a": {}}, [[], {}, [1]], [True, False, None], [1, "1"], (1, (2,))]:
-        assert _dump(doc) == json.dumps(doc, indent=2)
+        assert dumps(doc) == json.dumps(doc, indent=2)
     for bad in [object(), {1, 2}, [b"x"], {"a": 1.5}]:
         with pytest.raises(TypeError):
-            _dump(bad)
+            dumps(bad)
 
 
 @st.composite
@@ -81,10 +83,9 @@ def tables(draw):
 @given(tables())
 @settings(max_examples=200)
 def test_dump_table_matches_json_dumps(table):
-    assert _dump_table(table) == json.dumps(table_to_dict(table), indent=2)
+    assert dumps(table) == json.dumps(table_to_dict(table), indent=2)
     # one level down, as in the conifold document
-    nested = '{\n  "gw": ' + _dump_table(table, "\n  ") + "\n}"
-    assert nested == json.dumps({"gw": table_to_dict(table)}, indent=2)
+    assert dumps({"gw": table}) == json.dumps({"gw": table_to_dict(table)}, indent=2)
 
 
 def test_dump_table_edge_shapes():
@@ -93,7 +94,7 @@ def test_dump_table_edge_shapes():
         InvariantTable(KIND_GW, 3, 0, (0, 0, 1), {(0, (0, 0, 1)): Fraction(-7, 3)}),
         InvariantTable(KIND_GV, 2, 4, (2, 0), {(4, (2, 0)): Fraction(-(2**300), 3**100)}),
     ]:
-        assert _dump_table(table) == json.dumps(table_to_dict(table), indent=2)
+        assert dumps(table) == json.dumps(table_to_dict(table), indent=2)
 
 
 # --- the parser: Fraction(s), with SchemaError where Fraction raises -------------
@@ -217,3 +218,71 @@ def test_valid_entries_load():
         (1, (1, 0)): Fraction(-1, 2),
         (0, (0, 2)): Fraction(5),
     }
+
+
+# --- pairing files ----------------------------------------------------------------
+
+BAD_PAIRINGS = [
+    ("not an object", [[1]], "pairing file must be a JSON object"),
+    ("no vectors", {}, "pairing file is missing fields: ['vectors']"),
+    ("extra key", {"vectors": [[1]], "note": "x"}, "pairing file has unknown fields: ['note']"),
+    ("string vectors", {"vectors": "nope"}, "pairing file: vectors must be a nonempty list"),
+    ("no vector", {"vectors": []}, "pairing file: vectors must be a nonempty list"),
+    ("empty vector", {"vectors": [[]]}, "pairing file: vectors must be nonempty and share one length"),
+    ("two lengths", {"vectors": [[1], [1, 2]]}, "pairing file: vectors must be nonempty and share one length"),
+    ("bool entry", {"vectors": [[1], [True]]}, "pairing vector #1 must be a list of integers"),
+    ("float entry", {"vectors": [[1.0]]}, "pairing vector #0 must be a list of integers"),
+]
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def _jmgs(tmp_path, pairing_doc, gv_doc=None):
+    gv_doc = gv_doc or {"kind": "GV", "lattice_rank": 1, "genus_max": 0, "degree_max": [1], "entries": []}
+    gv = _write(tmp_path, "gv.json", gv_doc)
+    return main(["jmgs", "--gv", gv, "--pairing", _write(tmp_path, "pairing.json", pairing_doc), "--rmax", "1"])
+
+
+@pytest.mark.parametrize(
+    "doc, message", [case[1:] for case in BAD_PAIRINGS], ids=[case[0] for case in BAD_PAIRINGS]
+)
+def test_malformed_pairing_error_and_exit_code(tmp_path, capsys, doc, message):
+    with pytest.raises(SchemaError) as info:
+        pairing_from_dict(doc)
+    assert str(info.value) == message
+    assert _jmgs(tmp_path, doc) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_valid_pairing_loads():
+    doc = {"vectors": [[1, 0], [0, -2]], "description": "two divisors"}
+    assert pairing_from_dict(doc) == ((1, 0), (0, -2))
+
+
+# --- the "description" field of either file is a string ----------------------------
+
+
+@pytest.mark.parametrize("description", [5, ["x"], None, True])
+def test_table_description_must_be_a_string(tmp_path, capsys, description):
+    doc = _gv_doc(VALID_ENTRIES) | {"description": description}
+    with pytest.raises(SchemaError, match="description must be a string"):
+        table_from_dict(doc)
+    assert main(["gv2gw", _write(tmp_path, "table.json", doc)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: table file: description must be a string\n")
+    assert table_from_dict(doc | {"description": "x"}) == table_from_dict(_gv_doc(VALID_ENTRIES))
+
+
+@pytest.mark.parametrize("description", [5, ["x"], None, True])
+def test_pairing_description_must_be_a_string(tmp_path, capsys, description):
+    doc = {"vectors": [[1]], "description": description}
+    with pytest.raises(SchemaError, match="description must be a string"):
+        pairing_from_dict(doc)
+    assert _jmgs(tmp_path, doc) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "input error: pairing file: description must be a string\n")
+    assert _jmgs(tmp_path, doc | {"description": "x"}) == 0
