@@ -104,7 +104,7 @@ def main() -> int:
     )
 
     print("proper-part identity:")
-    report = split_check(60)
+    report = split_check(200)
     for res in report.results:
         check(f"degree r = {res.r}", res.passed)
 

@@ -254,7 +254,7 @@ def cmd_split_check(args) -> int:
 def cmd_jmgs(args) -> int:
     gv = _load_table(args.gv)
     pairing = DivisorPairing(pairing_from_dict(_load_json(args.pairing)))
-    rhs = jmgs_rhs(gv, pairing, args.rmax, args.qorder)
+    rhs = jmgs_rhs(gv, pairing, _rmax(args), args.qorder)
     if args.json:
         terms = []
         for deg in rhs.sorted_degrees():

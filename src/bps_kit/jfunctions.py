@@ -36,9 +36,11 @@ from .series import (
     QRationalFunction,
     _cyclotomic,
     _from_poles_at_0_and_1,
+    _int_add,
     _int_divmod,
     _int_mul,
-    polar_split,
+    _q_minus_one_to,
+    _split_over_z,
 )
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
@@ -118,27 +120,28 @@ def _nilpotent_weights(r: int, count: int) -> list[int]:  # (1-M)^(-2r) in power
     return [math.comb(2 * r + k - 1, k) for k in range(count)]
 
 
-def _i_at(r: int) -> KElem:
-    # one integer combination per coordinate, over x^(r-1) (x-1)^pole
+def _i_numerators(r: int) -> list[list[int]]:
+    # per coordinate, one integer combination over x^(r-1) (x-1)^3
     if r < 1:
         raise ValueError("Novikov degree must be positive")
-    pole, parts, _ = _rank6_factors()
+    _, parts, _ = _rank6_factors()
     weights = _nilpotent_weights(r, len(parts))
-    nums = [[sum(map(operator.mul, weights, col)) for col in zip(*n)] for n in zip(*parts)]
-    return KElem(Y_RING, tuple([_from_poles_at_0_and_1(n, r - 1, pole) for n in nums]))
+    return [[sum(map(operator.mul, weights, col)) for col in zip(*n)] for n in zip(*parts)]
 
 
-def _j_at(ring: RingSpec, constants: tuple[tuple[int, int], ...], r: int) -> KElem:
-    # each coordinate is cd a(r, x) + cs b(r, x), over (x-1)^3
+def _j_numerators(constants: tuple[tuple[int, int], ...], r: int) -> list[list[int]]:
+    # per coordinate, cd a(r, x) + cs b(r, x) over (x-1)^3
     if r < 1:
         raise ValueError("cover degree must be positive")
     a, b = _int_mul(_COVER_FORMS[2][0](r), (-1, 1)), _COVER_FORMS[3][0](r)
-    nums = [[cd * u + cs * v for u, v in zip(a, b)] for cd, cs in constants]
-    return KElem(ring, tuple([_from_poles_at_0_and_1(n, 0, 3) for n in nums]))
+    return [[cd * u + cs * v for u, v in zip(a, b)] for cd, cs in constants]
 
 
-def _j_y_at(r: int) -> KElem:
-    return _j_at(Y_RING, _rank6_factors()[2], r)
+def _element(ring: RingSpec, nums: list[list[int]], at_0: int, power: int) -> KElem:
+    # coordinate c is nums[c] / (x^at_0 (x-1)^3), canonical, at x = q^power
+    return KElem(
+        ring, tuple([_from_poles_at_0_and_1(n, at_0, 3).at_power(power) for n in nums])
+    )
 
 
 def a_series(r: int) -> QRationalFunction:
@@ -163,17 +166,17 @@ def i_coefficient(r: int) -> KElem:
     and (1 - P x)^-2 = ((x-1) + 2x (1-P)) / (x-1)^3, as (1-P)^2 = 0; so no
     ring element is inverted (see _rank6_factors).
     """
-    return KElem(Y_RING, tuple([c.at_power(r) for c in _i_at(r).coords]))
+    return _element(Y_RING, _i_numerators(r), r - 1, r)
 
 
 def j_y_coefficient(r: int) -> KElem:
     """Novikov-degree-r coefficient of the cover-summed series, rank-6 ring."""
-    return KElem(Y_RING, tuple([c.at_power(r) for c in _j_y_at(r).coords]))
+    return _element(Y_RING, _j_numerators(_rank6_factors()[2], r), 0, r)
 
 
 def j_x_coefficient(r: int) -> KElem:
     """Same combination with the (1-Pt)^2 factor removed, rank-2 ring."""
-    return KElem(X_RING, tuple([c.at_power(r) for c in _j_at(X_RING, _X_CONSTANTS, r).coords]))
+    return _element(X_RING, _j_numerators(_X_CONSTANTS, r), 0, r)
 
 
 def x_element_from_cover_data(
@@ -230,30 +233,29 @@ def split_check(r_max: int) -> SplitCheckReport:
     injective, and G = P.
 
     So each coordinate's residual, the proper part of I(r) minus J(r),
-    is computed in x as ``polar_split(I).proper - J`` and mapped to q by
+    is computed in x and mapped to q by
     :meth:`~bps_kit.series.QRationalFunction.at_power`.  Substitution is
     a homomorphism, so by the lemma this is the residual of the split in
-    q.  When the proper part equals J, as canonical forms, the residual
-    is the zero constant and no subtraction runs.  The roots-of-unity
-    check of the split runs on every coordinate, and it raises in x
-    exactly when it would in q: the poles of F(q^r) away from 0 are the
-    r-th roots of the poles of F, and a number is a root of unity exactly
-    when its r-th roots are.
+    q.  Both builders give integer numerators over denominators fixed by
+    construction: x^(r-1) (x-1)^3 for I and (x-1)^3 for J.  The
+    integer split of I's numerator leaves its proper part as a numerator
+    over (x-1)^3, from which J's numerator is subtracted.  A zero
+    difference is the zero residual; any other is made canonical by trial
+    division by x - 1, with no gcd.
 
-    A failing report carries the residuals, and any pole-location or
-    truncation error from the split propagates: a clean report only ever
+    A failing report carries the residuals, and a clean report only ever
     means the identity was actually checked.  Each r logs its verdict at
     DEBUG.
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    coerce, zero = QRationalFunction._coerce, QRationalFunction.constant(0)
+    zero, den, constants = QRationalFunction.constant(0), _q_minus_one_to(3), _rank6_factors()[2]
     results = []
     for r in range(1, r_max + 1):
         residuals = []
-        for i, j in zip(_i_at(r).coords, _j_y_at(r).coords):
-            proper, expected = polar_split(coerce(i)).proper, coerce(j)
-            residuals.append(zero if proper == expected else (proper - expected).at_power(r))
+        for i, j in zip(_i_numerators(r), _j_numerators(constants, r)):
+            diff = _int_add(_split_over_z(i, r - 1, den)[2], j, -1)
+            residuals.append(_from_poles_at_0_and_1(list(diff), 0, 3).at_power(r) if diff else zero)
         passed = all(res.is_zero for res in residuals)
         log.debug("split_check r=%d in x = q^r: %s", r, "passed" if passed else "failed")
         results.append(SplitCheckResult(r, passed, tuple(residuals)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .series import QRationalFunction, _as_fraction
+from .series import QRationalFunction, _as_fraction, _power
 
 __all__ = [
     "RingSpec",
@@ -169,14 +169,7 @@ class KElem:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("ring powers must use nonnegative integer exponents")
-        result = ring_one(self.ring)
-        base = self
-        while n:  # square and multiply, as QRationalFunction.__pow__ does
-            if n & 1:
-                result = result * base
-            n >>= 1
-            base = base * base if n else base
-        return result
+        return _power(self, n) if n else ring_one(self.ring)
 
     def __eq__(self, other):
         if not isinstance(other, KElem):

@@ -220,6 +220,18 @@ def _poly_taylor(num, den, order: int) -> list:
     return out
 
 
+def _power(base, n: int):
+    """base ** n for n >= 1, by square and multiply, starting from base, not from 1."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
 def _poly_str(p, var: str = "q") -> str:
     if not p:
         return "0"
@@ -403,19 +415,11 @@ class LaurentSeries:
             raise ValueError("series powers must use nonnegative integer exponents")
         if n == 0:
             return LaurentSeries.one(self.var, self.trunc_order)
-        # square and multiply, as KElem.__pow__ does.  A product adds the
-        # valuations and keeps the smaller precision past the valuation, so
-        # any order of products gives the truncation of repeated products;
-        # the result starts from a power of self, never from the series 1,
-        # whose truncation order would cut a negative valuation short.
-        result, base = None, self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        # A product adds the valuations and keeps the smaller precision past
+        # the valuation, so any order of products gives the truncation of
+        # repeated products; _power never starts from the series 1, whose
+        # truncation order would cut a negative valuation short.
+        return _power(self, n)
 
     def inverse(self, order: int) -> "LaurentSeries":
         """Multiplicative inverse, truncated at (excluding) `order`.
@@ -605,15 +609,7 @@ class QRationalFunction:
             return NotImplemented
         if n < 0:
             return (QRationalFunction.constant(1) / self) ** (-n)
-        result = QRationalFunction.constant(1)
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return _power(self, n) if n else QRationalFunction.constant(1)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -783,6 +779,24 @@ def _check_roots_of_unity(poly: tuple[int, ...]) -> None:
         )
 
 
+def _split_over_z(n, k: int, den: tuple[int, ...]) -> tuple[list, tuple, tuple]:
+    """(principal, quo, rem) with n / (q^k den) = principal / q^k + quo + rem / den.
+
+    n is an integer polynomial, den is monic with den(0) = +-1, so the
+    Taylor step and the division stay in integers.  With p the first k
+    Taylor coefficients of n / den, the polynomial n - p den is divisible
+    by q^k; quo and rem are the quotient and remainder of (n - p den) / q^k
+    by den.  Every common factor of rem and den divides n, so when n is
+    coprime to den, so is rem: the proper part needs no gcd.
+    """
+    principal = _poly_taylor(n, den, k)
+    # (n - principal * den) / q^k: from q^k up, principal * den only
+    # involves the last deg(den) principal coefficients, from t on
+    t = max(k - len(den) + 1, 0)
+    n = _int_add(n[k:], _int_mul(principal[t:], den)[k - t :], -1)
+    return (principal, *_int_divmod(n, den))
+
+
 def polar_split(f: QRationalFunction) -> PolarSplit:
     """Split f into a Laurent polynomial plus a proper part regular at 0.
 
@@ -798,37 +812,18 @@ def polar_split(f: QRationalFunction) -> PolarSplit:
     roots-of-unity check passes on the integer form of den, den was an
     integer polynomial already, monic, with den(0) = +-1 (Phi_1(0) = -1
     and Phi_d(0) = 1 for d > 1); any other den raises PoleLocationError.
-    num is cleared once to N / L with N integral.  The Taylor step
-    divides by den(0) = +-1 and the division by den is by a monic
-    polynomial, so both stay in integers, and Fractions c / L are built
-    only for the output coefficients.
-
-    With p the first k Taylor coefficients of N / den, the polynomial
-    N - p den is divisible by q^k, so f = (p / q^k + n / den) / L with
-    n = (N - p den) / q^k.  Every common factor of n and den divides N,
-    so n is coprime to den, and so is the remainder of n mod den: the
-    proper part is built with no gcd.
+    num is cleared once to N / L with N integral, N / (q^k den) is split
+    by :func:`_split_over_z`, and Fractions c / L are built only for the
+    output coefficients.
     """
     _, (den,) = _clear_denominators(f.den)
     k = next(i for i, c in enumerate(den) if c)  # strip the q-power
     den = den[k:]
     _check_roots_of_unity(den)  # so den is f.den[k:] by the lemma
     lcm, (n,) = _clear_denominators(f.num)
-
-    laurent: dict[int, Fraction] = {}
-    if k > 0:
-        principal = _poly_taylor(n, den, k)
-        for i, c in enumerate(principal):
-            if c:
-                laurent[i - k] = Fraction(c, lcm)
-        # (n - principal * den) / q^k: from q^k up, principal * den only
-        # involves the last deg(den) principal coefficients, from t on
-        t = max(k - len(den) + 1, 0)
-        n = _int_add(n[k:], _int_mul(principal[t:], den)[k - t :], -1)
-    quo, rem = _int_divmod(n, den)
-    for e, c in enumerate(quo):
-        if c:
-            laurent[e] = Fraction(c, lcm)
+    principal, quo, rem = _split_over_z(n, k, den)
+    laurent = {i - k: Fraction(c, lcm) for i, c in enumerate(principal) if c}
+    laurent.update({e: Fraction(c, lcm) for e, c in enumerate(quo) if c})
     if not rem:
         return PolarSplit(laurent, QRationalFunction._from_canonical((), (Fraction(1),)))
     proper = tuple([Fraction(c, lcm) for c in rem])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ from oracles import table_to_dict
 Fr = Fraction
 
 QUINTIC_GV = {1: 2875, 2: 609250, 3: 317206375, 4: 242467530000}
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def write_json(path, doc):
@@ -339,8 +341,14 @@ def test_cli_jmgs_bad_pairing(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["ifunction"], ["jfunction", "--which", "X"], ["jfunction", "--which", "Y"], ["split-check"]],
-    ids=["ifunction", "jfunction X", "jfunction Y", "split-check"],
+    [
+        ["ifunction"],
+        ["jfunction", "--which", "X"],
+        ["jfunction", "--which", "Y"],
+        ["split-check"],
+        ["jmgs", "--gv", str(GOLDEN / "jmgs_gv.json"), "--pairing", str(GOLDEN / "jmgs_pairing.json")],
+    ],
+    ids=["ifunction", "jfunction X", "jfunction Y", "split-check", "jmgs"],
 )
 @pytest.mark.parametrize("rmax", ["0", "-3"])
 def test_cli_rmax_below_one_exits_2(capsys, argv, rmax):
@@ -402,7 +410,6 @@ def test_console_entry_point():
 # runs with --output; what the command prints to stdout besides the --output
 # document is pinned by a "<stem>.stdout<suffix>" file, or must be empty.
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
 JMGS_ARGV = [
     "jmgs",
     "--gv", str(GOLDEN / "jmgs_gv.json"),
@@ -484,6 +491,25 @@ def test_q_rational_commands_run_no_polynomial_gcd(monkeypatch, tmp_path, golden
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_failing_split_check_runs_no_polynomial_gcd(monkeypatch, capsys, shift):
+    # off-by-one nilpotent weights make every residual nonzero; each one is
+    # made canonical by trial division, not by a gcd
+    def no_gcd(a, b):
+        raise AssertionError("polynomial gcd on a failing split-check")
+
+    monkeypatch.setattr(series, "_int_gcd", no_gcd)
+    monkeypatch.setattr(
+        jfunctions,
+        "_nilpotent_weights",
+        lambda r, count: [math.comb(2 * r + k - 1 + shift, k) for k in range(count)],
+    )
+    jfunctions._rank6_factors.cache_clear()
+    assert main(["split-check", "--rmax", "6", "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert [res["passed"] for res in doc] == [False] * 6
 
 
 def test_main_builds_the_parser_once(capsys):

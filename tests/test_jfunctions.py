@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bps_kit import jfunctions
+from bps_kit import jfunctions, series
 from bps_kit.jfunctions import (
     DivisorPairing,
     a_series,
@@ -675,25 +675,46 @@ def coord_qrf(c):
     return c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
 
 
+def i_in_x(r):
+    return jfunctions._element(Y_RING, jfunctions._i_numerators(r), r - 1, 1)
+
+
+def j_y_in_x(r):
+    constants = jfunctions._rank6_factors()[2]
+    return jfunctions._element(Y_RING, jfunctions._j_numerators(constants, r), 0, 1)
+
+
+def perturb_j_numerators(monkeypatch, extra):
+    # add e(x) = extra / (x-1)^3 to J: e times the ring's 1, whose only
+    # nonzero coordinate is the first
+    real = jfunctions._j_numerators
+
+    def perturbed(constants, r):
+        first, *rest = real(constants, r)
+        return [[a + b for a, b in itertools.zip_longest(first, extra, fillvalue=0)], *rest]
+
+    monkeypatch.setattr(jfunctions, "_j_numerators", perturbed)
+
+
 @pytest.mark.parametrize(
-    "extra",
+    "extra, e",
     [
-        QRationalFunction([1], [1, -2]),  # proper, but a pole at x = 1/2
-        QRationalFunction.constant(1),  # not proper
-        # 1/(1-x) is 1/(1-q^r) in q: the residuals depend on r from r = 2 on
-        QRationalFunction([1], [1, -1]),
+        ((-1, 3, -3, 1), QRationalFunction.constant(1)),  # (x-1)^3 / (x-1)^3: not proper
+        # -(x-1)^2 / (x-1)^3 = 1/(1-x) is 1/(1-q^r) in q: the residuals depend
+        # on r from r = 2 on
+        ((-1, 2, -1), QRationalFunction([1], [1, -1])),
     ],
-    ids=["foreign-pole", "constant", "cover-pole"],
+    ids=["constant", "cover-pole"],
 )
-def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra):
-    # J is perturbed by e(x) in the builder; the residuals must be those of
-    # the split of the independent q build against J(q^r) + e(q^r)
-    real_j_at = jfunctions._j_y_at
-    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r: real_j_at(r) + extra)
+def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra, e):
+    # J's numerator is perturbed by e(x) (x-1)^3 in the builder; the residuals
+    # must be those of the split of the independent q build against
+    # J(q^r) + e(q^r)
+    perturb_j_numerators(monkeypatch, extra)
     report = split_check(3)
     assert not report.all_passed
     for res in report.results:
-        j_q = j_y_coefficient_in_q(res.r) + substitute(extra, res.r)
+        j_q = j_y_coefficient_in_q(res.r) + substitute(e, res.r)
         expected = tuple(
             polar_split(coord_qrf(i)).proper - coord_qrf(j)
             for i, j in zip(i_coefficient_in_q(res.r).coords, j_q.coords)
@@ -702,12 +723,26 @@ def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra)
         assert res.residuals == expected
 
 
-def test_split_check_pole_location_error_propagates(monkeypatch):
-    real_i_at = jfunctions._i_at
-    pole = QRationalFunction([1], [1, -2])
-    monkeypatch.setattr(jfunctions, "_i_at", lambda r: real_i_at(r) + pole)
-    with pytest.raises(PoleLocationError):
-        split_check(2)
+@pytest.mark.parametrize("shift", [0, 1, -1])
+def test_split_check_runs_no_rational_function_arithmetic(monkeypatch, shift):
+    # split_check decides each coordinate on integer numerators, passing or
+    # failing: no polar_split and no QRationalFunction operator runs
+    def forbidden(*args):
+        raise AssertionError("rational-function arithmetic in split_check")
+
+    monkeypatch.setattr(
+        jfunctions,
+        "_nilpotent_weights",
+        lambda r, count: [math.comb(2 * r + k - 1 + shift, k) for k in range(count)],
+    )
+    with monkeypatch.context() as m:
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__eq__"):
+            m.setattr(QRationalFunction, name, forbidden)
+        m.setattr(series, "polar_split", forbidden)
+        m.setattr(jfunctions, "polar_split", forbidden, raising=False)
+        report = split_check(8)
+    assert [res.passed for res in report.results] == [shift == 0] * 8
 
 
 def test_split_check_logs_where_each_degree_was_decided(monkeypatch, caplog):
@@ -718,8 +753,7 @@ def test_split_check_logs_where_each_degree_was_decided(monkeypatch, caplog):
         "split_check r=2 in x = q^r: passed",
     ]
     caplog.clear()
-    real_j_at = jfunctions._j_y_at
-    monkeypatch.setattr(jfunctions, "_j_y_at", lambda r: real_j_at(r) + 1)
+    perturb_j_numerators(monkeypatch, (-1, 3, -3, 1))  # J + 1
     split_check(1)
     assert [rec.getMessage() for rec in caplog.records] == [
         "split_check r=1 in x = q^r: failed",
@@ -758,7 +792,7 @@ PERTURBATIONS = [
 def test_proper_part_commutes_with_substitution():
     zero = QRationalFunction.constant(0)
     for r in range(1, 13):
-        i_x, i_q = jfunctions._i_at(r), i_coefficient_in_q(r)
+        i_x, i_q = i_in_x(r), i_coefficient_in_q(r)
         for e in [zero] + PERTURBATIONS:
             e_q = substitute(e, r)
             for ix, iq in zip(i_x.coords, i_q.coords):
@@ -777,7 +811,7 @@ def test_proper_part_commutes_with_substitution():
 
 @pytest.mark.parametrize("r", range(1, 31))
 def test_i_builder_matches_the_ring_product_oracle(r):
-    built, oracle = jfunctions._i_at(r), i_coefficient_in_q(r, 1)
+    built, oracle = i_in_x(r), i_coefficient_in_q(r, 1)
     assert built == oracle
     assert all(isinstance(c, QRationalFunction) for c in built.coords)
 
@@ -786,7 +820,7 @@ def test_i_builder_matches_the_ring_product_oracle(r):
 def test_j_builder_matches_the_ring_product_oracle(r):
     n2 = (ONE - P * T) * (ONE - P * T)
     divisor, structure = n2 * (ONE + (ONE - P)), n2 * (ONE - P)
-    built = jfunctions._j_y_at(r)
+    built = j_y_in_x(r)
     assert built == divisor * jfunctions._cover_at(r, 2) + structure * jfunctions._cover_at(r, 3)
     assert built == j_y_coefficient_in_q(r, 1)
     assert all(isinstance(c, QRationalFunction) for c in built.coords)
@@ -794,7 +828,7 @@ def test_j_builder_matches_the_ring_product_oracle(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 13, 30])
 def test_builders_return_canonical_coordinates(r):
-    for el in (jfunctions._i_at(r), jfunctions._j_y_at(r)):
+    for el in (i_in_x(r), j_y_in_x(r)):
         for c in el.coords:
             assert_canonical(c)
 
