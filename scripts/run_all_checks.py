@@ -6,12 +6,14 @@ transform, collapses the closed-form cover table to its delta, checks
 the relations of the quotient rings, prints the series anchors, and
 verifies the proper-part identity for the localization coefficients.
 Tables the library builds from a validated table skip the constructor's
-checks, so they are put through the constructor once more here.
-Everything is exact; the script exits nonzero if any check fails.
+checks, so they are put through the constructor once more here; the
+jmgs document, written from integers, is read back and compared with
+the right-hand side's own terms.  Everything is exact; the script exits nonzero if any check fails.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import time
 from fractions import Fraction
@@ -36,6 +38,7 @@ from bps_kit import (
     x_element_from_cover_data,
 )
 from bps_kit.datasets import quintic_gw_table
+from bps_kit.serialize import dumps
 from bps_kit.transform import InvariantTable, KIND_GV
 
 FAILURES = []
@@ -52,6 +55,42 @@ def revalidated(table: InvariantTable) -> InvariantTable:
     return InvariantTable(
         table.kind, table.lattice_rank, table.genus_max, table.degree_max, dict(table.entries)
     )
+
+
+def jmgs_document(rhs) -> dict:
+    """The jmgs document of a right-hand side, read from its terms' exact parts and series."""
+
+    def rational(f):
+        return {
+            "type": "q_rational",
+            "numerator": [str(c) for c in f.num],
+            "denominator": [str(c) for c in f.den],
+        }
+
+    def expansion(s):
+        return {
+            "type": "q_series",
+            "trunc_order": s.trunc_order,
+            "coefficients": [str(s.coefficient(n)) for n in range(s.trunc_order)],
+        }
+
+    terms = [
+        {
+            "total_degree": list(deg),
+            "divisor": [rational(f) for f in rhs.terms[deg].divisor_exact],
+            "divisor_expansion": [expansion(s) for s in rhs.terms[deg].divisor_expansion],
+            "structure": rational(rhs.terms[deg].structure_exact),
+            "structure_expansion": expansion(rhs.terms[deg].structure_expansion),
+        }
+        for deg in rhs.sorted_degrees()
+    ]
+    return {
+        "constant": str(rhs.constant),
+        "lattice_rank": rhs.lattice_rank,
+        "r_max": rhs.r_max,
+        "q_order": rhs.q_order,
+        "terms": terms,
+    }
 
 
 def main() -> int:
@@ -119,6 +158,10 @@ def main() -> int:
         for r in range(1, 7)
     )
     check("matches the rank-2 J-coefficients for r <= 6", ok)
+    check(
+        "its JSON document, written from integers, reads back as its terms",
+        json.loads(dumps(rhs)) == jmgs_document(rhs),
+    )
 
     dt = time.perf_counter() - t0
     print(f"\n{'all checks passed' if not FAILURES else 'FAILURES: ' + str(FAILURES)} "

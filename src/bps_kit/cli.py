@@ -256,32 +256,7 @@ def cmd_jmgs(args) -> int:
     pairing = DivisorPairing(pairing_from_dict(_load_json(args.pairing)))
     rhs = jmgs_rhs(gv, pairing, _rmax(args), args.qorder)
     if args.json:
-        terms = []
-        for deg in rhs.sorted_degrees():
-            term = rhs.terms[deg]
-            terms.append(
-                {
-                    "total_degree": list(deg),
-                    "divisor": [qrf_to_dict(f) for f in term.divisor_exact],
-                    "divisor_expansion": [
-                        qseries_to_dict(s) for s in term.divisor_expansion
-                    ],
-                    "structure": qrf_to_dict(term.structure_exact),
-                    "structure_expansion": qseries_to_dict(term.structure_expansion),
-                }
-            )
-        _emit(
-            args,
-            dumps(
-                {
-                    "constant": str(rhs.constant),
-                    "lattice_rank": rhs.lattice_rank,
-                    "r_max": rhs.r_max,
-                    "q_order": rhs.q_order,
-                    "terms": terms,
-                }
-            ),
-        )
+        _emit(args, dumps(rhs))
     else:
         lines = [f"constant term: {rhs.constant}"]
         for deg in rhs.sorted_degrees():

@@ -25,9 +25,9 @@ import functools
 import logging
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .kring import KElem, RingSpec, X_RING, Y_RING, gen_p, gen_t, ring_one
 from .series import (
@@ -293,7 +293,9 @@ class JmgsTerm:
 
     divisor_exact[j] multiplies the j-th divisor-direction symbol, and
     structure_exact multiplies the structure-sheaf symbol; expansions
-    repeat the same data as truncated q-series for display.
+    repeat the same data as truncated q-series for display.  In a
+    :class:`JmgsRhs` from :func:`jmgs_rhs`, each term is built from the
+    integer parts of its sums when it is first read.
     """
 
     divisor_exact: tuple[QRationalFunction, ...]
@@ -304,7 +306,14 @@ class JmgsTerm:
 
 @dataclass(frozen=True)
 class JmgsRhs:
-    """The assembled right-hand side: 1 + sum over total degrees of terms."""
+    """The assembled right-hand side: 1 + sum over total degrees of terms.
+
+    :func:`jmgs_rhs` keeps each sum as integers (see :func:`_cover_sum`),
+    and its ``terms`` build each :class:`JmgsTerm` from them on first
+    read.  :func:`bps_kit.serialize.dumps` writes the integers directly,
+    so it needs a JmgsRhs from :func:`jmgs_rhs`; one built by this
+    constructor holds no integer parts, and ``dumps`` raises TypeError.
+    """
 
     lattice_rank: int
     r_max: int
@@ -312,8 +321,47 @@ class JmgsRhs:
     terms: Mapping[tuple[int, ...], JmgsTerm]
     constant: Fraction = Fraction(1)
 
+    @classmethod
+    def _from_parts(cls, lattice_rank: int, r_max: int, q_order: int, parts: dict) -> "JmgsRhs":
+        # trusted construction: parts[total] holds the _cover_sum results of
+        # the divisor directions, then of the structure direction
+        out = cls(lattice_rank, r_max, q_order, _LazyTerms(parts))
+        object.__setattr__(out, "_parts", parts)
+        return out
+
     def sorted_degrees(self):
         return sorted(self.terms, key=lambda d: (sum(d), d))
+
+
+class _LazyTerms(Mapping):
+    """total degree -> JmgsTerm, each built from its integer parts on first read."""
+
+    __slots__ = ("_parts", "_built")
+
+    def __init__(self, parts: dict):
+        self._parts = parts
+        self._built: dict = {}
+
+    def __getitem__(self, total):
+        term = self._built.get(total)
+        if term is None:
+            *divisor, (exact, expansion) = [_cover_objects(p) for p in self._parts[total]]
+            term = self._built[total] = JmgsTerm(
+                tuple([f for f, _ in divisor]), tuple([s for _, s in divisor]), exact, expansion
+            )
+        return term
+
+    def __contains__(self, total):
+        return total in self._parts
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self):
+        return len(self._parts)
+
+    def __repr__(self):
+        return repr(dict(self))
 
 
 def jmgs_rhs(
@@ -331,7 +379,9 @@ def jmgs_rhs(
     j-th divisor direction and GV_d for the structure direction, where
     d = total / r.  Then each output is the weighted sum over r, built
     with its expansion from the closed forms of a and b
-    (:func:`_cover_sum`); no cover series is built or expanded.
+    (:func:`_cover_sum`); no cover series is built or expanded.  The
+    sums stay integers over one scale each; a term's rational functions
+    and series are built when it is first read.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -355,26 +405,21 @@ def jmgs_rhs(
             weights.setdefault(tuple(r * x for x in d), {})[r] = w + (value,)
     cache: dict = {}  # local to the call: no size the caller picks outlives it
     counts = _DivisionCounts()
-    terms = {}
-    for total, per_r in weights.items():
-        parts = [
+    parts = {
+        total: tuple([
             _cover_sum(
                 {r: w[j] for r, w in per_r.items()}, 3 if j == n_div else 2, q_order, cache, counts
             )
             for j in range(n_div + 1)
-        ]
-        terms[total] = JmgsTerm(
-            divisor_exact=tuple(f for f, _ in parts[:n_div]),
-            divisor_expansion=tuple(s for _, s in parts[:n_div]),
-            structure_exact=parts[n_div][0],
-            structure_expansion=parts[n_div][1],
-        )
+        ])
+        for total, per_r in weights.items()
+    }
     log.debug(
         "jmgs_rhs: %d sums; Phi_d skipped by multiplicity %d, rejected mod q^d - 1 %d; "
         "divisions tried %d, succeeded %d",
         counts.sums, counts.skipped, counts.rejected, counts.tried, counts.divided,
     )
-    return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
+    return JmgsRhs._from_parts(gv.lattice_rank, r_max, q_order, parts)
 
 
 @dataclass(slots=True)
@@ -390,18 +435,25 @@ class _DivisionCounts:
 
 def _cover_sum(
     weights: Mapping[int, Fraction], pole: int, q_order: int, cache: dict, counts: _DivisionCounts
-) -> tuple[QRationalFunction, LaurentSeries]:
+) -> tuple[int, tuple[int, ...], tuple[int, ...], list[int]]:
     """Sum of w_r * a(r, q^r) (pole 2) or of w_r * b(r, q^r) (pole 3), with its expansion.
 
-    Both are summed in integers, times S, the lcm of the weight
-    denominators.  The q^n coefficient is the sum of S w_r c_r(n/r) over
-    r | n, over S.  As q^r - 1 is the product of Phi_d over d | r, the
-    exact sum is N / (S L), with L the product of Phi_d^pole over the
-    divisors d of the r with w_r != 0, and N the sum of S w_r num_r(q^r)
-    P_r, where P_r is the product of the Phi_d^pole of L with d not
-    dividing r.  Each Phi_d is irreducible, so dividing it out of N while
-    it divides, at most pole times, leaves N coprime to the rest of L,
-    which is monic: the result is canonical with no gcd.
+    Returns integers only: (S, N, D, E), with S the lcm of the weight
+    denominators.  The exact sum is N / (S D), with N a trimmed integer
+    tuple coprime to the monic integer tuple D (N = () and D = (1,) for
+    zero), and its q^n coefficient for n < q_order is E[n] / S.
+    :func:`_cover_objects` turns them into a QRationalFunction and a
+    LaurentSeries.
+
+    Both are summed in integers, times S.  The q^n coefficient is the
+    sum of S w_r c_r(n/r) over r | n, over S.  As q^r - 1 is the product
+    of Phi_d over d | r, the exact sum is N / (S L), with L the product
+    of Phi_d^pole over the divisors d of the r with w_r != 0, and N the
+    sum of S w_r num_r(q^r) P_r, where P_r is the product of the
+    Phi_d^pole of L with d not dividing r.  Each Phi_d is irreducible, so
+    dividing it out of N while it divides, at most pole times, leaves N
+    coprime to the rest of L, which is the monic D: the result is
+    canonical with no gcd.
 
     Most Phi_d do not divide N, and two rules spare those the division.
 
@@ -425,13 +477,10 @@ def _cover_sum(
     numerator, coeff = _COVER_FORMS[pole]
     scale = math.lcm(*[w.denominator for w in weights.values()])
     ints = {r: w.numerator * (scale // w.denominator) for r, w in sorted(weights.items()) if w}
-    # Fraction(c) skips the gcd that Fraction(c, 1) takes
-    as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
     sums = [0] * q_order
     for r, w in ints.items():
         for k, n in enumerate(range(0, q_order, r)):
             sums[n] += w * coeff(r, k)
-    expansion = LaurentSeries._from_fractions(QVAR, list(map(as_fraction, sums)))
     counts.sums += 1
     key = (tuple(ints), pole)
     if key not in cache:
@@ -454,7 +503,7 @@ def _cover_sum(
     while num and num[-1] == 0:
         num.pop()
     if not num:
-        return QRationalFunction._from_canonical((), (Fraction(1),)), expansion
+        return scale, (), (1,), sums
     num = tuple(num)
     counts.skipped += len(divisors) - len(tested)
     lefts = [pole] * len(divisors)  # the power of each Phi_d left in the denominator
@@ -478,5 +527,16 @@ def _cover_sum(
     lefts = tuple(lefts)
     if lefts not in dens:
         factors = [_cyclotomic(d) for d, left in zip(divisors, lefts) for _ in range(left)]
-        dens[lefts] = tuple(map(Fraction, functools.reduce(_int_mul, factors, (1,))))
-    return QRationalFunction._from_canonical(tuple(map(as_fraction, num)), dens[lefts]), expansion
+        dens[lefts] = functools.reduce(_int_mul, factors, (1,))
+    return scale, num, dens[lefts], sums
+
+
+def _cover_objects(part) -> tuple[QRationalFunction, LaurentSeries]:
+    """The exact sum and the expansion of a :func:`_cover_sum` result, as library objects."""
+    scale, num, den, sums = part
+    # Fraction(c) skips the gcd that Fraction(c, 1) takes
+    as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
+    exact = QRationalFunction._from_canonical(
+        tuple([as_fraction(c) for c in num]), tuple([Fraction(c) for c in den])
+    )
+    return exact, LaurentSeries._from_fractions(QVAR, [as_fraction(c) for c in sums])

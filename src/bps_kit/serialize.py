@@ -19,14 +19,17 @@ Either may carry a top-level "description" string.  Unknown fields are
 rejected.  Schema problems raise :class:`SchemaError`; entries that
 violate the declared bounds surface as TableBoundError from the table
 constructor.  :func:`dumps` writes every JSON document, an
-:class:`~bps_kit.transform.InvariantTable` as its table document.
+:class:`~bps_kit.transform.InvariantTable` as its table document and a
+:class:`~bps_kit.jfunctions.JmgsRhs` as the jmgs document.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
+from .jfunctions import JmgsRhs
 from .kring import KElem
 from .series import QVAR, LaurentSeries, QRationalFunction
 from .transform import InvariantTable
@@ -217,7 +220,9 @@ def dumps(doc) -> str:
 
     ``doc`` holds what the serializers build: dicts with string keys, lists,
     tuples, strings, ints, bools and None.  An InvariantTable anywhere in it
-    is written as its table document.  Anything else raises TypeError.
+    is written as its table document, and a JmgsRhs from
+    :func:`~bps_kit.jfunctions.jmgs_rhs` as its jmgs document.  Anything
+    else raises TypeError.
     """
     return _dump(doc, "\n")
 
@@ -246,6 +251,8 @@ def _dump(doc, nl: str) -> str:
         return "[" + inner + ("," + inner).join(items) + nl + "]"
     if isinstance(doc, InvariantTable):
         return _dump_table(doc, nl)
+    if isinstance(doc, JmgsRhs):
+        return _dump_jmgs(doc, nl)
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
@@ -274,6 +281,83 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
     }
     items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in head.items()]
     return "{" + inner + ("," + inner).join(items + ['"entries": ' + entries]) + nl + "}"
+
+
+def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
+    """A jmgs document, written from the integer parts that jmgs_rhs keeps.
+
+    Every term has the same shape, so one ``%``-template per document,
+    built from the rank, the number of divisor directions and the indent,
+    writes each term in a single step once its lists are joined.  A JmgsRhs
+    built by its constructor has no integer parts and raises TypeError.
+    """
+    parts = vars(rhs).get("_parts")
+    if parts is None:
+        raise TypeError(
+            "only a JmgsRhs from jmgs_rhs can be written: it keeps the integer "
+            "parts that the writer reads, and one built by its constructor has none"
+        )
+
+    def obj(at: str, *fields: str) -> str:  # an object whose "}" starts line ``at``
+        return "{" + at + "  " + ("," + at + "  ").join(fields) + at + "}"
+
+    def array(at: str, items: list[str]) -> str:  # likewise, a nonempty array
+        return "[" + at + "  " + ("," + at + "  ").join(items) + at + "]"
+
+    def q_rational(at: str) -> str:
+        return obj(at, '"type": "q_rational"', '"numerator": %s', '"denominator": %s')
+
+    def q_series(at: str) -> str:
+        return obj(at, '"type": "q_series"', f'"trunc_order": {rhs.q_order}', '"coefficients": %s')
+
+    term, field = nl + "    ", nl + "      "
+    item = field + "  "
+    deep = item + "  "
+    cells = []
+    if parts:
+        n_div = len(next(iter(parts.values()))) - 1
+        template = obj(
+            term,
+            '"total_degree": ' + array(field, ["%d"] * rhs.lattice_rank),
+            '"divisor": ' + array(field, [q_rational(item)] * n_div),
+            '"divisor_expansion": ' + array(field, [q_series(item)] * n_div),
+            '"structure": ' + q_rational(field),
+            '"structure_expansion": ' + q_series(field),
+        )
+        for total in rhs.sorted_degrees():
+            *divisor, (s, n, d, e) = parts[total]
+            values = list(total)
+            for scale, num, den, _ in divisor:
+                values += [_quoted(num, scale, deep), _quoted(den, 1, deep)]
+            values += [_quoted(sums, scale, deep) for scale, _, _, sums in divisor]
+            values += [_quoted(n, s, item), _quoted(d, 1, item), _quoted(e, s, item)]
+            cells.append(template % tuple(values))
+    return obj(
+        nl,
+        '"constant": ' + encode_basestring_ascii(str(rhs.constant)),
+        f'"lattice_rank": {rhs.lattice_rank}',
+        f'"r_max": {rhs.r_max}',
+        f'"q_order": {rhs.q_order}',
+        '"terms": ' + (array(nl + "  ", cells) if cells else "[]"),
+    )
+
+
+def _quoted(ints, scale: int, at: str) -> str:
+    """The array of the strings of c / scale for c in ints, its "]" starting line ``at``.
+
+    Each string is what str(Fraction(c, scale)) gives: str(c) when
+    scale = 1, else c and scale divided by one gcd.
+    """
+    if not ints:
+        return "[]"
+    if scale == 1:
+        strs = map(str, ints)
+    else:
+        strs = []
+        for c in ints:
+            g = math.gcd(c, scale)
+            strs.append(str(c // g) if g == scale else f"{c // g}/{scale // g}")
+    return "[" + at + '  "' + ('",' + at + '  "').join(strs) + '"' + at + "]"
 
 
 # --- text rendering ------------------------------------------------------------

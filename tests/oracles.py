@@ -542,3 +542,45 @@ def table_to_dict(table, description: str | None = None) -> dict:
     if description is not None:
         doc["description"] = description
     return doc
+
+
+# --- jmgs documents ----------------------------------------------------------------
+
+
+def jmgs_to_dict(rhs) -> dict:
+    """The jmgs document of a JmgsRhs, as a plain dict for json.dumps, read from its terms."""
+
+    def q_rational(f):
+        return {
+            "type": "q_rational",
+            "numerator": [str(c) for c in f.num],
+            "denominator": [str(c) for c in f.den],
+        }
+
+    def q_series(s):
+        # the coefficients of q^0 .. q^(trunc_order - 1)
+        return {
+            "type": "q_series",
+            "trunc_order": s.trunc_order,
+            "coefficients": [str(s.coefficient(n)) for n in range(s.trunc_order)],
+        }
+
+    terms = []
+    for deg in sorted(rhs.terms, key=lambda d: (sum(d), d)):
+        term = rhs.terms[deg]
+        terms.append(
+            {
+                "total_degree": list(deg),
+                "divisor": [q_rational(f) for f in term.divisor_exact],
+                "divisor_expansion": [q_series(s) for s in term.divisor_expansion],
+                "structure": q_rational(term.structure_exact),
+                "structure_expansion": q_series(term.structure_expansion),
+            }
+        )
+    return {
+        "constant": str(rhs.constant),
+        "lattice_rank": rhs.lattice_rank,
+        "r_max": rhs.r_max,
+        "q_order": rhs.q_order,
+        "terms": terms,
+    }

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bps_kit import cli, jfunctions, series
+from bps_kit import cli, jfunctions, serialize, series
 from bps_kit.cli import build_parser, main
 from bps_kit.datasets import quintic_gw_table
 from bps_kit.serialize import (
@@ -488,6 +488,27 @@ def test_q_rational_commands_run_no_polynomial_gcd(monkeypatch, tmp_path, golden
 
     monkeypatch.setattr(series, "_int_gcd", no_gcd)
     jfunctions._rank6_factors.cache_clear()  # its build runs under the patch too
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# jmgs --json is written from the integer parts of jmgs_rhs: no rational
+# function, series or per-value dict is built on the way to the text.
+JMGS_JSON_CASES = [case for case in GOLDEN_CASES if case[1][0] == "jmgs" and "--json" in case[1]]
+
+
+@pytest.mark.parametrize("golden, argv, code", JMGS_JSON_CASES, ids=[c[0] for c in JMGS_JSON_CASES])
+def test_jmgs_json_builds_no_rational_function_or_series(monkeypatch, tmp_path, golden, argv, code):
+    def fail(*args, **kwargs):
+        raise AssertionError("a rational function, a series or a dict on the jmgs --json path")
+
+    monkeypatch.setattr(QRationalFunction, "__init__", fail)
+    monkeypatch.setattr(QRationalFunction, "_from_canonical", fail)
+    monkeypatch.setattr(LaurentSeries, "_from_fractions", fail)
+    for module in (serialize, cli):
+        monkeypatch.setattr(module, "qrf_to_dict", fail)
+        monkeypatch.setattr(module, "qseries_to_dict", fail)
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -527,6 +527,26 @@ def test_jmgs_rhs_builds_no_cover_series(monkeypatch):
     assert len(rhs.terms) == 14
 
 
+def test_jmgs_rhs_builds_each_term_on_first_read(monkeypatch):
+    gv = InvariantTable(KIND_GV, 1, 0, (2,), {(0, (1,)): Fr(3), (0, (2,)): Fr(-1, 2)})
+    pairing = DivisorPairing(((1,),))
+    built = []
+    real = jfunctions._cover_objects
+    monkeypatch.setattr(jfunctions, "_cover_objects", lambda part: built.append(part) or real(part))
+    rhs = jmgs_rhs(gv, pairing, 3, 4)
+    # degrees, lengths and membership read no term
+    assert rhs.sorted_degrees() == [(1,), (2,), (3,), (4,), (6,)]
+    assert len(rhs.terms) == 5 and (4,) in rhs.terms and (5,) not in rhs.terms
+    assert built == []
+    term = rhs.terms[(2,)]
+    assert len(built) == 2  # one divisor direction and the structure direction
+    assert rhs.terms[(2,)] is term and len(built) == 2
+    with pytest.raises(KeyError):
+        rhs.terms[(5,)]
+    assert rhs == jmgs_rhs_naive(gv, pairing, 3, 4)
+    assert repr(rhs.terms) == repr(dict(rhs.terms))
+
+
 def test_jmgs_rhs_rejects_a_negative_order_for_a_nonempty_table():
     pairing = DivisorPairing(((1,),))
     with pytest.raises(ValueError, match="nonnegative"):
@@ -543,7 +563,7 @@ WEIGHTS = st.sampled_from([0, 1, -1, Fr(3, 7), Fr(-3, 7), BIG, -BIG])
 COVER = {2: a_series, 3: b_series}
 
 
-def cover_sum(weights, pole, q_order, counts=None):
+def cover_sum_ints(weights, pole, q_order, counts=None):
     return jfunctions._cover_sum(
         {r: Fr(w) for r, w in weights.items()},
         pole,
@@ -551,6 +571,11 @@ def cover_sum(weights, pole, q_order, counts=None):
         {},
         jfunctions._DivisionCounts() if counts is None else counts,
     )
+
+
+def cover_sum(weights, pole, q_order, counts=None):
+    """The cover sum as (QRationalFunction, LaurentSeries), by the conversion the terms use."""
+    return jfunctions._cover_objects(cover_sum_ints(weights, pole, q_order, counts))
 
 
 def assert_canonical(f):
@@ -601,6 +626,20 @@ def test_cover_sum_matches_pairwise_oracle(weights, pole, q_order, cancel):
     assert (exact.num, exact.den) == (expected.num, expected.den)
     assert_canonical(exact)
     assert expansion == expected.expand(q_order)
+
+
+def test_cover_sum_returns_integers_over_one_scale():
+    # 1/2 a(1, q) - 1/3 a(2, q^2): scale 6, and q^0 coefficient 1/2 * 1 - 1/3 * 2
+    scale, num, den, sums = cover_sum_ints({1: Fr(1, 2), 2: Fr(-1, 3)}, 2, 4)
+    assert scale == 6
+    assert all(type(c) is int for c in num + den + tuple(sums))
+    assert den[-1] == 1 and len(sums) == 4
+    assert Fr(sums[0], scale) == Fr(1, 2) * 1 - Fr(1, 3) * 2
+    exact, expansion = jfunctions._cover_objects((scale, num, den, sums))
+    assert exact == a_series(1) * Fr(1, 2) - a_series(2) * Fr(1, 3)
+    assert expansion == exact.expand(4)
+    # zero is () over (1,), with one zero coefficient per order
+    assert cover_sum_ints({3: 0}, 3, 2) == (1, (), (1,), [0, 0])
 
 
 def test_cover_sum_of_zero_weights_is_zero():

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bps_kit.cli import main
+from bps_kit.jfunctions import DivisorPairing, JmgsRhs, jmgs_rhs
 from bps_kit.serialize import SchemaError, dumps, fraction_from_str, pairing_from_dict, table_from_dict
 from bps_kit.transform import KIND_GV, KIND_GW, InvariantTable, TableBoundError, degree_vectors
 
-from oracles import table_to_dict
+from oracles import jmgs_rhs_naive, jmgs_to_dict, table_to_dict
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -95,6 +96,80 @@ def test_dump_table_edge_shapes():
         InvariantTable(KIND_GV, 2, 4, (2, 0), {(4, (2, 0)): Fraction(-(2**300), 3**100)}),
     ]:
         assert dumps(table) == json.dumps(table_to_dict(table), indent=2)
+
+
+@st.composite
+def jmgs_inputs(draw):
+    """Genus-zero tables of ranks 1-3, possibly empty, with integer or fractional
+    values, and pairings that may hold a vector orthogonal to every degree."""
+    rank = draw(st.integers(1, 3))
+    degree_max = tuple(draw(st.integers(1, 6 if rank == 1 else 2)) for _ in range(rank))
+    cells = [(0, deg) for deg in degree_vectors(degree_max)]
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
+    denominator = draw(st.sampled_from([1, 1, 10]))  # S = 1, or S > 1
+    values = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=denominator)
+    entries = {cell: draw(values.filter(bool)) for cell in chosen}
+    vector = st.tuples(*[st.integers(-2, 2)] * rank)
+    vectors = draw(st.lists(st.one_of(vector, st.just((0,) * rank)), min_size=1, max_size=3))
+    table = InvariantTable(KIND_GV, rank, 0, degree_max, entries)
+    return table, DivisorPairing(tuple(vectors)), draw(st.integers(1, 5)), draw(st.integers(0, 8))
+
+
+def assert_jmgs_written_like_the_oracle(table, pairing, r_max, q_order):
+    expected = json.dumps(jmgs_to_dict(jmgs_rhs_naive(table, pairing, r_max, q_order)), indent=2)
+    assert dumps(jmgs_rhs(table, pairing, r_max, q_order)) == expected
+
+
+@given(jmgs_inputs())
+@settings(max_examples=60, deadline=None)
+def test_dump_jmgs_matches_the_oracle_document(inputs):
+    assert_jmgs_written_like_the_oracle(*inputs)
+
+
+@pytest.mark.parametrize(
+    "table, vectors, r_max, q_order",
+    [
+        # an empty table: no terms
+        (InvariantTable(KIND_GV, 2, 0, (1, 1), {}), ((1, 0),), 3, 4),
+        # q_order 0: every expansion is empty; S > 1
+        (InvariantTable(KIND_GV, 1, 0, (2,), {(0, (1,)): Fraction(5, 3)}), ((1,),), 2, 0),
+        # the first vector is orthogonal to every degree: its weights are all zero
+        (
+            InvariantTable(KIND_GV, 2, 0, (2, 2), {(0, (1, 1)): Fraction(7), (0, (2, 2)): Fraction(-3, 4)}),
+            ((1, -1), (0, 1)),
+            3,
+            6,
+        ),
+        # rank 3, with large and fractional values meeting at one total degree
+        (
+            InvariantTable(
+                KIND_GV, 3, 0, (2, 1, 1),
+                {(0, (1, 0, 0)): Fraction(2**200, 3), (0, (2, 0, 0)): Fraction(-(2**198), 3),
+                 (0, (0, 1, 1)): Fraction(-11)},
+            ),
+            ((1, 0, 0), (0, 0, 0), (1, 2, -1)),
+            2,
+            5,
+        ),
+    ],
+    ids=["empty", "qorder-0", "orthogonal-vector", "rank-3"],
+)
+def test_dump_jmgs_edge_shapes(table, vectors, r_max, q_order):
+    assert_jmgs_written_like_the_oracle(table, DivisorPairing(vectors), r_max, q_order)
+    # one level down, as dumps writes any document
+    rhs = jmgs_rhs(table, DivisorPairing(vectors), r_max, q_order)
+    assert json.loads(dumps({"rhs": rhs})) == {"rhs": jmgs_to_dict(rhs)}
+
+
+def test_dump_jmgs_needs_the_integer_parts_of_jmgs_rhs():
+    # a JmgsRhs from the public constructor carries only its terms, and the
+    # writer reads nothing else
+    table = InvariantTable(KIND_GV, 1, 0, (1,), {(0, (1,)): Fraction(1)})
+    built = jmgs_rhs_naive(table, DivisorPairing(((1,),)), 2, 3)
+    assert built == jmgs_rhs(table, DivisorPairing(((1,),)), 2, 3)
+    for rhs in [built, JmgsRhs(1, 2, 3, {}), JmgsRhs(1, 2, 3, dict(built.terms))]:
+        with pytest.raises(TypeError, match="jmgs_rhs"):
+            dumps(rhs)
 
 
 # --- the parser: Fraction(s), with SchemaError where Fraction raises -------------
