@@ -35,12 +35,7 @@ from .kring import NotInvertibleError, RingMismatchError
 from .serialize import (
     SchemaError,
     dumps,
-    integrality_to_dict,
-    kelem_to_dict,
-    laurent_to_dict,
     pairing_from_dict,
-    qrf_to_dict,
-    qseries_to_dict,
     render_integrality_text,
     render_kelem_text,
     render_table_text,
@@ -76,9 +71,11 @@ def _load_json(path: str):
 
 
 def _emit(args, text: str) -> None:
+    # two writes, so a large document is not copied to append its newline
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -91,7 +88,7 @@ def _load_table(path: str):
 
 
 def _render_integrality(args, report) -> str:
-    return dumps(integrality_to_dict(report)) if args.json else render_integrality_text(report)
+    return dumps(report) if args.json else render_integrality_text(report)
 
 
 def cmd_gw2gv(args) -> int:
@@ -152,7 +149,7 @@ def cmd_conifold(args) -> int:
 def cmd_sin_series(args) -> int:
     series = sin_power_series(args.k, args.genus, args.order)
     if args.json:
-        _emit(args, dumps(laurent_to_dict(series)))
+        _emit(args, dumps(series))
     else:
         _emit(args, str(series))
     return EXIT_OK
@@ -169,18 +166,8 @@ def cmd_ab_series(args) -> int:
     a_expansion = a.expand(args.order)
     b_expansion = b.expand(args.order)
     if args.json:
-        _emit(
-            args,
-            dumps(
-                {
-                    "r": args.r,
-                    "a": qrf_to_dict(a),
-                    "a_expansion": qseries_to_dict(a_expansion),
-                    "b": qrf_to_dict(b),
-                    "b_expansion": qseries_to_dict(b_expansion),
-                }
-            ),
-        )
+        doc = {"r": args.r, "a": a, "a_expansion": a_expansion, "b": b, "b_expansion": b_expansion}
+        _emit(args, dumps(doc))
     else:
         lines = _with_expansion("", f"a({args.r})", a, a_expansion)
         lines += _with_expansion("", f"b({args.r})", b, b_expansion)
@@ -198,7 +185,7 @@ def _rmax(args) -> int:
 def cmd_ifunction(args) -> int:
     terms = [(r, i_coefficient(r)) for r in range(1, _rmax(args) + 1)]
     if args.json:
-        _emit(args, dumps([{"r": r, "coefficient": kelem_to_dict(el)} for r, el in terms]))
+        _emit(args, dumps([{"r": r, "coefficient": el} for r, el in terms]))
     else:
         _emit(args, "\n".join([f"degree {r}:\n{render_kelem_text(el)}" for r, el in terms]))
     return EXIT_OK
@@ -211,13 +198,7 @@ def cmd_jfunction(args) -> int:
         el = build(r)
         series = [c.expand(args.qorder) for c in el.coords]
         if args.json:
-            parts.append(
-                {
-                    "r": r,
-                    "coefficient": kelem_to_dict(el),
-                    "expansions": [qseries_to_dict(s) for s in series],
-                }
-            )
+            parts.append({"r": r, "coefficient": el, "expansions": series})
         else:
             lines = [f"degree {r}:", render_kelem_text(el), f"  expansions to O(q^{args.qorder}):"]
             lines += [f"  [{name}] {s}" for name, s in zip(el.ring.basis_names, series)]
@@ -229,19 +210,8 @@ def cmd_jfunction(args) -> int:
 def cmd_split_check(args) -> int:
     report = split_check(_rmax(args))
     if args.json:
-        _emit(
-            args,
-            dumps(
-                [
-                    {
-                        "r": res.r,
-                        "passed": res.passed,
-                        "residuals": [qrf_to_dict(x) for x in res.residuals],
-                    }
-                    for res in report.results
-                ]
-            ),
-        )
+        rows = [{"r": x.r, "passed": x.passed, "residuals": x.residuals} for x in report.results]
+        _emit(args, dumps(rows))
     else:
         lines = [
             f"r={res.r}: {'PASS' if res.passed else 'FAIL'}" for res in report.results

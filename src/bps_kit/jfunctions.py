@@ -28,6 +28,7 @@ import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .kring import KElem, RingSpec, X_RING, Y_RING, gen_p, gen_t, ring_one
 from .series import (
@@ -293,9 +294,7 @@ class JmgsTerm:
 
     divisor_exact[j] multiplies the j-th divisor-direction symbol, and
     structure_exact multiplies the structure-sheaf symbol; expansions
-    repeat the same data as truncated q-series for display.  In a
-    :class:`JmgsRhs` from :func:`jmgs_rhs`, each term is built from the
-    integer parts of its sums when it is first read.
+    repeat the same data as truncated q-series for display.
     """
 
     divisor_exact: tuple[QRationalFunction, ...]
@@ -308,60 +307,30 @@ class JmgsTerm:
 class JmgsRhs:
     """The assembled right-hand side: 1 + sum over total degrees of terms.
 
-    :func:`jmgs_rhs` keeps each sum as integers (see :func:`_cover_sum`),
-    and its ``terms`` build each :class:`JmgsTerm` from them on first
-    read.  :func:`bps_kit.serialize.dumps` writes the integers directly,
-    so it needs a JmgsRhs from :func:`jmgs_rhs`; one built by this
-    constructor holds no integer parts, and ``dumps`` raises TypeError.
+    ``parts[total]`` holds the :func:`_cover_sum` integers of each divisor
+    direction and then of the structure direction.  ``terms`` builds every
+    :class:`JmgsTerm` from them on first read;
+    :func:`bps_kit.serialize.dumps` writes the integers directly.
     """
 
     lattice_rank: int
     r_max: int
     q_order: int
-    terms: Mapping[tuple[int, ...], JmgsTerm]
-    constant: Fraction = Fraction(1)
+    parts: Mapping[tuple[int, ...], tuple]
+    constant: ClassVar[Fraction] = Fraction(1)
 
-    @classmethod
-    def _from_parts(cls, lattice_rank: int, r_max: int, q_order: int, parts: dict) -> "JmgsRhs":
-        # trusted construction: parts[total] holds the _cover_sum results of
-        # the divisor directions, then of the structure direction
-        out = cls(lattice_rank, r_max, q_order, _LazyTerms(parts))
-        object.__setattr__(out, "_parts", parts)
-        return out
-
-    def sorted_degrees(self):
-        return sorted(self.terms, key=lambda d: (sum(d), d))
-
-
-class _LazyTerms(Mapping):
-    """total degree -> JmgsTerm, each built from its integer parts on first read."""
-
-    __slots__ = ("_parts", "_built")
-
-    def __init__(self, parts: dict):
-        self._parts = parts
-        self._built: dict = {}
-
-    def __getitem__(self, total):
-        term = self._built.get(total)
-        if term is None:
-            *divisor, (exact, expansion) = [_cover_objects(p) for p in self._parts[total]]
-            term = self._built[total] = JmgsTerm(
+    @functools.cached_property
+    def terms(self) -> dict[tuple[int, ...], JmgsTerm]:
+        terms = {}
+        for total, sums in self.parts.items():
+            *divisor, (exact, expansion) = [_cover_objects(p) for p in sums]
+            terms[total] = JmgsTerm(
                 tuple([f for f, _ in divisor]), tuple([s for _, s in divisor]), exact, expansion
             )
-        return term
+        return terms
 
-    def __contains__(self, total):
-        return total in self._parts
-
-    def __iter__(self):
-        return iter(self._parts)
-
-    def __len__(self):
-        return len(self._parts)
-
-    def __repr__(self):
-        return repr(dict(self))
+    def sorted_degrees(self):
+        return sorted(self.parts, key=lambda d: (sum(d), d))
 
 
 def jmgs_rhs(
@@ -380,8 +349,8 @@ def jmgs_rhs(
     d = total / r.  Then each output is the weighted sum over r, built
     with its expansion from the closed forms of a and b
     (:func:`_cover_sum`); no cover series is built or expanded.  The
-    sums stay integers over one scale each; a term's rational functions
-    and series are built when it is first read.
+    sums stay integers over one scale each; the terms' rational functions
+    and series are built when ``terms`` is first read.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -419,7 +388,7 @@ def jmgs_rhs(
         "divisions tried %d, succeeded %d",
         counts.sums, counts.skipped, counts.rejected, counts.tried, counts.divided,
     )
-    return JmgsRhs._from_parts(gv.lattice_rank, r_max, q_order, parts)
+    return JmgsRhs(gv.lattice_rank, r_max, q_order, parts)
 
 
 @dataclass(slots=True)

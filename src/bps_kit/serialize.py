@@ -18,9 +18,14 @@ and pairing files hold one integer vector per divisor direction:
 Either may carry a top-level "description" string.  Unknown fields are
 rejected.  Schema problems raise :class:`SchemaError`; entries that
 violate the declared bounds surface as TableBoundError from the table
-constructor.  :func:`dumps` writes every JSON document, an
-:class:`~bps_kit.transform.InvariantTable` as its table document and a
-:class:`~bps_kit.jfunctions.JmgsRhs` as the jmgs document.
+constructor.  :func:`dumps` writes every JSON document, with each library
+value the CLI emits in it as one document shape: a Fraction as its string;
+a QRationalFunction as "q_rational"; a LaurentSeries in q as "q_series"
+(a power series only: from q^-1 it raises ValueError), and in any other
+variable as "laurent_series"; a KElem as "ring_element"; an
+IntegralityReport as its report; an InvariantTable as its table document;
+and a ``JmgsRhs(lattice_rank, r_max, q_order, parts)`` as the jmgs
+document, written from its integer parts.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from json.encoder import encode_basestring_ascii
 from .jfunctions import JmgsRhs
 from .kring import KElem
 from .series import QVAR, LaurentSeries, QRationalFunction
-from .transform import InvariantTable
+from .transform import IntegralityReport, InvariantTable
 
 __all__ = [
     "SchemaError",
@@ -40,11 +45,6 @@ __all__ = [
     "table_from_dict",
     "pairing_from_dict",
     "dumps",
-    "laurent_to_dict",
-    "qseries_to_dict",
-    "qrf_to_dict",
-    "kelem_to_dict",
-    "integrality_to_dict",
     "render_table_text",
     "render_kelem_text",
     "render_integrality_text",
@@ -156,73 +156,26 @@ def pairing_from_dict(doc) -> tuple[tuple[int, ...], ...]:
     return vectors
 
 
-# --- series ------------------------------------------------------------------
-
-
-def laurent_to_dict(s: LaurentSeries) -> dict:
-    return {
-        "type": "laurent_series",
-        "variable": s.var,
-        "min_exp": s.min_exp,
-        "trunc_order": s.trunc_order,
-        "coefficients": list(map(str, s.coeffs)),
-    }
-
-
-def qseries_to_dict(s: LaurentSeries) -> dict:
-    """The "q_series" document: coefficients of q^0 up to q^(trunc_order - 1).
-
-    Only a power series in q fits it; anything else would lose terms.
-    """
-    if s.var != QVAR or s.min_exp < 0:
-        raise ValueError(
-            f"a q_series document needs a power series in q, "
-            f"got a series in {s.var} from exponent {s.min_exp}"
-        )
-    return {
-        "type": "q_series",
-        "trunc_order": s.trunc_order,
-        "coefficients": ["0"] * s.min_exp + list(map(str, s.coeffs)),
-    }
-
-
-def qrf_to_dict(f: QRationalFunction) -> dict:
-    return {
-        "type": "q_rational",
-        "numerator": list(map(str, f.num)),
-        "denominator": list(map(str, f.den)),
-    }
-
-
-def kelem_to_dict(e: KElem) -> dict:
-    coords = [qrf_to_dict(c) if isinstance(c, QRationalFunction) else str(c) for c in e.coords]
-    return {
-        "type": "ring_element",
-        "ring": e.ring.name,
-        "basis": list(e.ring.basis_names),
-        "coords": coords,
-    }
-
-
 # --- the JSON writer -------------------------------------------------------------
 
-# How json.dumps writes each scalar, keyed by its exact type.
+# How json.dumps writes each scalar, keyed by its exact type; a Fraction,
+# which json.dumps refuses, is written as its string.
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
+    Fraction: '"%s"'.__mod__,
 }
 
 
 def dumps(doc) -> str:
     """``json.dumps(doc, indent=2)``, byte for byte, without its pure-Python encoder.
 
-    ``doc`` holds what the serializers build: dicts with string keys, lists,
-    tuples, strings, ints, bools and None.  An InvariantTable anywhere in it
-    is written as its table document, and a JmgsRhs from
-    :func:`~bps_kit.jfunctions.jmgs_rhs` as its jmgs document.  Anything
-    else raises TypeError.
+    ``doc`` holds dicts with string keys, lists, tuples, strings, ints,
+    bools and None, and the library values listed in the module docstring,
+    each written as its document wherever it sits.  Anything else raises
+    TypeError.
     """
     return _dump(doc, "\n")
 
@@ -238,22 +191,69 @@ def _dump(doc, nl: str) -> str:
         return scalar(doc)
     inner = nl + "  "
     if isinstance(doc, dict):
-        if not doc:
-            return "{}"
         items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in doc.items()]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        return _obj(nl, *items)
     if isinstance(doc, (list, tuple)):
-        if not doc:
-            return "[]"
         kinds = set(map(type, doc))
         scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(scalar, doc) if scalar else [_dump(v, inner) for v in doc]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if isinstance(doc, InvariantTable):
-        return _dump_table(doc, nl)
-    if isinstance(doc, JmgsRhs):
-        return _dump_jmgs(doc, nl)
+        return _array(nl, list(map(scalar, doc)) if scalar else [_dump(v, inner) for v in doc])
+    for cls, write in _WRITERS:
+        if isinstance(doc, cls):
+            return write(doc, nl)
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+
+
+# --- document shapes: each one written in one place --------------------------------
+
+
+def _obj(at: str, *fields: str) -> str:
+    """The object of the given '"key": value' texts, its "}" starting line ``at``."""
+    if not fields:
+        return "{}"
+    return "{" + at + "  " + ("," + at + "  ").join(fields) + at + "}"
+
+
+def _array(at: str, items: list[str]) -> str:
+    """Likewise, the array of the given value texts; an empty one is "[]", as "{}" above."""
+    if not items:
+        return "[]"
+    return "[" + at + "  " + ("," + at + "  ").join(items) + at + "]"
+
+
+def _q_rational(at: str) -> str:
+    """The q_rational template; its two %s take the numerator and denominator arrays."""
+    return _obj(at, '"type": "q_rational"', '"numerator": %s', '"denominator": %s')
+
+
+def _q_series(at: str, trunc_order: int) -> str:
+    """The q_series template; its %s takes the coefficients of q^0 .. q^(trunc_order - 1)."""
+    return _obj(at, '"type": "q_series"', f'"trunc_order": {trunc_order}', '"coefficients": %s')
+
+
+def _dump_qrf(f: QRationalFunction, nl: str) -> str:
+    num, den = list(map(str, f.num)), list(map(str, f.den))
+    return _q_rational(nl) % (_strings(num, nl + "  "), _strings(den, nl + "  "))
+
+
+def _dump_series(s: LaurentSeries, nl: str) -> str:
+    """A series in q as q_series, which holds only a power series; any other as laurent_series."""
+    coefficients = list(map(str, s.coeffs))
+    if s.var != QVAR:
+        head = {"type": "laurent_series", "variable": s.var, "min_exp": s.min_exp}
+        return _dump({**head, "trunc_order": s.trunc_order, "coefficients": coefficients}, nl)
+    if s.min_exp < 0:
+        raise ValueError(f"a q_series document holds a power series, not one from q^{s.min_exp}")
+    return _q_series(nl, s.trunc_order) % _strings(["0"] * s.min_exp + coefficients, nl + "  ")
+
+
+def _dump_kelem(e: KElem, nl: str) -> str:
+    doc = {"type": "ring_element", "ring": e.ring.name, "basis": e.ring.basis_names}
+    return _dump({**doc, "coords": e.coords}, nl)
+
+
+def _dump_integrality(report: IntegralityReport, nl: str) -> str:
+    violations = [{"genus": g, "degree": d, "value": str(v)} for g, d, v in report.violations]
+    return _dump({"is_integral": report.is_integral, "violations": violations}, nl)
 
 
 def _dump_table(table: InvariantTable, nl: str) -> str:
@@ -265,80 +265,60 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
     inner = nl + "  "
     entry = inner + "  "
     field = entry + "  "
-    part = field + "  "
-    template = (
-        "{" + field + '"genus": %d,' + field + '"degree": ['
-        + part + ("," + part).join(["%d"] * table.lattice_rank)
-        + field + "]," + field + '"value": "%s"' + entry + "}"
+    template = _obj(
+        entry,
+        '"genus": %d',
+        '"degree": ' + _array(field, ["%d"] * table.lattice_rank),
+        '"value": "%s"',
     )
     cells = [template % (g, *deg, str(v)) for (g, deg), v in table.sorted_items()]
-    entries = "[" + entry + ("," + entry).join(cells) + inner + "]" if cells else "[]"
     head = {
         "kind": table.kind,
         "lattice_rank": table.lattice_rank,
         "genus_max": table.genus_max,
-        "degree_max": list(table.degree_max),
+        "degree_max": table.degree_max,
     }
     items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in head.items()]
-    return "{" + inner + ("," + inner).join(items + ['"entries": ' + entries]) + nl + "}"
+    return _obj(nl, *items, '"entries": ' + _array(inner, cells))
 
 
 def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
-    """A jmgs document, written from the integer parts that jmgs_rhs keeps.
+    """A jmgs document, written from the integer parts of the right-hand side.
 
     Every term has the same shape, so one ``%``-template per document,
     built from the rank, the number of divisor directions and the indent,
-    writes each term in a single step once its lists are joined.  A JmgsRhs
-    built by its constructor has no integer parts and raises TypeError.
+    writes each term in a single step once its lists are joined.  No
+    term's rational functions or series are built.
     """
-    parts = vars(rhs).get("_parts")
-    if parts is None:
-        raise TypeError(
-            "only a JmgsRhs from jmgs_rhs can be written: it keeps the integer "
-            "parts that the writer reads, and one built by its constructor has none"
-        )
-
-    def obj(at: str, *fields: str) -> str:  # an object whose "}" starts line ``at``
-        return "{" + at + "  " + ("," + at + "  ").join(fields) + at + "}"
-
-    def array(at: str, items: list[str]) -> str:  # likewise, a nonempty array
-        return "[" + at + "  " + ("," + at + "  ").join(items) + at + "]"
-
-    def q_rational(at: str) -> str:
-        return obj(at, '"type": "q_rational"', '"numerator": %s', '"denominator": %s')
-
-    def q_series(at: str) -> str:
-        return obj(at, '"type": "q_series"', f'"trunc_order": {rhs.q_order}', '"coefficients": %s')
-
     term, field = nl + "    ", nl + "      "
     item = field + "  "
     deep = item + "  "
     cells = []
-    if parts:
-        n_div = len(next(iter(parts.values()))) - 1
-        template = obj(
+    if rhs.parts:
+        n_div = len(next(iter(rhs.parts.values()))) - 1
+        template = _obj(
             term,
-            '"total_degree": ' + array(field, ["%d"] * rhs.lattice_rank),
-            '"divisor": ' + array(field, [q_rational(item)] * n_div),
-            '"divisor_expansion": ' + array(field, [q_series(item)] * n_div),
-            '"structure": ' + q_rational(field),
-            '"structure_expansion": ' + q_series(field),
+            '"total_degree": ' + _array(field, ["%d"] * rhs.lattice_rank),
+            '"divisor": ' + _array(field, [_q_rational(item)] * n_div),
+            '"divisor_expansion": ' + _array(field, [_q_series(item, rhs.q_order)] * n_div),
+            '"structure": ' + _q_rational(field),
+            '"structure_expansion": ' + _q_series(field, rhs.q_order),
         )
         for total in rhs.sorted_degrees():
-            *divisor, (s, n, d, e) = parts[total]
+            *divisor, (s, n, d, e) = rhs.parts[total]
             values = list(total)
             for scale, num, den, _ in divisor:
                 values += [_quoted(num, scale, deep), _quoted(den, 1, deep)]
             values += [_quoted(sums, scale, deep) for scale, _, _, sums in divisor]
             values += [_quoted(n, s, item), _quoted(d, 1, item), _quoted(e, s, item)]
             cells.append(template % tuple(values))
-    return obj(
+    return _obj(
         nl,
-        '"constant": ' + encode_basestring_ascii(str(rhs.constant)),
+        '"constant": ' + _dump(rhs.constant, nl),
         f'"lattice_rank": {rhs.lattice_rank}',
         f'"r_max": {rhs.r_max}',
         f'"q_order": {rhs.q_order}',
-        '"terms": ' + (array(nl + "  ", cells) if cells else "[]"),
+        '"terms": ' + _array(nl + "  ", cells),
     )
 
 
@@ -348,16 +328,31 @@ def _quoted(ints, scale: int, at: str) -> str:
     Each string is what str(Fraction(c, scale)) gives: str(c) when
     scale = 1, else c and scale divided by one gcd.
     """
-    if not ints:
-        return "[]"
     if scale == 1:
-        strs = map(str, ints)
-    else:
-        strs = []
-        for c in ints:
-            g = math.gcd(c, scale)
-            strs.append(str(c // g) if g == scale else f"{c // g}/{scale // g}")
+        return _strings(list(map(str, ints)), at)
+    strs = []
+    for c in ints:
+        g = math.gcd(c, scale)
+        strs.append(str(c // g) if g == scale else f"{c // g}/{scale // g}")
+    return _strings(strs, at)
+
+
+def _strings(strs: list[str], at: str) -> str:
+    """The array of the given strings, which need no escaping, its "]" starting line ``at``."""
+    if not strs:
+        return "[]"
     return "[" + at + '  "' + ('",' + at + '  "').join(strs) + '"' + at + "]"
+
+
+# the library values dumps writes, each with its writer
+_WRITERS = (
+    (QRationalFunction, _dump_qrf),
+    (LaurentSeries, _dump_series),
+    (KElem, _dump_kelem),
+    (IntegralityReport, _dump_integrality),
+    (InvariantTable, _dump_table),
+    (JmgsRhs, _dump_jmgs),
+)
 
 
 # --- text rendering ------------------------------------------------------------
@@ -381,16 +376,6 @@ def render_kelem_text(e: KElem) -> str:
     for name, c in zip(e.ring.basis_names, e.coords):
         lines.append(f"  [{name}] {c}")
     return "\n".join(lines)
-
-
-def integrality_to_dict(report) -> dict:
-    return {
-        "is_integral": report.is_integral,
-        "violations": [
-            {"genus": g, "degree": list(d), "value": str(v)}
-            for g, d, v in report.violations
-        ],
-    }
 
 
 def render_integrality_text(report) -> str:

@@ -485,16 +485,16 @@ def weighted_sum_naive(pairs):
 # --- the JMGS right-hand side, one (degree, r) pair at a time -------------------
 
 
-def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int):
-    """The GV-weighted double cover sum, built term by term.
+def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int) -> dict:
+    """The terms of the GV-weighted double cover sum, built term by term.
 
     Unlike the rest of this module it uses the library's rational
     functions: it is the direct per-(degree, r) loop, which rebuilds
     a(r) and b(r) for every pair and expands each sum at the end, kept
-    as a reference for the weight-accumulating ``jmgs_rhs``.  Table and
-    argument validation is left to the library.
+    as a reference for the terms of ``jmgs_rhs``, in the same order.
+    Table and argument validation is left to the library.
     """
-    from bps_kit.jfunctions import JmgsRhs, JmgsTerm, a_series, b_series
+    from bps_kit.jfunctions import JmgsTerm, a_series, b_series
     from bps_kit.series import QRationalFunction
 
     n_div = len(pairing.vectors)
@@ -521,14 +521,14 @@ def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int):
             structure_exact=structure,
             structure_expansion=structure.expand(q_order),
         )
-    return JmgsRhs(gv.lattice_rank, r_max, q_order, terms)
+    return terms
 
 
-# --- table documents ---------------------------------------------------------------
+# --- documents: each library value as a plain dict for json.dumps -------------------
 
 
 def table_to_dict(table, description: str | None = None) -> dict:
-    """The table file document of an InvariantTable, as a plain dict for json.dumps."""
+    """The table file document of an InvariantTable."""
     doc = {
         "kind": table.kind,
         "lattice_rank": table.lattice_rank,
@@ -544,43 +544,84 @@ def table_to_dict(table, description: str | None = None) -> dict:
     return doc
 
 
-# --- jmgs documents ----------------------------------------------------------------
+def laurent_to_dict(s) -> dict:
+    """The "laurent_series" document of a LaurentSeries."""
+    return {
+        "type": "laurent_series",
+        "variable": s.var,
+        "min_exp": s.min_exp,
+        "trunc_order": s.trunc_order,
+        "coefficients": list(map(str, s.coeffs)),
+    }
 
 
-def jmgs_to_dict(rhs) -> dict:
-    """The jmgs document of a JmgsRhs, as a plain dict for json.dumps, read from its terms."""
+def qseries_to_dict(s) -> dict:
+    """The "q_series" document: coefficients of q^0 up to q^(trunc_order - 1).
 
-    def q_rational(f):
-        return {
-            "type": "q_rational",
-            "numerator": [str(c) for c in f.num],
-            "denominator": [str(c) for c in f.den],
-        }
+    Only a power series in q fits it; anything else would lose terms.
+    """
+    from bps_kit.series import QVAR
 
-    def q_series(s):
-        # the coefficients of q^0 .. q^(trunc_order - 1)
-        return {
-            "type": "q_series",
-            "trunc_order": s.trunc_order,
-            "coefficients": [str(s.coefficient(n)) for n in range(s.trunc_order)],
-        }
-
-    terms = []
-    for deg in sorted(rhs.terms, key=lambda d: (sum(d), d)):
-        term = rhs.terms[deg]
-        terms.append(
-            {
-                "total_degree": list(deg),
-                "divisor": [q_rational(f) for f in term.divisor_exact],
-                "divisor_expansion": [q_series(s) for s in term.divisor_expansion],
-                "structure": q_rational(term.structure_exact),
-                "structure_expansion": q_series(term.structure_expansion),
-            }
+    if s.var != QVAR or s.min_exp < 0:
+        raise ValueError(
+            f"a q_series document needs a power series in q, "
+            f"got a series in {s.var} from exponent {s.min_exp}"
         )
     return {
-        "constant": str(rhs.constant),
-        "lattice_rank": rhs.lattice_rank,
-        "r_max": rhs.r_max,
-        "q_order": rhs.q_order,
-        "terms": terms,
+        "type": "q_series",
+        "trunc_order": s.trunc_order,
+        "coefficients": ["0"] * s.min_exp + list(map(str, s.coeffs)),
+    }
+
+
+def qrf_to_dict(f) -> dict:
+    """The "q_rational" document of a QRationalFunction."""
+    return {
+        "type": "q_rational",
+        "numerator": list(map(str, f.num)),
+        "denominator": list(map(str, f.den)),
+    }
+
+
+def kelem_to_dict(e) -> dict:
+    """The "ring_element" document of a KElem."""
+    from bps_kit.series import QRationalFunction
+
+    coords = [qrf_to_dict(c) if isinstance(c, QRationalFunction) else str(c) for c in e.coords]
+    return {
+        "type": "ring_element",
+        "ring": e.ring.name,
+        "basis": list(e.ring.basis_names),
+        "coords": coords,
+    }
+
+
+def integrality_to_dict(report) -> dict:
+    """The document of an IntegralityReport."""
+    return {
+        "is_integral": report.is_integral,
+        "violations": [
+            {"genus": g, "degree": list(d), "value": str(v)}
+            for g, d, v in report.violations
+        ],
+    }
+
+
+def jmgs_to_dict(terms, lattice_rank: int, r_max: int, q_order: int) -> dict:
+    """The jmgs document of a right-hand side with these terms and bounds."""
+    return {
+        "constant": "1",
+        "lattice_rank": lattice_rank,
+        "r_max": r_max,
+        "q_order": q_order,
+        "terms": [
+            {
+                "total_degree": list(deg),
+                "divisor": [qrf_to_dict(f) for f in terms[deg].divisor_exact],
+                "divisor_expansion": [qseries_to_dict(s) for s in terms[deg].divisor_expansion],
+                "structure": qrf_to_dict(terms[deg].structure_exact),
+                "structure_expansion": qseries_to_dict(terms[deg].structure_expansion),
+            }
+            for deg in sorted(terms, key=lambda d: (sum(d), d))
+        ],
     }

@@ -2,28 +2,25 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bps_kit import cli, jfunctions, serialize, series
+from bps_kit import cli, jfunctions, series
 from bps_kit.cli import build_parser, main
 from bps_kit.datasets import quintic_gw_table
-from bps_kit.serialize import (
-    SchemaError,
-    qrf_to_dict,
-    qseries_to_dict,
-    table_from_dict,
-)
-from bps_kit.series import LAMBDA, QVAR, LaurentSeries, QRationalFunction
+from bps_kit.serialize import SchemaError, table_from_dict
+from bps_kit.series import LaurentSeries, QRationalFunction
 from bps_kit.transform import InvariantTable, KIND_GV, KIND_GW
 
-from oracles import table_to_dict
+from oracles import qrf_to_dict, table_to_dict
 
 Fr = Fraction
 
@@ -53,20 +50,6 @@ def test_table_description_preserved():
     doc = table_to_dict(quintic_gw_table(), description="golden data")
     assert doc["description"] == "golden data"
     assert table_from_dict(doc) == quintic_gw_table()
-
-
-def test_qseries_to_dict_pads_and_rejects_what_it_cannot_hold():
-    s = LaurentSeries(QVAR, 2, [Fr(1, 3)], 4)
-    assert qseries_to_dict(s) == {
-        "type": "q_series",
-        "trunc_order": 4,
-        "coefficients": ["0", "0", "1/3", "0"],
-    }
-    assert qseries_to_dict(LaurentSeries.zero(QVAR, 3))["coefficients"] == ["0"] * 3
-    with pytest.raises(ValueError):
-        qseries_to_dict(LaurentSeries(LAMBDA, 0, [1, 2], 2))
-    with pytest.raises(ValueError):
-        qseries_to_dict(LaurentSeries(QVAR, -1, [1, 2], 1))
 
 
 def test_table_schema_rejects_unknown_fields():
@@ -101,6 +84,23 @@ def test_jfunction_json_coords_parse_back(capsys):
     from bps_kit.jfunctions import j_x_coefficient
 
     assert coord0 == qrf_to_dict(j_x_coefficient(1).coords[0])
+
+
+def test_emit_writes_a_large_document_without_copying_it(tmp_path):
+    # the text and its newline are written apart: text + "\n" would be one
+    # more copy of the text, next to the encoded bytes that the file write makes
+    text = "x" * 10_000_000
+    args = argparse.Namespace(output=str(tmp_path / "out"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._emit(args, text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text)
+    assert (tmp_path / "out").read_text(encoding="utf-8") == text + "\n"
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -494,21 +494,20 @@ def test_q_rational_commands_run_no_polynomial_gcd(monkeypatch, tmp_path, golden
 
 
 # jmgs --json is written from the integer parts of jmgs_rhs: no rational
-# function, series or per-value dict is built on the way to the text.
+# function or series is built on the way to the text, and no term is read
+# (reading ``terms`` builds every term).
 JMGS_JSON_CASES = [case for case in GOLDEN_CASES if case[1][0] == "jmgs" and "--json" in case[1]]
 
 
 @pytest.mark.parametrize("golden, argv, code", JMGS_JSON_CASES, ids=[c[0] for c in JMGS_JSON_CASES])
 def test_jmgs_json_builds_no_rational_function_or_series(monkeypatch, tmp_path, golden, argv, code):
     def fail(*args, **kwargs):
-        raise AssertionError("a rational function, a series or a dict on the jmgs --json path")
+        raise AssertionError("a rational function, a series or a term on the jmgs --json path")
 
     monkeypatch.setattr(QRationalFunction, "__init__", fail)
     monkeypatch.setattr(QRationalFunction, "_from_canonical", fail)
     monkeypatch.setattr(LaurentSeries, "_from_fractions", fail)
-    for module in (serialize, cli):
-        monkeypatch.setattr(module, "qrf_to_dict", fail)
-        monkeypatch.setattr(module, "qseries_to_dict", fail)
+    monkeypatch.setattr(jfunctions, "_cover_objects", fail)
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()

@@ -12,11 +12,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bps_kit.cli import main
-from bps_kit.jfunctions import DivisorPairing, JmgsRhs, jmgs_rhs
+from bps_kit.jfunctions import DivisorPairing, jmgs_rhs
+from bps_kit.kring import X_RING, Y_RING, KElem
 from bps_kit.serialize import SchemaError, dumps, fraction_from_str, pairing_from_dict, table_from_dict
-from bps_kit.transform import KIND_GV, KIND_GW, InvariantTable, TableBoundError, degree_vectors
+from bps_kit.series import LAMBDA, QVAR, LaurentSeries, QRationalFunction
+from bps_kit.transform import (
+    KIND_GV,
+    KIND_GW,
+    IntegralityReport,
+    InvariantTable,
+    TableBoundError,
+    degree_vectors,
+)
 
-from oracles import jmgs_rhs_naive, jmgs_to_dict, table_to_dict
+from oracles import (
+    integrality_to_dict,
+    jmgs_rhs_naive,
+    jmgs_to_dict,
+    kelem_to_dict,
+    laurent_to_dict,
+    qrf_to_dict,
+    qseries_to_dict,
+    table_to_dict,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -116,7 +134,8 @@ def jmgs_inputs(draw):
 
 
 def assert_jmgs_written_like_the_oracle(table, pairing, r_max, q_order):
-    expected = json.dumps(jmgs_to_dict(jmgs_rhs_naive(table, pairing, r_max, q_order)), indent=2)
+    terms = jmgs_rhs_naive(table, pairing, r_max, q_order)
+    expected = json.dumps(jmgs_to_dict(terms, table.lattice_rank, r_max, q_order), indent=2)
     assert dumps(jmgs_rhs(table, pairing, r_max, q_order)) == expected
 
 
@@ -158,18 +177,95 @@ def test_dump_jmgs_edge_shapes(table, vectors, r_max, q_order):
     assert_jmgs_written_like_the_oracle(table, DivisorPairing(vectors), r_max, q_order)
     # one level down, as dumps writes any document
     rhs = jmgs_rhs(table, DivisorPairing(vectors), r_max, q_order)
-    assert json.loads(dumps({"rhs": rhs})) == {"rhs": jmgs_to_dict(rhs)}
+    expected = jmgs_to_dict(rhs.terms, rhs.lattice_rank, rhs.r_max, rhs.q_order)
+    assert json.loads(dumps({"rhs": rhs})) == {"rhs": expected}
 
 
-def test_dump_jmgs_needs_the_integer_parts_of_jmgs_rhs():
-    # a JmgsRhs from the public constructor carries only its terms, and the
-    # writer reads nothing else
-    table = InvariantTable(KIND_GV, 1, 0, (1,), {(0, (1,)): Fraction(1)})
-    built = jmgs_rhs_naive(table, DivisorPairing(((1,),)), 2, 3)
-    assert built == jmgs_rhs(table, DivisorPairing(((1,),)), 2, 3)
-    for rhs in [built, JmgsRhs(1, 2, 3, {}), JmgsRhs(1, 2, 3, dict(built.terms))]:
-        with pytest.raises(TypeError, match="jmgs_rhs"):
-            dumps(rhs)
+# --- the library values dumps writes directly, against their dict documents ----------
+
+FRACTIONS = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+Q_RATIONALS = st.one_of(
+    st.just(QRationalFunction.constant(0)),
+    st.builds(
+        QRationalFunction,
+        st.lists(FRACTIONS, max_size=4),
+        st.lists(FRACTIONS, min_size=1, max_size=4).filter(any),
+    ),
+)
+
+
+@st.composite
+def series(draw, var):
+    """Series in var from exponent min_exp: >= 0 in q, possibly negative in lambda, or zero."""
+    min_exp = draw(st.integers(0 if var == QVAR else -4, 4))
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), FRACTIONS), max_size=5))
+    return LaurentSeries(var, min_exp, coeffs, min_exp + len(coeffs) + draw(st.integers(0, 3)))
+
+
+@st.composite
+def ring_elements(draw):
+    """Elements of either ring whose coordinates mix Fractions and rational functions."""
+    ring = draw(st.sampled_from([X_RING, Y_RING]))
+    coords = st.lists(st.one_of(FRACTIONS, Q_RATIONALS), min_size=ring.rank, max_size=ring.rank)
+    return KElem(ring, tuple(draw(coords)))
+
+
+@st.composite
+def integrality_reports(draw):
+    degree = st.lists(st.integers(0, 9), min_size=1, max_size=3).map(tuple)
+    value = FRACTIONS.filter(lambda v: v.denominator > 1)
+    violations = draw(st.lists(st.tuples(st.integers(0, 4), degree, value), max_size=4))
+    return IntegralityReport(not violations, tuple(violations))
+
+
+def document(value):
+    """The dict document of a value that dumps writes directly."""
+    if isinstance(value, QRationalFunction):
+        return qrf_to_dict(value)
+    if isinstance(value, LaurentSeries):
+        return qseries_to_dict(value) if value.var == QVAR else laurent_to_dict(value)
+    if isinstance(value, KElem):
+        return kelem_to_dict(value)
+    return integrality_to_dict(value)
+
+
+@given(
+    st.one_of(
+        Q_RATIONALS,
+        series(QVAR),
+        st.sampled_from([LaurentSeries.zero(QVAR, n) for n in range(3)]),
+        series(LAMBDA),
+        ring_elements(),
+        integrality_reports(),
+    )
+)
+@settings(max_examples=300)
+def test_dump_library_values_match_their_documents(value):
+    assert dumps(value) == json.dumps(document(value), indent=2)
+    # deeper down, as in the ab-series and jfunction documents
+    nested = {"r": 1, "values": [value, value]}
+    assert dumps(nested) == json.dumps({"r": 1, "values": [document(value)] * 2}, indent=2)
+
+
+@given(FRACTIONS, st.lists(st.one_of(FRACTIONS, st.integers()), max_size=4))
+def test_dump_writes_a_fraction_as_its_string(value, values):
+    assert dumps(value) == json.dumps(str(value))
+    expected = [str(v) if isinstance(v, Fraction) else v for v in values]
+    assert dumps({"f": values}) == json.dumps({"f": expected}, indent=2)
+
+
+def test_dump_q_series_pads_and_rejects_a_series_from_q_to_the_minus_one():
+    assert json.loads(dumps(LaurentSeries(QVAR, 2, [Fraction(1, 3)], 4))) == {
+        "type": "q_series",
+        "trunc_order": 4,
+        "coefficients": ["0", "0", "1/3", "0"],
+    }
+    assert json.loads(dumps(LaurentSeries.zero(QVAR, 3)))["coefficients"] == ["0"] * 3
+    # the same series in lambda is a laurent_series document
+    assert json.loads(dumps(LaurentSeries(LAMBDA, -1, [1, 2], 1)))["type"] == "laurent_series"
+    for doc in [LaurentSeries(QVAR, -1, [1, 2], 1), {"a": [LaurentSeries(QVAR, -1, [1], 0)]}]:
+        with pytest.raises(ValueError, match="power series"):
+            dumps(doc)
 
 
 # --- the parser: Fraction(s), with SchemaError where Fraction raises -------------

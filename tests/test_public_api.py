@@ -25,9 +25,7 @@ MODULE_ALL = {
     },
     "serialize": {
         "SchemaError", "fraction_from_str", "table_from_dict", "pairing_from_dict", "dumps",
-        "laurent_to_dict", "qseries_to_dict", "qrf_to_dict", "kelem_to_dict",
-        "integrality_to_dict", "render_table_text", "render_kelem_text",
-        "render_integrality_text",
+        "render_table_text", "render_kelem_text", "render_integrality_text",
     },
     "series": {
         "LaurentSeries", "QRationalFunction", "PolarSplit", "polar_split", "q_power",
