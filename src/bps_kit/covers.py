@@ -9,7 +9,7 @@ normal bundle O(-1) + O(-1) is known in closed form:
 
 Feeding these into the inverse transform must collapse everything to a
 single unit at (genus 0, degree 1); that collapse is the strongest
-end-to-end exercise of the genus-filtered solve this package has.
+end-to-end exercise of the genus-filtered inverse this package has.
 """
 
 from __future__ import annotations

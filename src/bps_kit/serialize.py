@@ -17,15 +17,15 @@ and pairing files hold one integer vector per divisor direction:
 
 Either may carry a top-level "description" string.  Unknown fields are
 rejected.  Schema problems raise :class:`SchemaError`; entries that
-violate the declared bounds surface as TableBoundError from the table
-constructor.  :func:`dumps` writes every JSON document, with each library
-value the CLI emits in it as one document shape: a Fraction as its string;
-a QRationalFunction as "q_rational"; a LaurentSeries in q as "q_series"
-(a power series only: from q^-1 it raises ValueError), and in any other
-variable as "laurent_series"; a KElem as "ring_element"; an
-IntegralityReport as its report; an InvariantTable as its table document;
-and a ``JmgsRhs(lattice_rank, r_max, q_order, parts)`` as the jmgs
-document, written from its integer parts.
+violate the declared bounds raise TableBoundError, with the table
+constructor's message.  :func:`dumps` writes every JSON document, with
+each library value the CLI emits in it as one document shape: a Fraction
+as its string; a QRationalFunction as "q_rational"; a LaurentSeries in q
+as "q_series" (a power series only: from q^-1 it raises ValueError), and
+in any other variable as "laurent_series"; a KElem as "ring_element"; an
+IntegralityReport as its report; an InvariantTable as its table
+document; and a ``JmgsRhs(lattice_rank, r_max, q_order, parts)`` as the
+jmgs document, written from its integer parts.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from json.encoder import encode_basestring_ascii
 from .jfunctions import JmgsRhs
 from .kring import KElem
 from .series import QVAR, LaurentSeries, QRationalFunction
-from .transform import IntegralityReport, InvariantTable
+from .transform import (
+    IntegralityReport,
+    InvariantTable,
+    TableBoundError,
+    _cell_error,
+    _degree_max_error,
+)
 
 __all__ = [
     "SchemaError",
@@ -111,38 +117,53 @@ _ENTRY_FIELDS = frozenset(("genus", "degree", "value"))
 
 
 def table_from_dict(doc) -> InvariantTable:
+    """The table of a table document, checked in one pass over its entries.
+
+    A schema fault raises SchemaError at the first entry that has one.  A
+    bound fault raises TableBoundError, with the constructor's message,
+    only once every entry has passed its schema checks.  The bounds of a
+    degree vector are checked once, and zero values are dropped.
+    """
     _require_document_keys(
         doc, {"kind", "lattice_rank", "genus_max", "degree_max", "entries"}, "table file"
     )
     kind = doc["kind"]
     if kind not in ("GW", "GV"):
         raise SchemaError(f"table kind must be 'GW' or 'GV', got {kind!r}")
-    rank = _int_field(doc, "lattice_rank", "table file", minimum=1)
-    genus_max = _int_field(doc, "genus_max", "table file", minimum=0)
-    degree_max = _int_vector(doc["degree_max"], "table file: degree_max")
+    rank = int(_int_field(doc, "lattice_rank", "table file", minimum=1))
+    genus_max = int(_int_field(doc, "genus_max", "table file", minimum=0))
+    degree_max = tuple([int(d) for d in _int_vector(doc["degree_max"], "table file: degree_max")])
     if not isinstance(doc["entries"], list):
         raise SchemaError("table file: entries must be a list")
-    entries = {}
+    bound_error = _degree_max_error(rank, degree_max)
+    entries, zeros, in_bounds = {}, set(), set()
     for i, entry in enumerate(doc["entries"]):
         # cheap tests first; where one fails, the full check raises the error
         # with its "entry #i" text, or accepts what the test is too strict for
-        # (an int subclass)
+        # (an int subclass, stored as an int)
         if not (isinstance(entry, dict) and entry.keys() == _ENTRY_FIELDS):
             _require_keys(entry, _ENTRY_FIELDS, frozenset(), f"entry #{i}")
         g = entry["genus"]
         if type(g) is not int or g < 0:
-            _int_field(entry, "genus", f"entry #{i}", minimum=0)
+            g = int(_int_field(entry, "genus", f"entry #{i}", minimum=0))
         deg = entry["degree"]
         if type(deg) is not list or not all(type(x) is int and x >= 0 for x in deg):
-            if any(x < 0 for x in _int_vector(deg, f"entry #{i}: degree")):
+            deg = [int(x) for x in _int_vector(deg, f"entry #{i}: degree")]
+            if any(x < 0 for x in deg):
                 raise SchemaError(f"entry #{i}: degree components must be nonnegative")
         v = fraction_from_str(entry["value"])
         key = (g, tuple(deg))
-        if key in entries:
-            raise SchemaError(f"entry #{i}: duplicate cell (genus {g}, degree {list(deg)})")
-        entries[key] = v
-    # bound/rank violations surface from the table constructor
-    return InvariantTable(kind, rank, genus_max, degree_max, entries)
+        if key in entries or key in zeros:
+            raise SchemaError(f"entry #{i}: duplicate cell (genus {g}, degree {deg})")
+        if bound_error is None:
+            bound_error = _cell_error(genus_max, degree_max, *key, in_bounds)
+        if v:
+            entries[key] = v
+        else:
+            zeros.add(key)
+    if bound_error:
+        raise TableBoundError(bound_error)
+    return InvariantTable._from_valid(kind, rank, genus_max, degree_max, entries)
 
 
 def pairing_from_dict(doc) -> tuple[tuple[int, ...], ...]:

@@ -391,6 +391,31 @@ def test_valid_entries_load():
     }
 
 
+def test_schema_faults_come_before_bound_faults(tmp_path):
+    # the loader checks bounds in the same pass but raises a bound fault only
+    # after the last entry, so a document with both kinds is an input error
+    over = {"genus": 2, "degree": [0, 2], "value": "1"}
+    bad_value = {"genus": 1, "degree": [0, 2], "value": "x"}
+    for doc in [
+        _gv_doc(VALID_ENTRIES + [over, bad_value]),
+        _gv_doc(VALID_ENTRIES + [bad_value]) | {"degree_max": [2]},
+    ]:
+        with pytest.raises(SchemaError, match="invalid rational value 'x'"):
+            table_from_dict(doc)
+        assert main(["gv2gw", _write(tmp_path, "table.json", doc)]) == 1
+    # of two bound faults, the bounds' own is reported, as the constructor does
+    with pytest.raises(TableBoundError, match=r"degree_max \(2,\) incompatible with rank 2"):
+        table_from_dict(_gv_doc(VALID_ENTRIES + [over]) | {"degree_max": [2]})
+
+
+def test_zero_values_are_dropped_but_still_fill_their_cell():
+    zero = {"genus": 1, "degree": [0, 2], "value": "0"}
+    table = table_from_dict(_gv_doc(VALID_ENTRIES + [zero]))
+    assert dict(table.entries) == dict(table_from_dict(_gv_doc(VALID_ENTRIES)).entries)
+    with pytest.raises(SchemaError, match=r"entry #4: duplicate cell \(genus 1, degree \[0, 2\]\)"):
+        table_from_dict(_gv_doc(VALID_ENTRIES + [zero, dict(zero, value="3")]))
+
+
 # --- pairing files ----------------------------------------------------------------
 
 BAD_PAIRINGS = [

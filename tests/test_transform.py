@@ -17,6 +17,7 @@ from bps_kit.transform import (
     InvariantTable,
     TableBoundError,
     TableKindError,
+    _inverse_lambda_coefficients,
     _lambda_coefficients,
     check_integrality,
     degree_vectors,
@@ -276,9 +277,9 @@ def test_round_trip_seeded_sample():
     rng = random.Random(20260808)
     for _ in range(30):
         rank = rng.choice([1, 2])
-        genus_max = rng.randint(0, 3)
+        genus_max = rng.randint(0, 6)
         if rank == 1:
-            degree_max = (rng.randint(1, 6),)
+            degree_max = (rng.randint(1, 12),)
         else:
             a = rng.randint(1, 3)
             degree_max = (a, rng.randint(1, 6 - a))
@@ -364,10 +365,14 @@ def test_solve_order_independence():
 
 @st.composite
 def sparse_tables(draw, kind):
-    """Tables of ranks 1-3 and genus 0-3 with a few cells, denominators <= 12."""
+    """Tables of ranks 1-3 and genus 0-6 with a few cells, denominators <= 12.
+
+    Rank-1 degrees reach 12, so covers of degree k with mu(k) = 0 (4, 8, 9,
+    12) and with two prime factors (6, 10) occur.
+    """
     rank = draw(st.integers(1, 3))
-    genus_max = draw(st.integers(0, 3))
-    degree_max = tuple(draw(st.integers(1, 6 if rank == 1 else 3)) for _ in range(rank))
+    genus_max = draw(st.integers(0, 6))
+    degree_max = tuple(draw(st.integers(1, 12 if rank == 1 else 3)) for _ in range(rank))
     cells = [(g, deg) for deg in degree_vectors(degree_max) for g in range(genus_max + 1)]
     chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=6))
     values = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -385,6 +390,35 @@ def test_forward_map_matches_dense_oracle(gv):
 @settings(max_examples=60, deadline=None)
 def test_solve_inverts_dense_oracle(gw):
     assert gv_to_gw_naive(gw_to_gv(gw)) == gw
+
+
+def test_solve_inverts_dense_oracle_through_degree_12():
+    # a dense rank-1 table meets every cover degree k <= 12 at once: k with a
+    # square factor (mu(k) = 0) and k with two prime factors included
+    gw = random_table(random.Random(12), 1, 6, (12,))
+    assert gv_to_gw_naive(gw_to_gv(gw)) == gw
+
+
+def test_round_trip_with_pairwise_coprime_denominators():
+    # each genus layer runs over the lcm of its denominators; distinct primes
+    # make that lcm as large as it can be for the table's size
+    primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+    cells = [(g, deg) for deg in degree_vectors((3, 3)) for g in range(3)]
+    entries = {cell: Fr((-1) ** i * (i + 1), p) for i, (cell, p) in enumerate(zip(cells, primes))}
+    assert len(entries) == len(cells) == 45
+    gw = InvariantTable(KIND_GW, 2, 2, (3, 3), entries)
+    assert gv_to_gw_naive(gw_to_gv(gw)) == gw
+
+
+def test_inverse_lambda_coefficients_invert_the_sine_matrix():
+    # B^-1 comes from the arcsine-square series, B from the sine powers
+    for genus_max in range(21):
+        b, b_inv = _lambda_coefficients(genus_max), _inverse_lambda_coefficients(genus_max)
+        n = range(genus_max + 1)
+        for i in n:
+            for j in n:
+                assert sum(b_inv[i][m] * b[m][j] for m in n) == (i == j), (genus_max, i, j)
+                assert sum(b[i][m] * b_inv[m][j] for m in n) == (i == j), (genus_max, i, j)
 
 
 def test_table_value_rejects_wrong_rank():
