@@ -38,7 +38,7 @@ from bps_kit import (
     x_element_from_cover_data,
 )
 from bps_kit.datasets import quintic_gw_table
-from bps_kit.serialize import dumps
+from bps_kit.serialize import dumps, table_from_dict
 from bps_kit.transform import InvariantTable, KIND_GV
 
 FAILURES = []
@@ -117,6 +117,10 @@ def main() -> int:
     check(
         "transform and closed-form outputs pass the table constructor unchanged",
         all(t == revalidated(t) for t in built),
+    )
+    check(
+        "each reads back equal from the table document dumps writes",
+        all(table_from_dict(json.loads(dumps(t))) == t for t in built),
     )
 
     print("quotient rings:")

@@ -18,7 +18,7 @@ The package computes, over exact rationals only:
   the above (:mod:`bps_kit.series`).
 """
 
-from .covers import bernoulli, conifold_gv_table, conifold_gw, conifold_gw_table
+from .covers import bernoulli, conifold_gv_table, conifold_gw_table
 from .jfunctions import (
     DivisorPairing,
     JmgsRhs,
@@ -47,7 +47,6 @@ from .transform import (
     KIND_GV,
     KIND_GW,
     check_integrality,
-    genus_zero_slice,
     gv_to_gw,
     gw_to_gv,
     gw_to_gv_genus0_mobius,

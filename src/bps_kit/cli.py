@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 
 from .covers import conifold_gw_table
 from .jfunctions import (
@@ -43,6 +42,8 @@ from .serialize import (
 )
 from .series import PoleAtZeroError, PoleLocationError, TruncationError
 from .transform import (
+    KIND_GV,
+    InvariantTable,
     TableBoundError,
     TableKindError,
     check_integrality,
@@ -128,7 +129,7 @@ def cmd_conifold(args) -> int:
         raise TableBoundError("--gmax must be nonnegative")
     gw = conifold_gw_table(args.gmax, args.dmax)
     gv = gw_to_gv(gw)
-    is_delta = dict(gv.entries) == {(0, (1,)): Fraction(1)}
+    is_delta = gv == InvariantTable(KIND_GV, 1, args.gmax, (args.dmax,), {(0, (1,)): 1})
     if args.json:
         _emit(args, dumps({"gw": gw, "gv": gv, "is_delta": is_delta}))
     else:

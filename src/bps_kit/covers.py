@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .transform import KIND_GW, InvariantTable, gw_to_gv
 
-__all__ = ["bernoulli", "conifold_gw", "conifold_gv_table", "conifold_gw_table"]
+__all__ = ["bernoulli", "conifold_gv_table", "conifold_gw_table"]
 
 _cache_lock = threading.Lock()
 _bernoulli_cache: list[Fraction] = [Fraction(1)]
@@ -44,25 +44,13 @@ def bernoulli(n: int) -> Fraction:
         return _bernoulli_cache[n]
 
 
-def conifold_gw(g: int, d: int) -> Fraction:
-    """Degree-d cover contribution at genus g, by the three closed forms."""
-    if d < 1:
-        raise ValueError("degree must be positive")
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    if g == 0:
-        return Fraction(1, d**3)
-    if g == 1:
-        return Fraction(1, 12 * d)
-    b = bernoulli(2 * g)
-    return abs(b) * d ** (2 * g - 3) / (2 * g * math.factorial(2 * g - 2))
-
-
 def conifold_gw_table(g_max: int, d_max: int) -> InvariantTable:
     """Rank-1 table of the closed-form cover contributions up to the bounds.
 
-    Each genus g >= 2 computes its constant |B_2g| / (2g (2g-2)!) once;
-    a cell is then that constant times d^(2g-3).
+    Each genus is built as one integer layer: genus 0 over lcm(d^3),
+    genus 1 over 12 lcm(d), and each genus g >= 2 over the denominator of
+    its constant |B_2g| / (2g (2g-2)!), computed once, with the cell of
+    degree d that constant's numerator times d^(2g-3).
     """
     g_max, d_max = operator.index(g_max), operator.index(d_max)
     if d_max < 1:
@@ -70,18 +58,18 @@ def conifold_gw_table(g_max: int, d_max: int) -> InvariantTable:
     if g_max < 0:
         raise ValueError("genus bound must be nonnegative")
     degrees = range(1, d_max + 1)
-    entries = {}
-    for g in range(g_max + 1):
-        if g == 0:
-            entries.update({(0, (d,)): Fraction(1, d**3) for d in degrees})
-        elif g == 1:
-            entries.update({(1, (d,)): Fraction(1, 12 * d) for d in degrees})
-        else:
-            c = abs(bernoulli(2 * g)) / (2 * g * math.factorial(2 * g - 2))
-            num, den, e = c.numerator, c.denominator, 2 * g - 3
-            entries.update({(g, (d,)): Fraction(num * d**e, den) for d in degrees})
+    top = math.lcm(*degrees)
+    # lcm(d^3) = top^3 and lcm(12 d) = 12 top
+    layers = [
+        (top**3, {(d,): (top // d) ** 3 for d in degrees}),
+        (12 * top, {(d,): top // d for d in degrees}),
+    ]
+    for g in range(2, g_max + 1):
+        c = abs(bernoulli(2 * g)) / (2 * g * math.factorial(2 * g - 2))
+        num, e = c.numerator, 2 * g - 3
+        layers.append((c.denominator, {(d,): num * d**e for d in degrees}))
     # every cell is in bounds and nonzero (B_2g != 0 for g >= 1)
-    return InvariantTable._from_valid(KIND_GW, 1, g_max, (d_max,), entries)
+    return InvariantTable._of_layers(KIND_GW, 1, g_max, (d_max,), layers[: g_max + 1])
 
 
 def conifold_gv_table(g_max: int, d_max: int) -> InvariantTable:

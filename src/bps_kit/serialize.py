@@ -43,6 +43,7 @@ from .transform import (
     TableBoundError,
     _cell_error,
     _degree_max_error,
+    _layer,
 )
 
 __all__ = [
@@ -62,16 +63,29 @@ class SchemaError(ValueError):
 
 
 def fraction_from_str(s) -> Fraction:
-    """``Fraction(s)``, or SchemaError where it raises; "-?digits(/digits)" is read by int()."""
+    """``Fraction(s)``, or SchemaError where it raises."""
+    return Fraction(*_int_pair(s))
+
+
+def _int_pair(s) -> tuple[int, int]:
+    """Integers (num, den), den > 0, with num / den the value of ``Fraction(s)``.
+
+    SchemaError where ``Fraction(s)`` raises.  "-?digits(/digits)" is read
+    by int(), unreduced; any other spelling goes through ``Fraction(s)``.
+    """
     if not isinstance(s, str):
         raise SchemaError(f"rational values must be strings, got {type(s).__name__}")
     num, slash, den = s.partition("/")
     try:
         if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        return Fraction(s)
+            d = int(den) if slash else 1
+            if d:
+                return int(num), d
+            raise ZeroDivisionError(s)
+        v = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid rational value {s!r}") from exc
+    return v.numerator, v.denominator
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], what: str):
@@ -122,7 +136,8 @@ def table_from_dict(doc) -> InvariantTable:
     A schema fault raises SchemaError at the first entry that has one.  A
     bound fault raises TableBoundError, with the constructor's message,
     only once every entry has passed its schema checks.  The bounds of a
-    degree vector are checked once, and zero values are dropped.
+    degree vector are checked once.  Each value is read as an integer
+    pair, and each genus becomes one integer layer with zero values dropped.
     """
     _require_document_keys(
         doc, {"kind", "lattice_rank", "genus_max", "degree_max", "entries"}, "table file"
@@ -136,7 +151,8 @@ def table_from_dict(doc) -> InvariantTable:
     if not isinstance(doc["entries"], list):
         raise SchemaError("table file: entries must be a list")
     bound_error = _degree_max_error(rank, degree_max)
-    entries, zeros, in_bounds = {}, set(), set()
+    genera: dict[int, dict] = {}  # genus -> {degree: (num, den)}, zero values too
+    in_bounds = set()
     for i, entry in enumerate(doc["entries"]):
         # cheap tests first; where one fails, the full check raises the error
         # with its "entry #i" text, or accepts what the test is too strict for
@@ -151,19 +167,20 @@ def table_from_dict(doc) -> InvariantTable:
             deg = [int(x) for x in _int_vector(deg, f"entry #{i}: degree")]
             if any(x < 0 for x in deg):
                 raise SchemaError(f"entry #{i}: degree components must be nonnegative")
-        v = fraction_from_str(entry["value"])
-        key = (g, tuple(deg))
-        if key in entries or key in zeros:
+        value = _int_pair(entry["value"])
+        beta = tuple(deg)
+        cells = genera.get(g)
+        if cells is None:
+            cells = genera[g] = {}
+        elif beta in cells:
             raise SchemaError(f"entry #{i}: duplicate cell (genus {g}, degree {deg})")
-        if bound_error is None:
-            bound_error = _cell_error(genus_max, degree_max, *key, in_bounds)
-        if v:
-            entries[key] = v
-        else:
-            zeros.add(key)
+        if bound_error is None and (g > genus_max or beta not in in_bounds):
+            bound_error = _cell_error(genus_max, degree_max, g, beta, in_bounds)
+        cells[beta] = value
     if bound_error:
         raise TableBoundError(bound_error)
-    return InvariantTable._from_valid(kind, rank, genus_max, degree_max, entries)
+    layers = [_layer(genera.get(g, {})) for g in range(genus_max + 1)]
+    return InvariantTable._of_layers(kind, rank, genus_max, degree_max, layers)
 
 
 def pairing_from_dict(doc) -> tuple[tuple[int, ...], ...]:
@@ -281,7 +298,8 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
     """A table document, writing the entries from one template.
 
     Every entry has the same shape, so one ``%``-template per table, built
-    from its rank and the indent, writes each entry in a single step.
+    from its rank and the indent, writes each entry in a single step.  The
+    values are written from the genus layers, with no Fraction built.
     """
     inner = nl + "  "
     entry = inner + "  "
@@ -292,7 +310,11 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
         '"degree": ' + _array(field, ["%d"] * table.lattice_rank),
         '"value": "%s"',
     )
-    cells = [template % (g, *deg, str(v)) for (g, deg), v in table.sorted_items()]
+    cells = []
+    for g, (den, layer) in enumerate(table._layers):
+        degrees = sorted(layer)
+        values = _ratio_strs([layer[beta] for beta in degrees], den)
+        cells += [template % (g, *beta, v) for beta, v in zip(degrees, values)]
     head = {
         "kind": table.kind,
         "lattice_rank": table.lattice_rank,
@@ -344,18 +366,23 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
 
 
 def _quoted(ints, scale: int, at: str) -> str:
-    """The array of the strings of c / scale for c in ints, its "]" starting line ``at``.
+    """The array of the strings of c / scale for c in ints, its "]" starting line ``at``."""
+    return _strings(_ratio_strs(ints, scale), at)
 
-    Each string is what str(Fraction(c, scale)) gives: str(c) when
-    scale = 1, else c and scale divided by one gcd.
+
+def _ratio_strs(ints, scale: int) -> list[str]:
+    """The strings of c / scale for c in ints, scale > 0.
+
+    Each is what str(Fraction(c, scale)) gives: str(c) when scale = 1,
+    else c and scale divided by one gcd.
     """
     if scale == 1:
-        return _strings(list(map(str, ints)), at)
+        return list(map(str, ints))
     strs = []
     for c in ints:
         g = math.gcd(c, scale)
         strs.append(str(c // g) if g == scale else f"{c // g}/{scale // g}")
-    return _strings(strs, at)
+    return strs
 
 
 def _strings(strs: list[str], at: str) -> str:

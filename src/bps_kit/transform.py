@@ -21,12 +21,15 @@ box is in the box, and B^-1 is upper triangular.  On genus-zero rank-1
 tables the inverse is GV_d = sum_{e|d} mu(e)/e^3 GW_{d/e}.
 
 All arithmetic is exact, on genus layers: the cells of one genus as
-integer numerators over one denominator.  A layer read from a table is
-over the lcm of its denominators; a cover sum multiplies that by the lcm
-of k^(3-2h) over the k that occur (h <= 1 only), and a genus mix takes
-the lcm of its terms' denominators.  Each output cell is one Fraction,
-reduced once.  Degree vectors live in the nonnegative orthant of a
-rank-r lattice; k | beta means every component divisible by k.
+integer numerators over one denominator.  A table stores its cells as
+these layers, so both maps read their input layers and return their
+output layers as a table.  A layer built from values is over the lcm of
+their denominators; a cover sum multiplies that by the lcm of k^(3-2h)
+over the k that occur (h <= 1 only), and a genus mix takes the lcm of
+its terms' denominators.  A cell becomes a reduced Fraction only when
+``entries`` or ``value`` is read.  Degree vectors live in the
+nonnegative orthant of a rank-r lattice; k | beta means every component
+divisible by k.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ import itertools
 import math
 import operator
 import types
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .series import LAMBDA, LaurentSeries, _as_fraction
@@ -45,7 +48,7 @@ from .series import LAMBDA, LaurentSeries, _as_fraction
 __all__ = [
     "KIND_GW", "KIND_GV", "InvariantTable", "IntegralityReport", "TableKindError",
     "TableBoundError", "sin_power_series", "gw_to_gv", "gv_to_gw", "mobius",
-    "gw_to_gv_genus0_mobius", "check_integrality", "degree_vectors", "genus_zero_slice",
+    "gw_to_gv_genus0_mobius", "check_integrality", "degree_vectors",
 ]
 
 KIND_GW = "GW"
@@ -96,78 +99,119 @@ def _cell_error(genus_max, degree_max, g, deg, in_bounds: set) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+# A genus layer is (den, {beta: num}): the nonzero cells of one genus, num / den
+# each, with den > 0 a common denominator (not necessarily the least one).
+_Layer = tuple[int, dict[tuple[int, ...], int]]
+
+
+def _layer(cells: dict[tuple[int, ...], tuple[int, int]]) -> _Layer:
+    """The layer of cells beta -> (num, den), den > 0: over the lcm of the dens, zeros dropped."""
+    den = math.lcm(*{d for _, d in cells.values()})
+    if den == 1:
+        return 1, {beta: n for beta, (n, _) in cells.items() if n}
+    return den, {beta: n * (den // d) for beta, (n, d) in cells.items() if n}
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class InvariantTable:
     """Invariants indexed by (genus, degree vector), with declared bounds.
 
     Missing entries are exact zeros.  Entries must satisfy g <= genus_max,
-    beta <= degree_max componentwise and beta != 0.
+    beta <= degree_max componentwise and beta != 0.  The cells are stored
+    as one integer genus layer per genus; ``entries`` is a read-only view
+    of the nonzero cells as Fractions, built on first read.  Two tables
+    are equal when their kinds, bounds and values are.
     """
 
     kind: str
     lattice_rank: int
     genus_max: int
     degree_max: tuple[int, ...]
-    entries: Mapping[tuple[int, tuple[int, ...]], Fraction] = field(default_factory=dict)
+    _layers: tuple[_Layer, ...]
 
-    def __post_init__(self):
-        if self.kind not in (KIND_GW, KIND_GV):
-            raise TableKindError(f"unknown table kind {self.kind!r}")
+    def __init__(
+        self, kind, lattice_rank, genus_max, degree_max, entries=types.MappingProxyType({})
+    ):
+        if kind not in (KIND_GW, KIND_GV):
+            raise TableKindError(f"unknown table kind {kind!r}")
         try:
-            rank = operator.index(self.lattice_rank)
-            genus_max = operator.index(self.genus_max)
-            dmax = tuple(map(operator.index, self.degree_max))
+            rank = operator.index(lattice_rank)
+            gmax = operator.index(genus_max)
+            dmax = tuple(map(operator.index, degree_max))
         except TypeError as exc:
             raise TableBoundError(
-                f"bounds (rank {self.lattice_rank!r}, genus {self.genus_max!r}, "
-                f"degree {self.degree_max!r}) must be integers"
+                f"bounds (rank {lattice_rank!r}, genus {genus_max!r}, "
+                f"degree {degree_max!r}) must be integers"
             ) from exc
         if rank < 1:
             raise TableBoundError("lattice rank must be positive")
-        if genus_max < 0:
+        if gmax < 0:
             raise TableBoundError("genus bound must be nonnegative")
         message = _degree_max_error(rank, dmax)
         if message:
             raise TableBoundError(message)
-        clean: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-        zeros: set[tuple[int, tuple[int, ...]]] = set()
+        cells: list[dict] = [{} for _ in range(gmax + 1)]
         in_bounds: set[tuple[int, ...]] = set()
-        for (g, deg), value in self.entries.items():
+        for (g, deg), value in entries.items():
             try:
-                key = (operator.index(g), tuple([operator.index(d) for d in deg]))
+                g, deg = operator.index(g), tuple([operator.index(d) for d in deg])
             except TypeError as exc:
                 raise TableBoundError(
                     f"entry ({g!r}, {deg!r}) has a non-integer genus or degree"
                 ) from exc
-            g, deg = key
             v = _as_fraction(value)
-            message = _cell_error(genus_max, dmax, g, deg, in_bounds)
+            message = _cell_error(gmax, dmax, g, deg, in_bounds)
             if message:
                 raise TableBoundError(message)
-            if key in clean or key in zeros:
+            if deg in cells[g]:
                 raise TableBoundError(f"two entries for the cell (genus {g}, degree {deg})")
-            if v:
-                clean[key] = v
-            else:
-                zeros.add(key)
+            cells[g][deg] = (v.numerator, v.denominator)
+        self._init(kind, rank, gmax, dmax, tuple([_layer(c) for c in cells]))
+
+    def _init(self, kind, rank, genus_max, degree_max, layers):
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lattice_rank", rank)
         object.__setattr__(self, "genus_max", genus_max)
-        object.__setattr__(self, "degree_max", dmax)
-        # read-only, so a validated table cannot gain an out-of-bounds cell
-        object.__setattr__(self, "entries", types.MappingProxyType(clean))
+        object.__setattr__(self, "degree_max", degree_max)
+        object.__setattr__(self, "_layers", layers)
 
     @classmethod
-    def _from_valid(cls, kind, rank, genus_max, degree_max, entries) -> "InvariantTable":
+    def _of_layers(cls, kind, rank, genus_max, degree_max, layers) -> "InvariantTable":
         # trusted construction: the bounds are those of a validated table (or
-        # checked ints), and entries holds only nonzero Fractions keyed by
-        # in-bounds int cells, so the checks of __post_init__ are skipped
+        # checked ints), and the layers, one per genus, hold only nonzero
+        # numerators keyed by in-bounds int vectors, so no check is run
         out = object.__new__(cls)
-        object.__setattr__(out, "kind", kind)
-        object.__setattr__(out, "lattice_rank", rank)
-        object.__setattr__(out, "genus_max", genus_max)
-        object.__setattr__(out, "degree_max", degree_max)
-        object.__setattr__(out, "entries", types.MappingProxyType(entries))
+        out._init(kind, rank, genus_max, degree_max, tuple(layers))
         return out
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, tuple[int, ...]], Fraction]:
+        # read-only, so a validated table cannot gain an out-of-bounds cell
+        return types.MappingProxyType({
+            (g, beta): Fraction(n, den) if den != 1 else Fraction(n)
+            for g, (den, cells) in enumerate(self._layers)
+            for beta, n in cells.items()
+        })
+
+    def __eq__(self, other):
+        if not isinstance(other, InvariantTable):
+            return NotImplemented
+        bounds = (self.kind, self.lattice_rank, self.genus_max, self.degree_max)
+        if bounds != (other.kind, other.lattice_rank, other.genus_max, other.degree_max):
+            return False
+        return all(
+            cells.keys() == other_cells.keys()
+            and all([n * other_den == other_cells[beta] * den for beta, n in cells.items()])
+            for (den, cells), (other_den, other_cells) in zip(self._layers, other._layers)
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (
+            f"InvariantTable({self.kind!r}, {self.lattice_rank}, {self.genus_max}, "
+            f"{self.degree_max}, {dict(self.sorted_items())})"
+        )
 
     def value(self, genus: int, degree: tuple[int, ...]) -> Fraction:
         try:
@@ -183,7 +227,8 @@ class InvariantTable:
             raise TableBoundError(f"degree {degree} has wrong rank")
         if any(d < 0 or d > m for d, m in zip(degree, self.degree_max)):
             raise TableBoundError(f"degree {degree} outside table bounds")
-        return self.entries.get((genus, degree), Fraction(0))
+        den, cells = self._layers[genus]
+        return Fraction(cells.get(degree, 0), den)
 
     def sorted_items(self):
         # keys are unique, so the values are never compared
@@ -240,34 +285,28 @@ def _inverse_lambda_coefficients(genus_max: int) -> tuple[tuple[Fraction, ...], 
 
     By the arcsine-square series lam^2 = 2 sum_{n>=1} s^n / (n^2 C(2n, n)) = s u(s),
     so B^-1[h][g] = [s^(g-h)] u^(h-1): row 0 holds 1/u, each later row u times the last.
+    The series run on integer numerators over powers of one lcm, and each
+    entry is reduced once.
     """
     n = genus_max + 1
-    u = [Fraction(2, (j + 1) ** 2 * math.comb(2 * j + 2, j + 1)) for j in range(n)]
-    power = [Fraction(1)]  # 1/u, as u[0] = 1
+    # u[j] = 2 / ((j + 1)^2 C(2j + 2, j + 1)) is a unit fraction (C(2m, m) is
+    # even), a[j] / top over the lcm top of their denominators; a[0] = top
+    dens = [(j + 1) ** 2 * math.comb(2 * j + 2, j + 1) // 2 for j in range(n)]
+    top = math.lcm(*dens)
+    a = [top // d for d in dens]
+    # [s^j] 1/u = inverse[j] / top^j, from u (1/u) = 1
+    inverse = [1]
     for j in range(1, n):
-        power.append(-sum([u[i] * power[j - i] for i in range(1, j + 1)]))
-    rows = []
-    for h in range(n):
-        rows.append(tuple([power[g - h] if g >= h else Fraction(0) for g in range(n)]))
+        inverse.append(-sum([a[i] * top ** (i - 1) * inverse[j - i] for i in range(1, j + 1)]))
+    rows = [tuple([Fraction(inverse[g], top**g) for g in range(n)])]
+    power = [1] + [0] * (n - 2)  # u^(h - 1) = power / top^(h - 1), from h = 1
+    for h in range(1, n):
+        scale = top ** (h - 1)
+        row = [Fraction(power[g - h], scale) if g >= h else Fraction(0) for g in range(n)]
+        rows.append(tuple(row))
         # row h + 1 reads u^h only below s^(n - h - 1)
-        power = [sum([power[m] * u[j - m] for m in range(j + 1)]) for j in range(n - h - 1)]
+        power = [sum([power[m] * a[j - m] for m in range(j + 1)]) for j in range(n - h - 1)]
     return tuple(rows)
-
-
-# A genus layer is (den, {beta: num}): the nonzero cells of one genus, num / den each.
-_Layer = tuple[int, dict[tuple[int, ...], int]]
-
-
-def _genus_layers(table: InvariantTable) -> list[_Layer]:
-    """The table's genus layers, each over the lcm of its denominators."""
-    cells: list[dict] = [{} for _ in range(table.genus_max + 1)]
-    for (g, beta), v in table.entries.items():
-        cells[g][beta] = v
-    layers = []
-    for layer in cells:
-        den = math.lcm(*[v.denominator for v in layer.values()])
-        layers.append((den, {b: v.numerator * (den // v.denominator) for b, v in layer.items()}))
-    return layers
 
 
 def _genus_mix(layers: list[_Layer], matrix) -> list[_Layer]:
@@ -315,12 +354,11 @@ def _cover_sum(layers: list[_Layer], degree_max, weights: list[int]) -> list[_La
     return out
 
 
-def _from_layers(kind: str, table: InvariantTable, layers: list[_Layer]) -> InvariantTable:
-    entries = {}
-    for g, (den, cells) in enumerate(layers):
-        entries.update({(g, b): Fraction(n, den) for b, n in cells.items()})
-    rank, genus_max, degree_max = table.lattice_rank, table.genus_max, table.degree_max
-    return InvariantTable._from_valid(kind, rank, genus_max, degree_max, entries)
+def _like(table: InvariantTable, kind: str, layers: list[_Layer]) -> InvariantTable:
+    """The table of the given kind and layers, with the bounds of table."""
+    return InvariantTable._of_layers(
+        kind, table.lattice_rank, table.genus_max, table.degree_max, layers
+    )
 
 
 def gv_to_gw(table: InvariantTable) -> InvariantTable:
@@ -333,9 +371,9 @@ def gv_to_gw(table: InvariantTable) -> InvariantTable:
     """
     if table.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {table.kind}")
-    mixed = _genus_mix(_genus_layers(table), _lambda_coefficients(table.genus_max))
+    mixed = _genus_mix(table._layers, _lambda_coefficients(table.genus_max))
     ones = [1] * (max(table.degree_max) + 1)
-    return _from_layers(KIND_GW, table, _cover_sum(mixed, table.degree_max, ones))
+    return _like(table, KIND_GW, _cover_sum(mixed, table.degree_max, ones))
 
 
 def gw_to_gv(table: InvariantTable) -> InvariantTable:
@@ -351,9 +389,9 @@ def gw_to_gv(table: InvariantTable) -> InvariantTable:
     if table.kind != KIND_GW:
         raise TableKindError(f"expected a {KIND_GW} table, got {table.kind}")
     mu = [0, *[mobius(k) for k in range(1, max(table.degree_max) + 1)]]
-    unmixed = _cover_sum(_genus_layers(table), table.degree_max, mu)
+    unmixed = _cover_sum(table._layers, table.degree_max, mu)
     inverse = _inverse_lambda_coefficients(table.genus_max)
-    return _from_layers(KIND_GV, table, _genus_mix(unmixed, inverse))
+    return _like(table, KIND_GV, _genus_mix(unmixed, inverse))
 
 
 def mobius(n: int) -> int:
@@ -386,16 +424,12 @@ def gw_to_gv_genus0_mobius(table: InvariantTable) -> InvariantTable:
 
 
 def check_integrality(table: InvariantTable) -> IntegralityReport:
-    """List every entry whose value is not an integer."""
+    """List every entry whose value is not an integer, by genus and then degree."""
     if table.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {table.kind}")
-    violations = tuple(
-        sorted((g, deg, v) for (g, deg), v in table.entries.items() if v.denominator != 1)
-    )
-    return IntegralityReport(is_integral=not violations, violations=violations)
-
-
-def genus_zero_slice(table: InvariantTable) -> InvariantTable:
-    """Restrict a table to its genus-zero entries (genus_max becomes 0)."""
-    entries = {(g, deg): v for (g, deg), v in table.entries.items() if g == 0}
-    return InvariantTable._from_valid(table.kind, table.lattice_rank, 0, table.degree_max, entries)
+    violations = []
+    for g, (den, cells) in enumerate(table._layers):
+        if den != 1:
+            off = sorted([(beta, n) for beta, n in cells.items() if n % den])
+            violations += [(g, beta, Fraction(n, den)) for beta, n in off]
+    return IntegralityReport(is_integral=not violations, violations=tuple(violations))

@@ -138,6 +138,7 @@ def mobius_transform_genus0(gw: dict[int, Fraction], d: int) -> Fraction:
     return total
 
 
+@functools.cache
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
     """B_0..B_n by Akiyama-Tanigawa; yields the B1 = +1/2 convention."""
     a = [Fr(0)] * (n + 1)
@@ -148,6 +149,24 @@ def bernoulli_akiyama_tanigawa(n: int) -> Fraction:
             a[j - 1] = j * (a[j - 1] - a[j])
         out.append(a[0])
     return out[n]
+
+
+def conifold_gw(g: int, d: int) -> Fraction:
+    """Degree-d cover contribution of a rigid (-1,-1) curve at genus g, per cell.
+
+    1/d^3 at genus 0, 1/(12 d) at genus 1, and |B_2g| d^(2g-3) / (2g (2g-2)!)
+    above, with B_2g from the Akiyama-Tanigawa oracle.
+    """
+    if d < 1:
+        raise ValueError("degree must be positive")
+    if g < 0:
+        raise ValueError("genus must be nonnegative")
+    if g == 0:
+        return Fr(1, d**3)
+    if g == 1:
+        return Fr(1, 12 * d)
+    b = bernoulli_akiyama_tanigawa(2 * g)
+    return abs(b) * d ** (2 * g - 3) / (2 * g * math.factorial(2 * g - 2))
 
 
 # --- the GV -> GW multiple-cover sum ------------------------------------------
@@ -186,6 +205,12 @@ def gv_to_gw_naive(table):
     return InvariantTable(
         KIND_GW, table.lattice_rank, table.genus_max, table.degree_max, entries
     )
+
+
+def genus_zero_slice(table):
+    """Restrict a table to its genus-zero entries (genus_max becomes 0)."""
+    entries = {(g, deg): v for (g, deg), v in table.entries.items() if g == 0}
+    return type(table)(table.kind, table.lattice_rank, 0, table.degree_max, entries)
 
 
 # --- binomial / geometric series ----------------------------------------------

@@ -41,14 +41,13 @@ from bps_kit.transform import (
     InvariantTable,
     check_integrality,
     degree_vectors,
-    genus_zero_slice,
     gv_to_gw,
     gw_to_gv,
     gw_to_gv_genus0_mobius,
     sin_power_series,
 )
 
-from oracles import groebner_normal_forms, sin_power_coeffs
+from oracles import genus_zero_slice, groebner_normal_forms, sin_power_coeffs
 
 Fr = Fraction
 

@@ -513,6 +513,29 @@ def test_jmgs_json_builds_no_rational_function_or_series(monkeypatch, tmp_path, 
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
+# The table commands read, transform, check and write integer genus layers:
+# none of them builds the Fraction view ``entries`` of a table.
+LAYER_CASES = [
+    case
+    for case in GOLDEN_CASES
+    if case[1][0] in ("gv2gw", "gw2gv", "conifold", "check-integrality") and "--json" in case[1]
+]
+
+
+@pytest.mark.parametrize("golden, argv, code", LAYER_CASES, ids=[c[0] for c in LAYER_CASES])
+def test_table_commands_build_no_entries_view(monkeypatch, tmp_path, capsys, golden, argv, code):
+    def fail(self):
+        raise AssertionError("the entries view was built on a table command")
+
+    monkeypatch.setattr(InvariantTable, "entries", property(fail))
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    stdout = GOLDEN / golden.replace(".json", ".stdout.json")
+    expected = stdout.read_bytes() if stdout.exists() else b""
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
 @pytest.mark.parametrize("shift", [1, -1])
 def test_failing_split_check_runs_no_polynomial_gcd(monkeypatch, capsys, shift):
     # off-by-one nilpotent weights make every residual nonzero; each one is

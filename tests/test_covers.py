@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from bps_kit.covers import bernoulli, conifold_gv_table, conifold_gw, conifold_gw_table
+from bps_kit.covers import bernoulli, conifold_gv_table, conifold_gw_table
 from bps_kit.transform import sin_power_series
 
-from oracles import bernoulli_akiyama_tanigawa
+from oracles import bernoulli_akiyama_tanigawa, conifold_gw
 
 Fr = Fraction
 

@@ -22,6 +22,7 @@ from bps_kit.transform import (
     IntegralityReport,
     InvariantTable,
     TableBoundError,
+    check_integrality,
     degree_vectors,
 )
 
@@ -414,6 +415,100 @@ def test_zero_values_are_dropped_but_still_fill_their_cell():
     assert dict(table.entries) == dict(table_from_dict(_gv_doc(VALID_ENTRIES)).entries)
     with pytest.raises(SchemaError, match=r"entry #4: duplicate cell \(genus 1, degree \[0, 2\]\)"):
         table_from_dict(_gv_doc(VALID_ENTRIES + [zero, dict(zero, value="3")]))
+
+
+# --- tables from file to file: integer layers, read and written ------------------
+
+# unreduced, zero, negative, integral over a denominator, and spellings that
+# only Fraction(s) reads; genus 0 takes the even places, so its values have
+# the mixed denominators 6, 7, 12, 2, 2 and 4
+LAYER_VALUES = ["4/6", "0", "0/7", "-5", "-9/12", "1/3", "7/2", " 3/4", "1.5", "2e3", "-10/4", "12/4"]
+
+
+def _table_doc(kind, rank, genus_max, degree_max, values):
+    """A table document with the given value strings over its first cells."""
+    cells = [(g, d) for d in degree_vectors(degree_max) for g in range(genus_max + 1)]
+    entries = [{"genus": g, "degree": list(d), "value": v} for (g, d), v in zip(cells, values)]
+    head = {"kind": kind, "lattice_rank": rank, "genus_max": genus_max}
+    return head | {"degree_max": list(degree_max), "entries": entries}
+
+
+def assert_loaded_like_fractions(doc):
+    """The loaded table against the one the constructor builds from Fraction(value)."""
+    table = table_from_dict(doc)
+    values = {(e["genus"], tuple(e["degree"])): Fraction(e["value"]) for e in doc["entries"]}
+    nonzero = {cell: v for cell, v in values.items() if v}
+    bounds = (doc["kind"], doc["lattice_rank"], doc["genus_max"], doc["degree_max"])
+    built = InvariantTable(*bounds, values)
+    assert table == built and built == table
+    assert dict(table.entries) == nonzero
+    assert table.sorted_items() == sorted(nonzero.items())
+    for (g, deg), v in values.items():
+        got = table.value(g, deg)
+        assert type(got) is Fraction and got == v
+    for cell, v in table.entries.items():
+        assert type(v) is Fraction and v == nonzero[cell]
+    with pytest.raises(TypeError):
+        table.entries[(0, (1,) * doc["lattice_rank"])] = Fraction(1)
+    text = dumps(table)
+    assert text == json.dumps(table_to_dict(built), indent=2)
+    assert table_from_dict(json.loads(text)) == table
+    if doc["kind"] == KIND_GV:
+        violations = [(g, deg, v) for (g, deg), v in sorted(nonzero.items()) if v.denominator != 1]
+        report = check_integrality(table)
+        assert report.violations == tuple(violations)
+        assert report.is_integral == (not violations)
+    return table
+
+
+@pytest.mark.parametrize("kind", [KIND_GV, KIND_GW])
+def test_table_values_load_as_integer_layers(kind):
+    table = assert_loaded_like_fractions(_table_doc(kind, 2, 1, (2, 2), LAYER_VALUES))
+    assert table.value(0, (0, 1)) == Fraction(2, 3)  # "4/6"
+    assert table.value(1, (0, 1)) == 0  # "0"
+    assert table.value(1, (1, 1)) == Fraction(3, 4)  # " 3/4"
+    assert table.value(1, (2, 0)) == 2000  # "2e3"
+
+
+def test_table_equality_reads_values_not_layer_denominators():
+    # "1/2" and "2/4" are one value; the genus-0 layers differ in denominator
+    halves = [_table_doc(KIND_GV, 1, 0, (2,), [v, "1/3"]) for v in ("1/2", "2/4", "3/6")]
+    tables = [table_from_dict(doc) for doc in halves]
+    assert tables[0] == tables[1] == tables[2]
+    assert dumps(tables[0]) == dumps(tables[1]) == dumps(tables[2])
+    for other in ["1/3", "0"]:
+        assert tables[0] != table_from_dict(_table_doc(KIND_GV, 1, 0, (2,), [other, "1/3"]))
+    assert tables[0] != table_from_dict(_table_doc(KIND_GW, 1, 0, (2,), ["1/2", "1/3"]))
+    assert tables[0] != table_from_dict(_table_doc(KIND_GV, 1, 0, (3,), ["1/2", "1/3"]))
+
+
+@st.composite
+def value_spellings(draw):
+    """A Fraction's string as the writer gives it, unreduced, or padded with spaces."""
+    v = draw(st.fractions(max_denominator=10**12))
+    k = draw(st.integers(1, 60))
+    return draw(st.sampled_from([
+        str(v), f"{v.numerator * k}/{v.denominator * k}", f" {v} ", str(v.numerator * k),
+    ]))
+
+
+@st.composite
+def table_documents(draw):
+    rank = draw(st.integers(1, 2))
+    genus_max = draw(st.integers(0, 2))
+    degree_max = tuple(draw(st.integers(1, 6 if rank == 1 else 3)) for _ in range(rank))
+    n_cells = (genus_max + 1) * len(degree_vectors(degree_max))
+    values = draw(st.lists(value_spellings(), max_size=n_cells))
+    kind = draw(st.sampled_from([KIND_GV, KIND_GW]))
+    doc = _table_doc(kind, rank, genus_max, degree_max, values)
+    doc["entries"] = draw(st.permutations(doc["entries"]))
+    return doc
+
+
+@given(table_documents())
+@settings(max_examples=150, deadline=None)
+def test_loaded_tables_agree_with_their_fractions(doc):
+    assert_loaded_like_fractions(doc)
 
 
 # --- pairing files ----------------------------------------------------------------

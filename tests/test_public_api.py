@@ -13,7 +13,7 @@ import pytest
 import bps_kit
 
 MODULE_ALL = {
-    "covers": {"bernoulli", "conifold_gw", "conifold_gw_table", "conifold_gv_table"},
+    "covers": {"bernoulli", "conifold_gw_table", "conifold_gv_table"},
     "jfunctions": {
         "a_series", "b_series", "i_coefficient", "j_y_coefficient", "j_x_coefficient",
         "x_element_from_cover_data", "split_check", "SplitCheckReport", "SplitCheckResult",
@@ -35,19 +35,19 @@ MODULE_ALL = {
     "transform": {
         "KIND_GW", "KIND_GV", "InvariantTable", "IntegralityReport", "TableKindError",
         "TableBoundError", "sin_power_series", "gw_to_gv", "gv_to_gw", "mobius",
-        "gw_to_gv_genus0_mobius", "check_integrality", "degree_vectors", "genus_zero_slice",
+        "gw_to_gv_genus0_mobius", "check_integrality", "degree_vectors",
     },
 }
 
 PACKAGE_EXPORTS = {
-    "bernoulli", "conifold_gv_table", "conifold_gw", "conifold_gw_table",
+    "bernoulli", "conifold_gv_table", "conifold_gw_table",
     "DivisorPairing", "JmgsRhs", "JmgsTerm", "SplitCheckReport", "a_series", "b_series",
     "i_coefficient", "j_x_coefficient", "j_y_coefficient", "jmgs_rhs", "split_check",
     "x_element_from_cover_data",
     "KElem", "X_RING", "Y_RING", "absorption_check", "element", "gen_p", "gen_t", "ring_one",
     "LaurentSeries", "PolarSplit", "QRationalFunction", "polar_split", "q_power",
     "IntegralityReport", "InvariantTable", "KIND_GV", "KIND_GW", "check_integrality",
-    "genus_zero_slice", "gv_to_gw", "gw_to_gv", "gw_to_gv_genus0_mobius", "mobius",
+    "gv_to_gw", "gw_to_gv", "gw_to_gv_genus0_mobius", "mobius",
     "sin_power_series",
 }
 

@@ -21,7 +21,6 @@ from bps_kit.transform import (
     _lambda_coefficients,
     check_integrality,
     degree_vectors,
-    genus_zero_slice,
     gv_to_gw,
     gw_to_gv,
     gw_to_gv_genus0_mobius,
@@ -32,6 +31,7 @@ from bps_kit.transform import (
 from oracles import (
     cover_coefficient_naive,
     divisors,
+    genus_zero_slice,
     gv_to_gw_naive,
     mobius_bruteforce,
     mobius_transform_genus0,
