@@ -48,7 +48,6 @@ from .transform import (
 
 __all__ = [
     "SchemaError",
-    "fraction_from_str",
     "table_from_dict",
     "pairing_from_dict",
     "dumps",
@@ -60,11 +59,6 @@ __all__ = [
 
 class SchemaError(ValueError):
     """Raised on malformed input documents (wrong shape, types, or fields)."""
-
-
-def fraction_from_str(s) -> Fraction:
-    """``Fraction(s)``, or SchemaError where it raises."""
-    return Fraction(*_int_pair(s))
 
 
 def _int_pair(s) -> tuple[int, int]:

@@ -6,12 +6,12 @@ and the Taylor step.  Rational polynomials are scaled to integers over
 one lcm on the way in, and :class:`fractions.Fraction` appears only
 where a value is stored or returned.  Two value types are provided:
 
-* :class:`LaurentSeries` -- a truncated Laurent series in one formal
-  variable (lambda, or q for the expansions of rational functions
-  regular at q = 0).  The truncation order travels with the value,
-  binary operations truncate to the weakest participant, and reading a
-  coefficient at or above the truncation order raises
-  :class:`TruncationError` instead of silently returning zero.
+* :class:`LaurentSeries` -- a stored truncated Laurent series in one
+  formal variable (lambda, or q for the expansions of rational functions
+  regular at q = 0).  It is a value, not an arithmetic type: the library
+  computes its coefficients elsewhere and stores them.  The truncation
+  order travels with the value, and reading a coefficient at or above it
+  raises :class:`TruncationError` instead of silently returning zero.
 * :class:`QRationalFunction` -- an exact rational function in q, stored
   gcd-reduced with a monic denominator so that structural equality is
   mathematical equality.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "LaurentSeries",
@@ -36,7 +36,6 @@ __all__ = [
     "polar_split",
     "q_power",
     "TruncationError",
-    "VariableMismatchError",
     "PoleAtZeroError",
     "PoleLocationError",
     "LAMBDA",
@@ -51,10 +50,6 @@ _SYMBOL = {"lambda": "λ", "q": "q"}
 
 class TruncationError(ValueError):
     """Raised when a coefficient at or beyond the truncation order is read."""
-
-
-class VariableMismatchError(ValueError):
-    """Raised when combining series in different formal variables."""
 
 
 class PoleAtZeroError(ZeroDivisionError):
@@ -309,24 +304,6 @@ class LaurentSeries:
         object.__setattr__(out, "trunc_order", len(coeffs))
         return out
 
-    @classmethod
-    def from_terms(cls, var: str, terms: Mapping[int, object], trunc_order: int) -> "LaurentSeries":
-        if not terms:
-            return cls(var, trunc_order, (), trunc_order)
-        lo = min(terms)
-        coeffs = [Fraction(0)] * (max(max(terms) + 1, trunc_order) - lo)
-        for e, c in terms.items():
-            coeffs[e - lo] = _as_fraction(c)
-        return cls(var, lo, coeffs, trunc_order)
-
-    @classmethod
-    def one(cls, var: str, trunc_order: int) -> "LaurentSeries":
-        return cls.from_terms(var, {0: 1}, trunc_order)
-
-    @classmethod
-    def zero(cls, var: str, trunc_order: int) -> "LaurentSeries":
-        return cls(var, trunc_order, (), trunc_order)
-
     def coefficient(self, exponent: int) -> Fraction:
         """Coefficient at `exponent`; a hard error past the truncation order."""
         if exponent >= self.trunc_order:
@@ -347,101 +324,6 @@ class LaurentSeries:
     @property
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order > self.trunc_order:
-            raise TruncationError(
-                f"cannot extend truncation from {self.trunc_order} to {order}"
-            )
-        return LaurentSeries(self.var, self.min_exp, self.coeffs[: max(order - self.min_exp, 0)], order)
-
-    def _check_var(self, other: "LaurentSeries"):
-        if self.var != other.var:
-            raise VariableMismatchError(
-                f"cannot combine series in {self.var!r} and {other.var!r}"
-            )
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        self._check_var(other)
-        # copy the operand that starts lower, then add the other in place;
-        # zip stops at the end of the shorter operand, which ends the sum at
-        # the lower truncation order
-        low, high = (self, other) if self.min_exp <= other.min_exp else (other, self)
-        out = list(low.coeffs)
-        shift = high.min_exp - low.min_exp
-        out[shift:] = [x + y for x, y in zip(out[shift:], high.coeffs)]
-        return LaurentSeries(self.var, low.min_exp, out, min(self.trunc_order, other.trunc_order))
-
-    def __neg__(self):
-        return LaurentSeries(self.var, self.min_exp, [-c for c in self.coeffs], self.trunc_order)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return LaurentSeries(
-                self.var, self.min_exp, [c * v for v in self.coeffs], self.trunc_order
-            )
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        self._check_var(other)
-        trunc = min(
-            self.trunc_order + other.min_exp, other.trunc_order + self.min_exp
-        )
-        lo = self.min_exp + other.min_exp
-        out = [Fraction(0)] * max(trunc - lo, 0)
-        for i, ca in enumerate(self.coeffs):
-            if ca == 0:
-                continue
-            ea = self.min_exp + i
-            for j, cb in enumerate(other.coeffs):
-                e = ea + other.min_exp + j
-                if e >= trunc:
-                    break
-                if cb != 0:
-                    out[e - lo] += ca * cb
-        return LaurentSeries(self.var, lo, out, trunc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers must use nonnegative integer exponents")
-        if n == 0:
-            return LaurentSeries.one(self.var, self.trunc_order)
-        # A product adds the valuations and keeps the smaller precision past
-        # the valuation, so any order of products gives the truncation of
-        # repeated products; _power never starts from the series 1, whose
-        # truncation order would cut a negative valuation short.
-        return _power(self, n)
-
-    def inverse(self, order: int) -> "LaurentSeries":
-        """Multiplicative inverse, truncated at (excluding) `order`.
-
-        Requires a nonzero leading coefficient.  The known coefficients
-        of ``self`` only determine the inverse up to exponent
-        ``trunc_order - 2*min_exp``; asking for more raises
-        :class:`TruncationError` rather than inventing terms.
-        """
-        if self.is_zero:
-            raise ZeroDivisionError("cannot invert the zero series")
-        v = self.min_exp
-        max_order = self.trunc_order - 2 * v
-        if order > max_order:
-            raise TruncationError(
-                f"inverse is only determined to order {max_order}, requested {order}"
-            )
-        n = order + v  # number of output coefficients, starting at exponent -v
-        if n <= 0:
-            return LaurentSeries.zero(self.var, order)
-        # self / var^v is a power series with constant term lead != 0
-        return LaurentSeries(self.var, -v, _poly_taylor((1,), self.coeffs, n), order)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentSeries):

@@ -20,6 +20,12 @@ maps are exact within the bounds: every divisor of a degree vector in the
 box is in the box, and B^-1 is upper triangular.  On genus-zero rank-1
 tables the inverse is GV_d = sum_{e|d} mu(e)/e^3 GW_{d/e}.
 
+Every lambda-series here is an integer power of a unit power series, and
+one routine, ``_series_power``, computes them all: with
+(2 sin(lam/2))^2 = x v(x) at x = lam^2 and lam^2 = s u(s), the sine powers
+are the rows B[g][h] = [x^(h-g)] v^(g-1) (scaled by k for
+``sin_power_series``), and B^-1[h][g] = [s^(g-h)] u^(h-1).
+
 All arithmetic is exact, on genus layers: the cells of one genus as
 integer numerators over one denominator.  A table stores its cells as
 these layers, so both maps read their input layers and return their
@@ -241,11 +247,47 @@ class IntegralityReport:
     violations: tuple[tuple[int, tuple[int, ...], Fraction], ...]
 
 
+def _series_power(term, alpha: int, n: int) -> list[Fraction]:
+    """[x^m] w^alpha for 0 <= m < n, where w = sum_j term(j) x^j has term(0) == 1.
+
+    term(j) is an int or a Fraction.  J. C. P. Miller's recurrence
+    m p_m = sum_{k=1..m} ((alpha+1)k - m) w_k p_{m-k} (Knuth, TAOCP vol. 2,
+    4.7) runs on integers: w_k = a_k / top^k over the lcm top of the
+    denominators, and p_m = P_m / (top^m m!), so that
+    P_m = sum_k ((alpha+1)k - m) a_k P_{m-k} (m-1)!/(m-k)!.  Each entry is
+    reduced once.
+    """
+    w = [term(j) for j in range(1, n)]
+    top = math.lcm(*[c.denominator for c in w])
+    a = [0, *[c.numerator * (top // c.denominator) * top ** (k - 1) for k, c in enumerate(w, 1)]]
+    big = [1] if n else []
+    for m in range(1, n):
+        s, falling = 0, 1  # falling = (m-1)!/(m-k)!
+        for k in range(1, m + 1):
+            s += ((alpha + 1) * k - m) * a[k] * big[m - k] * falling
+            falling *= m - k
+        big.append(s)
+    return [Fraction(p, top**m * math.factorial(m)) for m, p in enumerate(big)]
+
+
+def _v_term(j: int) -> Fraction:
+    # (2 sin(lam/2))^2 = 2 - 2 cos(lam) = x v(x) at x = lam^2
+    return Fraction(2 * (-1) ** j, math.factorial(2 * j + 2))
+
+
+def _u_term(j: int) -> Fraction:
+    # the arcsine-square series lam^2 = s u(s) at s = (2 sin(lam/2))^2
+    return Fraction(2, (j + 1) ** 2 * math.comb(2 * j + 2, j + 1))
+
+
 def sin_power_series(k: int, genus: int, order: int) -> LaurentSeries:
     """Expansion of (2 sin(k*lam/2))**(2g-2) at lam = 0, exact.
 
-    Only even exponents appear; the lowest term is k^(2g-2) lam^(2g-2).
-    The genus-zero case inverts the squared sine series.
+    With (2 sin(lam/2))^2 = x v(x) at x = lam^2, the series is
+    (k lam)^(2g-2) v(k^2 lam^2)^(g-1), so [lam^(2g-2+2m)] = k^(2g-2+2m) [x^m] v^(g-1);
+    B[g][h] = [x^(h-g)] v^(g-1) is the k = 1 case.  Only even exponents
+    appear; the lowest term is k^(2g-2) lam^(2g-2), and a series truncated
+    at or below it is zero.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -253,29 +295,21 @@ def sin_power_series(k: int, genus: int, order: int) -> LaurentSeries:
         raise ValueError("genus must be nonnegative")
     if order <= -2:
         raise ValueError("order must exceed -2")
-    if genus == 1:
-        return LaurentSeries.one(LAMBDA, order)
-    slack = order + 8
-    odd = range(1, slack, 2)
-    terms = {j: Fraction(2 * (-1) ** (j // 2) * k**j, 2**j * math.factorial(j)) for j in odd}
-    sine = LaurentSeries.from_terms(LAMBDA, terms, slack)
-    square = sine * sine
-    if genus == 0:
-        return square.inverse(order)
-    return (square ** (genus - 1)).truncate(order)
+    lead = 2 * genus - 2
+    coeffs: list = [0] * max(order - lead, 0)
+    scale = Fraction(k) ** lead
+    for m, p in enumerate(_series_power(_v_term, genus - 1, max((order - lead + 1) // 2, 0))):
+        coeffs[2 * m] = p * scale
+        scale *= k * k
+    return LaurentSeries(LAMBDA, lead, coeffs, order)
 
 
 @lru_cache(maxsize=None)
 def _lambda_coefficients(genus_max: int) -> tuple[tuple[Fraction, ...], ...]:
     """B[g][h] = [lam^(2h-2)] (2 sin(lam/2))**(2g-2) for g, h <= genus_max."""
-    order = 2 * genus_max - 1
-    powers = [sin_power_series(1, g, order) for g in range(min(genus_max, 2) + 1)]
-    # (2 sin)^(2g-2) = (2 sin)^(2g-4) (2 sin)^2: one series product per genus
-    for _ in range(3, genus_max + 1):
-        powers.append((powers[-1] * powers[2]).truncate(order))
+    rows = [sin_power_series(1, g, 2 * genus_max - 1) for g in range(genus_max + 1)]
     return tuple(
-        tuple(series.coefficient(2 * h - 2) for h in range(genus_max + 1))
-        for series in powers
+        tuple(series.coefficient(2 * h - 2) for h in range(genus_max + 1)) for series in rows
     )
 
 
@@ -284,29 +318,12 @@ def _inverse_lambda_coefficients(genus_max: int) -> tuple[tuple[Fraction, ...], 
     """B^-1[h][g] = [s^(g-1)] (lam^2)^(h-1) for g, h <= genus_max, s = (2 sin(lam/2))^2.
 
     By the arcsine-square series lam^2 = 2 sum_{n>=1} s^n / (n^2 C(2n, n)) = s u(s),
-    so B^-1[h][g] = [s^(g-h)] u^(h-1): row 0 holds 1/u, each later row u times the last.
-    The series run on integer numerators over powers of one lcm, and each
-    entry is reduced once.
+    so B^-1[h][g] = [s^(g-h)] u^(h-1): row h is u^(h-1) shifted right by h.
     """
     n = genus_max + 1
-    # u[j] = 2 / ((j + 1)^2 C(2j + 2, j + 1)) is a unit fraction (C(2m, m) is
-    # even), a[j] / top over the lcm top of their denominators; a[0] = top
-    dens = [(j + 1) ** 2 * math.comb(2 * j + 2, j + 1) // 2 for j in range(n)]
-    top = math.lcm(*dens)
-    a = [top // d for d in dens]
-    # [s^j] 1/u = inverse[j] / top^j, from u (1/u) = 1
-    inverse = [1]
-    for j in range(1, n):
-        inverse.append(-sum([a[i] * top ** (i - 1) * inverse[j - i] for i in range(1, j + 1)]))
-    rows = [tuple([Fraction(inverse[g], top**g) for g in range(n)])]
-    power = [1] + [0] * (n - 2)  # u^(h - 1) = power / top^(h - 1), from h = 1
-    for h in range(1, n):
-        scale = top ** (h - 1)
-        row = [Fraction(power[g - h], scale) if g >= h else Fraction(0) for g in range(n)]
-        rows.append(tuple(row))
-        # row h + 1 reads u^h only below s^(n - h - 1)
-        power = [sum([power[m] * a[j - m] for m in range(j + 1)]) for j in range(n - h - 1)]
-    return tuple(rows)
+    return tuple(
+        tuple([Fraction(0)] * h + _series_power(_u_term, h - 1, n - h)) for h in range(n)
+    )
 
 
 def _genus_mix(layers: list[_Layer], matrix) -> list[_Layer]:

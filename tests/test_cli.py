@@ -274,6 +274,19 @@ def test_cli_sin_series_json_round_trip(capsys):
     assert doc["coefficients"][2 - doc["min_exp"]] == "4"  # k^(2g-2) = 2^2
 
 
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize("order", [-1, 0])
+def test_cli_sin_series_truncated_below_the_lowest_term_is_zero(capsys, genus, order):
+    # the lowest term is lam^(2g-2), so genus 1 at order <= 0 is the zero
+    # series, as genus 2 is
+    argv = ["sin-series", "--genus", str(genus), "--order", str(order)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["min_exp"], doc["trunc_order"], doc["coefficients"]) == (order, order, [])
+
+
 def test_cli_ab_series(capsys):
     assert main(["ab-series", "--r", "1", "--order", "4"]) == 0
     out = capsys.readouterr().out

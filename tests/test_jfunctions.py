@@ -642,7 +642,7 @@ def test_cover_sum_returns_integers_over_one_scale():
 
 
 def test_cover_sum_of_zero_weights_is_zero():
-    zero = (QRationalFunction.constant(0), LaurentSeries.zero(QVAR, 5))
+    zero = (QRationalFunction.constant(0), LaurentSeries(QVAR, 0, [], 5))
     for pole in COVER:
         assert cover_sum({}, pole, 5) == zero
         assert cover_sum({1: 0, 2: 0, 6: 0}, pole, 5) == zero
@@ -654,7 +654,7 @@ def test_cover_sum_of_one_degree_is_the_scaled_series():
             # a zero weight beside it drops out
             exact, expansion = cover_sum({3: 0, 4: w}, pole, 9)
             assert (exact.num, exact.den) == ((series(4) * w).num, (series(4) * w).den)
-            assert expansion == series(4).expand(9) * w
+            assert expansion == (series(4) * w).expand(9)
 
 
 def test_cover_sum_of_opposite_weights_cancels_to_zero():
@@ -662,8 +662,8 @@ def test_cover_sum_of_opposite_weights_cancels_to_zero():
         for weights in ({4: Fr(3, 7)}, {1: -BIG, 2: 5, 6: Fr(1, 3)}):
             f, s = cover_sum(weights, pole, 7)
             g, t = cover_sum({r: -w for r, w in weights.items()}, pole, 7)
-            assert (g, t) == (-f, -s)
-            assert (f + g).is_zero and (s + t).is_zero
+            assert g == -f and (f + g).is_zero
+            assert t == LaurentSeries(QVAR, s.min_exp, [-c for c in s.coeffs], s.trunc_order)
 
 
 def test_cover_sum_divides_out_a_common_cyclotomic_factor():

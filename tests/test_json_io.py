@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from bps_kit.cli import main
 from bps_kit.jfunctions import DivisorPairing, jmgs_rhs
 from bps_kit.kring import X_RING, Y_RING, KElem
-from bps_kit.serialize import SchemaError, dumps, fraction_from_str, pairing_from_dict, table_from_dict
+from bps_kit.serialize import SchemaError, _int_pair, dumps, pairing_from_dict, table_from_dict
 from bps_kit.series import LAMBDA, QVAR, LaurentSeries, QRationalFunction
 from bps_kit.transform import (
     KIND_GV,
@@ -234,7 +234,7 @@ def document(value):
     st.one_of(
         Q_RATIONALS,
         series(QVAR),
-        st.sampled_from([LaurentSeries.zero(QVAR, n) for n in range(3)]),
+        st.sampled_from([LaurentSeries(QVAR, 0, [], n) for n in range(3)]),
         series(LAMBDA),
         ring_elements(),
         integrality_reports(),
@@ -261,7 +261,7 @@ def test_dump_q_series_pads_and_rejects_a_series_from_q_to_the_minus_one():
         "trunc_order": 4,
         "coefficients": ["0", "0", "1/3", "0"],
     }
-    assert json.loads(dumps(LaurentSeries.zero(QVAR, 3)))["coefficients"] == ["0"] * 3
+    assert json.loads(dumps(LaurentSeries(QVAR, 0, [], 3)))["coefficients"] == ["0"] * 3
     # the same series in lambda is a laurent_series document
     assert json.loads(dumps(LaurentSeries(LAMBDA, -1, [1, 2], 1)))["type"] == "laurent_series"
     for doc in [LaurentSeries(QVAR, -1, [1, 2], 1), {"a": [LaurentSeries(QVAR, -1, [1], 0)]}]:
@@ -269,7 +269,8 @@ def test_dump_q_series_pads_and_rejects_a_series_from_q_to_the_minus_one():
             dumps(doc)
 
 
-# --- the parser: Fraction(s), with SchemaError where Fraction raises -------------
+# --- the loader's value parser: integers (num, den) with num / den == Fraction(s),
+# and SchemaError where Fraction raises ---------------------------------------------
 
 
 def _check_parse(s):
@@ -277,11 +278,11 @@ def _check_parse(s):
         expected = Fraction(s)
     except (ValueError, ZeroDivisionError):
         with pytest.raises(SchemaError):
-            fraction_from_str(s)
+            _int_pair(s)
     else:
-        got = fraction_from_str(s)
-        assert type(got) is Fraction
-        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+        num, den = _int_pair(s)
+        assert type(num) is int and type(den) is int and den > 0
+        assert Fraction(num, den) == expected
 
 
 @given(
@@ -311,7 +312,7 @@ def test_fraction_from_str_hand_picked(s):
 @pytest.mark.parametrize("value", [3, None, 1.5, ["1"]])
 def test_fraction_from_str_rejects_non_strings(value):
     with pytest.raises(SchemaError, match="must be strings"):
-        fraction_from_str(value)
+        _int_pair(value)
 
 
 # --- the loader: each malformed entry, its error and its exit code ----------------

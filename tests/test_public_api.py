@@ -24,12 +24,12 @@ MODULE_ALL = {
         "ring_one", "gen_p", "gen_t", "element", "absorption_check",
     },
     "serialize": {
-        "SchemaError", "fraction_from_str", "table_from_dict", "pairing_from_dict", "dumps",
+        "SchemaError", "table_from_dict", "pairing_from_dict", "dumps",
         "render_table_text", "render_kelem_text", "render_integrality_text",
     },
     "series": {
         "LaurentSeries", "QRationalFunction", "PolarSplit", "polar_split", "q_power",
-        "TruncationError", "VariableMismatchError", "PoleAtZeroError", "PoleLocationError",
+        "TruncationError", "PoleAtZeroError", "PoleLocationError",
         "LAMBDA", "QVAR",
     },
     "transform": {

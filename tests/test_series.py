@@ -17,7 +17,6 @@ from bps_kit.series import (
     PoleLocationError,
     QRationalFunction,
     TruncationError,
-    VariableMismatchError,
     polar_split,
     q_power,
 )
@@ -29,14 +28,12 @@ from bps_kit.series import (
 )
 from bps_kit.jfunctions import a_series, b_series
 from bps_kit.kring import KElem, Y_RING
+from bps_kit.transform import _series_power
 
 from oracles import (
     cyclotomic_fraction,
-    dict_mul,
     inv_power_series_coeff,
-    laurent_add_naive,
     laurent_polynomial_to_qrf,
-    long_division_inverse,
     polar_split_fraction,
     poly_long_division,
     poly_mul,
@@ -46,10 +43,6 @@ from oracles import (
 Fr = Fraction
 
 
-def ls(terms, trunc, var=LAMBDA):
-    return LaurentSeries.from_terms(var, terms, trunc)
-
-
 def qrf(num, den=(1,)):
     return QRationalFunction(num, den)
 
@@ -57,112 +50,11 @@ def qrf(num, den=(1,)):
 # --- LaurentSeries basics ---------------------------------------------------
 
 
-def test_mul_difference_of_squares():
-    a = ls({0: 1, 1: 1}, 4, var=QVAR)
-    b = ls({0: 1, 1: -1}, 4, var=QVAR)
-    prod = a * b
-    assert prod.coefficient(0) == 1
-    assert prod.coefficient(1) == 0
-    assert prod.coefficient(2) == -1
-
-
-def test_mul_monomial_shift():
-    a = ls({-2: 1, 0: Fr(1, 12)}, 3)
-    b = ls({2: 1}, 7)
-    prod = a * b
-    assert prod == ls({0: 1, 2: Fr(1, 12)}, 5)
-
-
-def test_mul_sine_square_against_convolution_oracle():
-    # square of the sine-type series: lambda - lambda^3/24 + lambda^5/1920
-    terms = {1: Fr(1), 3: Fr(-1, 24), 5: Fr(1, 1920)}
-    a = ls(terms, 6)
-    sq = a * a
-    expected = dict_mul(terms, terms)
-    for e in range(2, sq.trunc_order):
-        assert sq.coefficient(e) == expected.get(e, Fr(0))
-    # frozen values from the convolution oracle
-    assert sq.coefficient(2) == 1
-    assert sq.coefficient(4) == Fr(-1, 12)
-    assert sq.coefficient(6) == Fr(1, 360)
-
-
-def test_mul_variable_mismatch():
-    with pytest.raises(VariableMismatchError):
-        ls({0: 1}, 2) * ls({0: 1}, 2, var=QVAR)
-
-
 def test_truncation_is_a_hard_error():
-    a = ls({0: 1}, 3)
+    a = LaurentSeries(LAMBDA, 0, [1, 0, 0], 3)
     with pytest.raises(TruncationError):
         a.coefficient(3)
     assert a.coefficient(-5) == 0
-
-
-def test_add_truncates_to_weakest():
-    a = ls({0: 1, 4: 1}, 6)
-    b = ls({1: 2}, 3)
-    s = a + b
-    assert s.trunc_order == 3
-    assert s.coefficient(1) == 2
-    with pytest.raises(TruncationError):
-        s.coefficient(4)
-
-
-@pytest.mark.parametrize("var", [LAMBDA, QVAR])
-def test_pow_matches_repeated_products(var):
-    # negative valuation, a gap, and a short precision: a product keeps the
-    # smaller precision past the valuation, so each power's truncation
-    # order moves with its valuation
-    x = LaurentSeries.from_terms(var, {-2: 3, -1: Fr(1, 2), 0: -1, 1: 0, 3: 5}, 4)
-    assert x**0 == LaurentSeries.one(var, 4)
-    repeated = x
-    for n in range(1, 9):
-        power = x**n
-        assert power.trunc_order == repeated.trunc_order == 4 - 2 * (n - 1)
-        assert (power.min_exp, power.coeffs) == (repeated.min_exp, repeated.coeffs)
-        assert power == repeated
-        repeated = repeated * x
-
-
-def test_pow_of_the_zero_series_and_bad_exponents():
-    zero = LaurentSeries.zero(LAMBDA, 3)
-    assert zero**5 == zero * zero * zero * zero * zero
-    for n in (-1, 1.0):
-        with pytest.raises(ValueError):
-            LaurentSeries.one(LAMBDA, 3) ** n
-
-
-def test_invert_geometric():
-    a = ls({0: 1, 1: -1}, 8, var=QVAR)
-    inv = a.inverse(4)
-    assert inv == ls({0: 1, 1: 1, 2: 1, 3: 1}, 4, var=QVAR)
-
-
-def test_invert_monomial():
-    a = ls({2: 1}, 8)
-    assert a.inverse(2) == ls({-2: 1}, 2)
-
-
-def test_invert_sine_square_matches_long_division_oracle():
-    terms = {2: Fr(1), 4: Fr(-1, 12), 6: Fr(1, 360)}
-    a = ls(terms, 8)
-    inv = a.inverse(4)
-    oracle = long_division_inverse(terms, 8)
-    for e in range(-2, 4):
-        assert inv.coefficient(e) == oracle.get(e, Fr(0))
-    assert inv == ls({-2: 1, 0: Fr(1, 12), 2: Fr(1, 240)}, 4)
-
-
-def test_invert_zero_series_fails():
-    with pytest.raises(ZeroDivisionError):
-        LaurentSeries.zero(LAMBDA, 5).inverse(2)
-
-
-def test_invert_insufficient_precision():
-    a = ls({2: 1, 4: 1}, 6)
-    with pytest.raises(TruncationError):
-        a.inverse(3)  # only determined up to order 6 - 4 = 2
 
 
 def test_constructor_rejects_terms_beyond_truncation():
@@ -174,11 +66,11 @@ def test_constructor_rejects_terms_beyond_truncation():
 
 
 def test_equality_and_hash_consistency():
-    a = ls({0: 1, 2: Fr(1, 3)}, 4, var=QVAR)
+    a = LaurentSeries(QVAR, 0, [1, 0, Fr(1, 3)], 4)
     b = LaurentSeries(QVAR, -1, [0, 1, 0, Fr(1, 3)], 4)  # leading zero stripped
     assert a == b
     assert hash(a) == hash(b)
-    assert a != a.truncate(3)
+    assert a != LaurentSeries(QVAR, 0, [1, 0, Fr(1, 3)], 3)
     # a constant rational function equals its Fraction, so hashes alike
     one = QRationalFunction.constant(1)
     assert one == Fr(1) and hash(one) == hash(Fr(1))
@@ -187,13 +79,6 @@ def test_equality_and_hash_consistency():
     x = KElem(Y_RING, (one,) + (Fr(0),) * 5)
     y = KElem(Y_RING, (Fr(1),) + (QRationalFunction.constant(0),) * 5)
     assert x == y and hash(x) == hash(y)
-
-
-def test_truncate_cannot_extend():
-    a = ls({0: 1}, 3)
-    with pytest.raises(TruncationError):
-        a.truncate(5)
-    assert a.truncate(3) == a
 
 
 def test_qseries_reads_are_bounded():
@@ -239,74 +124,39 @@ small_fractions = st.fractions(
 )
 
 
-@st.composite
-def laurent_series(draw, var=LAMBDA):
-    lo = draw(st.integers(min_value=-3, max_value=2))
-    n = draw(st.integers(min_value=1, max_value=6))
-    coeffs = draw(st.lists(small_fractions, min_size=n, max_size=n))
-    return LaurentSeries(var, lo, coeffs, lo + n)
+# --- unit-series powers: the integer routine behind every lambda-series -------------
+
+unit_series = st.lists(small_fractions, max_size=7).map(lambda terms: [Fr(1), *terms])
 
 
-@given(a=laurent_series(), b=laurent_series())
-def test_mul_commutative(a, b):
-    assert a * b == b * a
+def test_invert_geometric():
+    # 1/(1 - x) and 1/(1 - x)^2
+    one_minus_x = [Fr(1), Fr(-1)]
+    assert _series_power(lambda j: one_minus_x[j] if j < 2 else 0, -1, 5) == [1] * 5
+    square = _series_power(lambda j: one_minus_x[j] if j < 2 else 0, -2, 5)
+    assert square == [inv_power_series_coeff(2, m) for m in range(5)]
 
 
-@given(a=laurent_series(), b=laurent_series(), c=laurent_series())
-@settings(max_examples=60)
-def test_mul_associative_up_to_truncation(a, b, c):
-    left = (a * b) * c
-    right = a * (b * c)
-    trunc = min(left.trunc_order, right.trunc_order)
-    for e in range(min(left.min_exp, right.min_exp), trunc):
-        assert left.coefficient(e) == right.coefficient(e)
+@given(w=unit_series, alpha=st.integers(-3, -1))
+@settings(max_examples=80, deadline=None)
+def test_inverse_is_a_right_inverse(w, alpha):
+    # w^alpha times w, -alpha times over, is 1 up to the known order
+    n = len(w)
+    product = _series_power(lambda j: w[j], alpha, n)
+    assert all(type(c) is Fraction for c in product)
+    for _ in range(-alpha):
+        product = (list(poly_mul(product, w)) + [Fr(0)] * n)[:n]
+    assert product == [Fr(1)] + [Fr(0)] * (n - 1)
 
 
-@given(a=laurent_series())
-def test_inverse_is_a_right_inverse(a):
-    if a.is_zero:
-        return
-    order = a.trunc_order - 2 * a.min_exp
-    inv = a.inverse(order)
-    prod = a * inv
-    assert prod.coefficient(0) == 1
-    for e in range(prod.min_exp, prod.trunc_order):
-        if e != 0:
-            assert prod.coefficient(e) == 0
-
-
-@given(a=laurent_series(), b=laurent_series())
-def test_add_matches_term_by_term_oracle(a, b):
-    assert a + b == laurent_add_naive(a, b)
-    assert b + a == laurent_add_naive(a, b)
-
-
-@given(a=laurent_series(QVAR), b=laurent_series(QVAR), c=st.sampled_from([1, -1, Fr(2, 3)]))
-def test_add_matches_oracle_in_q(a, b, c):
-    assert a + b * c == laurent_add_naive(a, b * c)
-    assert a - b == laurent_add_naive(a, -b)
-
-
-@given(a=laurent_series(QVAR))
-def test_add_leading_cancellation_and_zero(a):
-    zero = a + (-a)
-    assert zero.is_zero and zero.coeffs == ()
-    assert zero.min_exp == zero.trunc_order == a.trunc_order
-    assert zero == laurent_add_naive(a, -a)
-    for z in (LaurentSeries.zero(QVAR, a.trunc_order + 2), LaurentSeries.zero(QVAR, a.min_exp)):
-        assert a + z == z + a == laurent_add_naive(a, z)
-
-
-def test_add_cancels_leading_terms_only():
-    a = ls({-1: 1, 0: 2, 1: 3}, 3, var=QVAR)
-    b = ls({-1: -1, 0: -2, 2: 5}, 4, var=QVAR)
-    assert a + b == ls({1: 3, 2: 5}, 3, var=QVAR)
-    assert (a + b).min_exp == 1
-
-
-def test_add_variable_mismatch():
-    with pytest.raises(VariableMismatchError):
-        ls({0: 1}, 2) + ls({0: 1}, 2, var=QVAR)
+@given(w=unit_series, alpha=st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_series_power_matches_repeated_products(w, alpha):
+    n = len(w)
+    expected = [Fr(1)] + [Fr(0)] * (n - 1)
+    for _ in range(alpha):
+        expected = (list(poly_mul(expected, w)) + [Fr(0)] * n)[:n]
+    assert _series_power(lambda j: w[j], alpha, n) == expected
 
 
 # --- expansions in q / QRationalFunction --------------------------------------
@@ -324,7 +174,7 @@ def test_expand_zero_numerator():
     r = 1
     f = qrf([r - 1], [1, -1])
     assert f.is_zero
-    assert f.expand(5) == LaurentSeries.zero(QVAR, 5)
+    assert f.expand(5) == LaurentSeries(QVAR, 0, [], 5)
 
 
 def test_expand_geometric_in_q_squared():
@@ -364,9 +214,11 @@ def test_expand_is_multiplicative(n1, n2):
     f = qrf(n1, [1, -1])
     g = qrf(n2, [1, 1, 1])
     order = 6
-    # the product series is truncated at the more precise of the two
-    # orders its operands determine, which can exceed `order`
-    assert (f * g).expand(order) == (f.expand(order) * g.expand(order)).truncate(order)
+    product = (f * g).expand(order)
+    factors = [[s.coefficient(e) for e in range(order)] for s in (f.expand(order), g.expand(order))]
+    assert product.trunc_order == order
+    expected = list(poly_mul(*factors)) + [Fr(0)] * order
+    assert [product.coefficient(e) for e in range(order)] == expected[:order]
 
 
 @st.composite

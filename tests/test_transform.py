@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bps_kit.covers import conifold_gw_table
+from bps_kit.covers import bernoulli, conifold_gw_table
 from bps_kit.transform import (
     KIND_GV,
     KIND_GW,
@@ -83,14 +83,17 @@ def test_sin_series_genus_two():
     assert s.coefficient(6) == Fr(1, 360)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("genus", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("genus", range(7))
 def test_sin_series_matches_bruteforce_oracle(k, genus):
-    order = 7
-    s = sin_power_series(k, genus, order)
-    oracle = sin_power_coeffs(k, genus, order - 1)
-    for e in range(-2, order):
-        assert s.coefficient(e) == oracle.get(e, Fr(0)), (k, genus, e)
+    # every order from -1 up, so orders at or below the lowest term 2g - 2,
+    # where the series is zero, are covered too
+    oracle = sin_power_coeffs(k, genus, 15)
+    for order in range(-1, 17):
+        s = sin_power_series(k, genus, order)
+        assert s.trunc_order == order
+        for e in range(-2, order):
+            assert s.coefficient(e) == oracle.get(e, Fr(0)), (k, genus, order, e)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -554,12 +557,19 @@ def test_integrality_violations_are_listed_by_genus_then_degree():
 
 
 def test_lambda_coefficients_match_sine_power_series():
-    # the table builds genus g >= 3 from genus g - 1 by one series product; each
-    # row must equal the coefficients of the direct expansion
-    top = 20
-    rows = [sin_power_series(1, g, 2 * top - 1) for g in range(top + 1)]
+    # B[g][h] against the brute-force expansion of (2 sin(lam/2))^(2g-2)
+    top = 8
+    oracle = [sin_power_coeffs(1, g, 2 * top - 2) for g in range(top + 1)]
     for genus_max in range(top + 1):
         assert _lambda_coefficients(genus_max) == tuple(
-            tuple(rows[g].coefficient(2 * h - 2) for h in range(genus_max + 1))
+            tuple(oracle[g].get(2 * h - 2, Fr(0)) for h in range(genus_max + 1))
             for g in range(genus_max + 1)
         )
+
+
+def test_lambda_coefficients_row_zero_is_the_conifold_constant():
+    # [lam^(2g-2)] (2 sin(lam/2))^-2 = |B_2g| / (2g (2g-2)!) for g >= 1
+    row = _lambda_coefficients(20)[0]
+    assert row[0] == 1
+    for g in range(1, 21):
+        assert row[g] == abs(bernoulli(2 * g)) / (2 * g * math.factorial(2 * g - 2)), g
