@@ -308,7 +308,8 @@ class JmgsRhs:
     """The assembled right-hand side: 1 + sum over total degrees of terms.
 
     ``parts[total]`` holds the :func:`_cover_sum` integers of each divisor
-    direction and then of the structure direction.  ``terms`` builds every
+    direction and then of the structure direction, all over one scale,
+    the denominator of the table's genus-0 layer.  ``terms`` builds every
     :class:`JmgsTerm` from them on first read;
     :func:`bps_kit.serialize.dumps` writes the integers directly.
     """
@@ -343,18 +344,21 @@ def jmgs_rhs(
     GV_d * b(r, q^r) in the structure direction, at total degree r*d.
 
     The sum is linear in the cover series, so it is assembled in two
-    steps.  One pass over the sorted entries records the exact weights
-    of each total degree per cover degree r: GV_d * dot(v_j, d) for the
-    j-th divisor direction and GV_d for the structure direction, where
-    d = total / r.  Then each output is the weighted sum over r, built
-    with its expansion from the closed forms of a and b
+    steps.  One pass over the sorted cells of the genus-zero layer
+    records the integer weights of each total degree per cover degree r:
+    n_d * dot(v_j, d) for the j-th divisor direction and n_d for the
+    structure direction, where d = total / r and GV_d = n_d / S, with S
+    the layer's denominator.  Then each output is the weighted sum over
+    r, built with its expansion from the closed forms of a and b
     (:func:`_cover_sum`); no cover series is built or expanded.  The
-    sums stay integers over one scale each; the terms' rational functions
-    and series are built when ``terms`` is first read.
+    sums share one :class:`_CoverSetup`, so each (r set, pole) pays its
+    setup once per call and nothing outlives the call.  Every sum stays
+    integers over the one scale S; the terms' rational functions and
+    series are built when ``terms`` is first read.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
-    if any(g > 0 for (g, _) in gv.entries):
+    if any(cells for _, cells in gv._layers[1:]):
         raise TableBoundError("the right-hand side uses genus-zero invariants only")
     if pairing.rank != gv.lattice_rank:
         raise TableBoundError(
@@ -364,25 +368,25 @@ def jmgs_rhs(
         raise ValueError("r_max must be at least 1")
     if q_order < 0:
         raise ValueError("expansion order must be nonnegative")
-    n_div = len(pairing.vectors)
+    scale, layer = gv._layers[0]
+    poles = [2] * len(pairing.vectors) + [3]
     # weights[total][r] = (divisor weights..., structure weight) of the one
     # degree d = total / r; dicts keep the order in which totals appear
-    weights: dict[tuple[int, ...], dict[int, tuple[Fraction, ...]]] = {}
-    for (_, d), value in sorted(gv.entries.items(), key=lambda kv: kv[0]):
-        w = tuple(value * sum(x * y for x, y in zip(vec, d)) for vec in pairing.vectors)
+    weights: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+    for d in sorted(layer):
+        n = layer[d]
+        w = tuple([n * sum(map(operator.mul, vec, d)) for vec in pairing.vectors]) + (n,)
         for r in range(1, r_max + 1):
-            weights.setdefault(tuple(r * x for x in d), {})[r] = w + (value,)
-    cache: dict = {}  # local to the call: no size the caller picks outlives it
-    counts = _DivisionCounts()
-    parts = {
-        total: tuple([
-            _cover_sum(
-                {r: w[j] for r, w in per_r.items()}, 3 if j == n_div else 2, q_order, cache, counts
-            )
-            for j in range(n_div + 1)
+            weights.setdefault(tuple([r * x for x in d]), {})[r] = w
+    setup = _CoverSetup(q_order)  # local to the call: no size the caller picks outlives it
+    parts = {}
+    for total, per_r in weights.items():
+        items = sorted(per_r.items())
+        parts[total] = tuple([
+            _cover_sum([(r, w[j]) for r, w in items if w[j]], scale, pole, setup)
+            for j, pole in enumerate(poles)
         ])
-        for total, per_r in weights.items()
-    }
+    counts = setup.counts
     log.debug(
         "jmgs_rhs: %d sums; Phi_d skipped by multiplicity %d, rejected mod q^d - 1 %d; "
         "divisions tried %d, succeeded %d",
@@ -402,34 +406,91 @@ class _DivisionCounts:
     divided: int = 0  # of them, the exact ones
 
 
-def _cover_sum(
-    weights: Mapping[int, Fraction], pole: int, q_order: int, cache: dict, counts: _DivisionCounts
-) -> tuple[int, tuple[int, ...], tuple[int, ...], list[int]]:
-    """Sum of w_r * a(r, q^r) (pole 2) or of w_r * b(r, q^r) (pole 3), with its expansion.
+class _CoverSetup:
+    """What the cover sums of one jmgs_rhs call share, each part built on first use.
 
-    Returns integers only: (S, N, D, E), with S the lcm of the weight
-    denominators.  The exact sum is N / (S D), with N a trimmed integer
-    tuple coprime to the monic integer tuple D (N = () and D = (1,) for
-    zero), and its q^n coefficient for n < q_order is E[n] / S.
-    :func:`_cover_objects` turns them into a QRationalFunction and a
-    LaurentSeries.
+    ``keys`` maps (r values, pole) to (divisors, tested, templates, den):
+    the divisors d of those r; the indices of the Phi_d that the
+    multiplicity rule leaves to test; per r, the numerator template
+    num_r(q^r) P_r and the expansion template c_r(k), r k < q_order; and
+    L, the denominator when no Phi_d divides out.  ``products`` maps
+    ((d, e), ...) to the product of the Phi_d^e, each built from the
+    product of all its factors but the last, so every Phi_d^pole and
+    every denominator is built once, and equal denominators are one tuple.
+    """
+
+    __slots__ = ("q_order", "counts", "keys", "products", "expansions")
+
+    def __init__(self, q_order: int):
+        self.q_order = q_order
+        self.counts = _DivisionCounts()
+        self.keys: dict = {}
+        self.products: dict = {(): (1,)}
+        self.expansions: dict = {}  # (r, pole) -> expansion template
+
+    def product(self, factors: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+        out = self.products.get(factors)
+        if out is None:
+            *rest, (d, e) = factors
+            out = _cyclotomic(d)
+            if e > 1:
+                out = _int_mul(self.product(((d, e - 1),)), out)
+            if rest:
+                out = _int_mul(self.product(tuple(rest)), out)
+            self.products[factors] = out
+        return out
+
+    def build(self, key: tuple[tuple[int, ...], int]) -> tuple:
+        rs, pole = key
+        numerator, coeff = _COVER_FORMS[pole]
+        divisors = sorted({d for r in rs for d in range(1, r + 1) if r % d == 0})
+        templates = []
+        for r in rs:
+            spread = [0] * ((len(numerator(r)) - 1) * r + 1)
+            spread[::r] = numerator(r)  # at r = 1 it may end in 0; num is trimmed in the sum
+            others = self.product(tuple([(d, pole) for d in divisors if r % d]))
+            expansion = self.expansions.get((r, pole))
+            if expansion is None:
+                count = len(range(0, self.q_order, r))
+                expansion = self.expansions[r, pole] = [coeff(r, k) for k in range(count)]
+            templates.append((_int_mul(tuple(spread), others), expansion))
+        tested = [i for i, d in enumerate(divisors) if sum([r % d == 0 for r in rs]) > 1]
+        den = self.product(tuple([(d, pole) for d in divisors]))
+        entry = self.keys[key] = divisors, tested, templates, den
+        return entry
+
+
+def _cover_sum(
+    weights: list[tuple[int, int]], scale: int, pole: int, setup: _CoverSetup
+) -> tuple[int, tuple[int, ...], tuple[int, ...], list[int]]:
+    """Sum of w_r / S * a(r, q^r) (pole 2) or of w_r / S * b(r, q^r) (pole 3), with its expansion.
+
+    ``weights`` holds the pairs (r, w_r), r ascending and w_r a nonzero
+    integer, and ``scale`` is S > 0.  Returns integers only: (S, N, D, E).
+    The exact sum is N / (S D), with N a trimmed integer tuple coprime to
+    the monic integer tuple D (N = () and D = (1,) for zero), and its q^n
+    coefficient for n < q_order is E[n] / S.  :func:`_cover_objects`
+    turns them into a QRationalFunction and a LaurentSeries.
 
     Both are summed in integers, times S.  The q^n coefficient is the
-    sum of S w_r c_r(n/r) over r | n, over S.  As q^r - 1 is the product
-    of Phi_d over d | r, the exact sum is N / (S L), with L the product
-    of Phi_d^pole over the divisors d of the r with w_r != 0, and N the
-    sum of S w_r num_r(q^r) P_r, where P_r is the product of the
-    Phi_d^pole of L with d not dividing r.  Each Phi_d is irreducible, so
-    dividing it out of N while it divides, at most pole times, leaves N
-    coprime to the rest of L, which is the monic D: the result is
-    canonical with no gcd.
+    sum of w_r c_r(n/r) over r | n, over S: E is the sum of the
+    expansion templates c_r(k), each scaled by w_r and placed at stride
+    r.  As q^r - 1 is the product of Phi_d over d | r, the exact sum is
+    N / (S L), with L the product of Phi_d^pole over the divisors d of
+    the r, and N the sum of w_r num_r(q^r) P_r, where P_r is the product
+    of the Phi_d^pole of L with d not dividing r: N is the sum of the
+    numerator templates num_r(q^r) P_r, each scaled by w_r.  A single r
+    gives the scaled templates.  Each Phi_d is irreducible, so dividing
+    it out of N while it divides, at most pole times, leaves N coprime
+    to the rest of L, which is the monic D: the result is canonical with
+    no gcd.
 
     Most Phi_d do not divide N, and two rules spare those the division.
 
     * Phi_d divides N only if two or more weighted r are multiples of d.
       For d | r, q^r = 1 mod Phi_d, so num_r(q^r) = num_r(1) mod Phi_d,
       which is c = 1 for a and c = 2 for b; every term with d not
-      dividing r carries Phi_d^pole.  So N = c S sum_{d | r} w_r P_r
+      dividing r carries Phi_d^pole.  So N = c sum_{d | r} w_r P_r
       mod Phi_d, and each such P_r is coprime to Phi_d: with one such r
       the right side is not 0 mod Phi_d.  (Near a primitive d-th root
       zeta, 1 - q^r ~ r (unit) (q - zeta) for d | r, so the first Phi_d
@@ -439,36 +500,25 @@ def _cover_sum(
       polynomial of degree < d is tested first; only when Phi_d divides
       it is N divided, and that division stays the check.
 
-    `cache` holds, per (r values, pole), the divisors, the divisors that
-    the first rule leaves, the polynomials multiplying each S w_r and the
-    denominators; `counts` tallies the divisions.
+    The divisors, the Phi_d left to test, the templates and the
+    denominators come from ``setup`` (:class:`_CoverSetup`), built once
+    per (r values, pole); ``setup.counts`` tallies the divisions.
     """
-    numerator, coeff = _COVER_FORMS[pole]
-    scale = math.lcm(*[w.denominator for w in weights.values()])
-    ints = {r: w.numerator * (scale // w.denominator) for r, w in sorted(weights.items()) if w}
-    sums = [0] * q_order
-    for r, w in ints.items():
-        for k, n in enumerate(range(0, q_order, r)):
-            sums[n] += w * coeff(r, k)
+    counts = setup.counts
     counts.sums += 1
-    key = (tuple(ints), pole)
-    if key not in cache:
-        divisors = sorted({d for r in ints for d in range(1, r + 1) if r % d == 0})
-        powers = {d: functools.reduce(_int_mul, [_cyclotomic(d)] * pole) for d in divisors}
-        parts = {}
-        for r in ints:
-            spread = [0] * ((len(numerator(r)) - 1) * r + 1)
-            spread[::r] = numerator(r)  # at r = 1 it may end in 0; num is trimmed below
-            parts[r] = functools.reduce(
-                _int_mul, [powers[d] for d in divisors if r % d], tuple(spread)
-            )
-        tested = [i for i, d in enumerate(divisors) if sum([r % d == 0 for r in ints]) > 1]
-        cache[key] = divisors, tested, parts, {}
-    divisors, tested, parts, dens = cache[key]
-    num = [0] * max([len(p) for p in parts.values()], default=0)
-    for r, w in ints.items():
-        for i, c in enumerate(parts[r]):
-            num[i] += w * c
+    sums = [0] * setup.q_order
+    if not weights:
+        return scale, (), (1,), sums
+    key = tuple([r for r, _ in weights]), pole
+    divisors, tested, templates, den = setup.keys.get(key) or setup.build(key)
+    # the first template, of the least r, is the longest (deg L - r); the
+    # others are added onto it
+    (r, w), (template, expansion) = weights[0], templates[0]
+    num = [w * c for c in template]
+    sums[::r] = [w * c for c in expansion]
+    for (r, w), (template, expansion) in zip(weights[1:], templates[1:]):
+        num[: len(template)] = [n + w * c for n, c in zip(num, template)]
+        sums[::r] = [s + w * c for s, c in zip(sums[::r], expansion)]
     while num and num[-1] == 0:
         num.pop()
     if not num:
@@ -493,11 +543,9 @@ def _cover_sum(
             num = quo
             counts.divided += 1
             lefts[i] -= 1
-    lefts = tuple(lefts)
-    if lefts not in dens:
-        factors = [_cyclotomic(d) for d, left in zip(divisors, lefts) for _ in range(left)]
-        dens[lefts] = functools.reduce(_int_mul, factors, (1,))
-    return scale, num, dens[lefts], sums
+    if min(lefts) < pole:  # a Phi_d was divided out
+        den = setup.product(tuple([(d, e) for d, e in zip(divisors, lefts) if e]))
+    return scale, num, den, sums
 
 
 def _cover_objects(part) -> tuple[QRationalFunction, LaurentSeries]:

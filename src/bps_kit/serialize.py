@@ -324,39 +324,53 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
 
     Every term has the same shape, so one ``%``-template per document,
     built from the rank, the number of divisor directions and the indent,
-    writes each term in a single step once its lists are joined.  No
-    term's rational functions or series are built.
+    writes each term in a single step once its arrays are written.  Each
+    distinct denominator array is written once per indent and its text
+    reused.  The document is one join over the terms and their
+    separators, so no term text is copied into an enclosing array first.
+    No term's rational functions or series are built.
     """
-    term, field = nl + "    ", nl + "      "
+    inner = nl + "  "
+    term, field = inner + "  ", inner + "    "
     item = field + "  "
     deep = item + "  "
-    cells = []
-    if rhs.parts:
-        n_div = len(next(iter(rhs.parts.values()))) - 1
-        template = _obj(
-            term,
-            '"total_degree": ' + _array(field, ["%d"] * rhs.lattice_rank),
-            '"divisor": ' + _array(field, [_q_rational(item)] * n_div),
-            '"divisor_expansion": ' + _array(field, [_q_series(item, rhs.q_order)] * n_div),
-            '"structure": ' + _q_rational(field),
-            '"structure_expansion": ' + _q_series(field, rhs.q_order),
-        )
-        for total in rhs.sorted_degrees():
-            *divisor, (s, n, d, e) = rhs.parts[total]
-            values = list(total)
-            for scale, num, den, _ in divisor:
-                values += [_quoted(num, scale, deep), _quoted(den, 1, deep)]
-            values += [_quoted(sums, scale, deep) for scale, _, _, sums in divisor]
-            values += [_quoted(n, s, item), _quoted(d, 1, item), _quoted(e, s, item)]
-            cells.append(template % tuple(values))
-    return _obj(
-        nl,
+    head = "{" + inner + ("," + inner).join([
         '"constant": ' + _dump(rhs.constant, nl),
         f'"lattice_rank": {rhs.lattice_rank}',
         f'"r_max": {rhs.r_max}',
         f'"q_order": {rhs.q_order}',
-        '"terms": ' + _array(nl + "  ", cells),
+        '"terms": ',
+    ])
+    if not rhs.parts:
+        return head + "[]" + nl + "}"
+    n_div = len(next(iter(rhs.parts.values()))) - 1
+    template = _obj(
+        term,
+        '"total_degree": ' + _array(field, ["%d"] * rhs.lattice_rank),
+        '"divisor": ' + _array(field, [_q_rational(item)] * n_div),
+        '"divisor_expansion": ' + _array(field, [_q_series(item, rhs.q_order)] * n_div),
+        '"structure": ' + _q_rational(field),
+        '"structure_expansion": ' + _q_series(field, rhs.q_order),
     )
+    dens: dict[tuple[tuple[int, ...], str], str] = {}  # (denominator, indent) -> its array
+
+    def den_text(den, at):
+        text = dens.get((den, at))
+        if text is None:
+            text = dens[den, at] = _quoted(den, 1, at)
+        return text
+
+    pieces, sep = [head + "[" + term], "," + term
+    for total in rhs.sorted_degrees():
+        *divisor, (s, n, d, e) = rhs.parts[total]
+        values = list(total)
+        for scale, num, den, _ in divisor:
+            values += [_quoted(num, scale, deep), den_text(den, deep)]
+        values += [_quoted(sums, scale, deep) for scale, _, _, sums in divisor]
+        values += [_quoted(n, s, item), den_text(d, item), _quoted(e, s, item)]
+        pieces += [template % tuple(values), sep]
+    pieces[-1] = inner + "]" + nl + "}"
+    return "".join(pieces)
 
 
 def _quoted(ints, scale: int, at: str) -> str:
@@ -383,7 +397,7 @@ def _strings(strs: list[str], at: str) -> str:
     """The array of the given strings, which need no escaping, its "]" starting line ``at``."""
     if not strs:
         return "[]"
-    return "[" + at + '  "' + ('",' + at + '  "').join(strs) + '"' + at + "]"
+    return f'[{at}  "' + ('",' + at + '  "').join(strs) + f'"{at}]'
 
 
 # the library values dumps writes, each with its writer

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import logging
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +36,7 @@ from bps_kit.series import (
     polar_split,
     q_power,
 )
-from bps_kit.serialize import table_from_dict
+from bps_kit.serialize import dumps, table_from_dict
 from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
 
 from oracles import (
@@ -563,13 +565,14 @@ COVER = {2: a_series, 3: b_series}
 
 
 def cover_sum_ints(weights, pole, q_order, counts=None):
-    return jfunctions._cover_sum(
-        {r: Fr(w) for r, w in weights.items()},
-        pole,
-        q_order,
-        {},
-        jfunctions._DivisionCounts() if counts is None else counts,
-    )
+    """_cover_sum of {r: w_r}, the w_r written as integers over the lcm of their denominators."""
+    fractions = {r: Fr(w) for r, w in sorted(weights.items())}
+    scale = math.lcm(*[w.denominator for w in fractions.values()])
+    setup = jfunctions._CoverSetup(q_order)
+    if counts is not None:
+        setup.counts = counts
+    ints = [(r, w.numerator * (scale // w.denominator)) for r, w in fractions.items() if w]
+    return jfunctions._cover_sum(ints, scale, pole, setup)
 
 
 def cover_sum(weights, pole, q_order, counts=None):
@@ -704,6 +707,58 @@ def test_jmgs_rhs_logs_its_trial_divisions(caplog):
         "jmgs_rhs: 26 sums; Phi_d skipped by multiplicity 44, rejected mod q^d - 1 22; "
         "divisions tried 3, succeeded 3"
     ]
+
+
+def seeded_genus0_table(seed, degree_max, denominators):
+    """A dense rank-2 genus-0 GV table, each value about two digits longer per degree."""
+    rng = random.Random(seed)
+    entries = {}
+    for d in itertools.product(*[range(m + 1) for m in degree_max]):
+        if any(d):
+            top = 10 ** (3 + 2 * sum(d))
+            n = rng.choice((-1, 1)) * rng.randint(top // 10, top)
+            entries[(0, d)] = Fr(n, rng.choice(denominators))
+    return InvariantTable(KIND_GV, 2, 0, degree_max, entries)
+
+
+# sha256 of dumps(jmgs_rhs(...)), recorded from the writer and builder that
+# summed each cover sum over its own lcm scale; shapes past the hypothesis
+# tables (dmax <= 3), with multi-r keys up to r = 6 and (second case) a layer
+# denominator of 12 and a pairing vector with zero dot products on (k, k)
+JMGS_PINS = [
+    (
+        (6, (6, 6), (1,)), ((1, 0), (0, 1)), 6, 12,
+        "fc437034ffd31fde2c1037475771af5c43106dde743d9d5b45ffe0ba6c72ebb7",
+    ),
+    (
+        (10, (10, 10), (1, 2, 3, 4, 6)), ((1, 0), (0, 1), (1, -1)), 5, 16,
+        "60b89abdd0af00dd483d230bdb531f2e31493c0c6de1e802278204a848694d7b",
+    ),
+]
+
+
+@pytest.mark.parametrize("table, vectors, r_max, q_order, digest", JMGS_PINS, ids=["6x6", "10x10"])
+def test_jmgs_document_is_byte_identical_on_large_tables(table, vectors, r_max, q_order, digest):
+    gv = seeded_genus0_table(*table)
+    text = dumps(jmgs_rhs(gv, DivisorPairing(vectors), r_max, q_order))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_jmgs_rhs_keeps_no_setup_between_calls(monkeypatch):
+    # the setup (Phi_d powers, templates, denominators) is built per call:
+    # each call on this input does the 175 products of its own setup, as a
+    # one-shot CLI process would; a cache kept between calls, warmed here
+    # or by an earlier test, would leave a call fewer
+    gv = seeded_genus0_table(6, (6, 6), (1,))
+    pairing = DivisorPairing(((1, 0), (0, 1)))
+    products = []
+    real = jfunctions._int_mul
+    monkeypatch.setattr(jfunctions, "_int_mul", lambda a, b: products.append(1) or real(a, b))
+    first = jmgs_rhs(gv, pairing, 6, 12)
+    count = len(products)
+    second = jmgs_rhs(gv, pairing, 6, 12)
+    assert (count, len(products) - count) == (175, 175)
+    assert first.parts == second.parts
 
 
 # --- split_check: residuals in x, mapped to q ---------------------------------------

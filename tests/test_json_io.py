@@ -4,6 +4,8 @@ file loaders' error paths, each against what it must stay equal to."""
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,6 +182,29 @@ def test_dump_jmgs_edge_shapes(table, vectors, r_max, q_order):
     rhs = jmgs_rhs(table, DivisorPairing(vectors), r_max, q_order)
     expected = jmgs_to_dict(rhs.terms, rhs.lattice_rank, rhs.r_max, rhs.q_order)
     assert json.loads(dumps({"rhs": rhs})) == {"rhs": expected}
+
+
+def test_dump_jmgs_writes_a_large_document_without_copying_it():
+    # the document is one join over its terms: beside the terms' own texts,
+    # the result is the one full copy (an enclosing array, then an object,
+    # each joined apart, were two more)
+    rng = random.Random(10)
+    entries = {
+        (0, d): Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** (3 + 2 * sum(d))))
+        for d in degree_vectors((10, 10))
+    }
+    gv = InvariantTable(KIND_GV, 2, 0, (10, 10), entries)
+    rhs = jmgs_rhs(gv, DivisorPairing(((1, 0), (0, 1))), 8, 24)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = dumps(rhs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 2_000_000
+    assert peak < 2.5 * len(text)
 
 
 # --- the library values dumps writes directly, against their dict documents ----------
