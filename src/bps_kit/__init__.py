@@ -3,8 +3,8 @@
 The package computes, over exact rationals only:
 
 * the invertible genus-filtered transform between Gromov-Witten and
-  Gopakumar-Vafa invariant tables, with its genus-zero Mobius
-  specialization and an integrality checker (:mod:`bps_kit.transform`);
+  Gopakumar-Vafa invariant tables and an integrality checker
+  (:mod:`bps_kit.transform`);
 * the closed-form multiple-cover contributions of a rigid rational
   curve and the delta-function collapse of their transform
   (:mod:`bps_kit.covers`);
@@ -14,8 +14,9 @@ The package computes, over exact rationals only:
   I-coefficients, their split into Laurent-polynomial plus proper
   parts, and the GV-weighted right-hand side builder
   (:mod:`bps_kit.jfunctions`);
-* truncated Laurent series and rational-function kernels backing all of
-  the above (:mod:`bps_kit.series`).
+* the integer polynomial kernel backing all of the above, and the
+  stored truncated Laurent series and rational functions in q that it
+  returns (:mod:`bps_kit.series`).
 """
 
 from .covers import bernoulli, conifold_gv_table, conifold_gw_table
@@ -31,16 +32,9 @@ from .jfunctions import (
     j_y_coefficient,
     jmgs_rhs,
     split_check,
-    x_element_from_cover_data,
 )
-from .kring import KElem, X_RING, Y_RING, absorption_check, element, gen_p, gen_t, ring_one
-from .series import (
-    LaurentSeries,
-    PolarSplit,
-    QRationalFunction,
-    polar_split,
-    q_power,
-)
+from .kring import KElem, X_RING, Y_RING, element, gen_p, gen_t, ring_one
+from .series import LaurentSeries, QRationalFunction
 from .transform import (
     IntegralityReport,
     InvariantTable,
@@ -49,7 +43,6 @@ from .transform import (
     check_integrality,
     gv_to_gw,
     gw_to_gv,
-    gw_to_gv_genus0_mobius,
     mobius,
     sin_power_series,
 )

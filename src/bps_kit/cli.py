@@ -40,7 +40,7 @@ from .serialize import (
     render_table_text,
     table_from_dict,
 )
-from .series import PoleAtZeroError, PoleLocationError, TruncationError
+from .series import PoleAtZeroError, TruncationError
 from .transform import (
     KIND_GV,
     InvariantTable,
@@ -49,7 +49,6 @@ from .transform import (
     check_integrality,
     gv_to_gw,
     gw_to_gv,
-    gw_to_gv_genus0_mobius,
     sin_power_series,
 )
 
@@ -57,8 +56,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DOMAIN = 2
 EXIT_VERIFY = 3
-
-log = logging.getLogger("bps_kit")
 
 
 def _load_json(path: str):
@@ -96,12 +93,7 @@ def cmd_gw2gv(args) -> int:
     if args.json and args.check_integrality and not args.output:
         # the table and the report would be two JSON documents on one stdout
         raise ValueError("--json --check-integrality needs --output for the table")
-    table = _load_table(args.input)
-    if args.genus0_mobius:
-        log.info("using the genus-zero Mobius inversion path")
-        result = gw_to_gv_genus0_mobius(table)
-    else:
-        result = gw_to_gv(table)
+    result = gw_to_gv(_load_table(args.input))
     _emit(args, dumps(result))
     if args.check_integrality:
         report = check_integrality(result)
@@ -261,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gw2gv", parents=[common], help="invert a GW table to a GV table")
     p.add_argument("input", help="GW table JSON file")
     p.add_argument(
-        "--genus0-mobius",
-        action="store_true",
-        help="use the rank-1 genus-0 Mobius divisor sum",
-    )
-    p.add_argument(
         "--check-integrality",
         action="store_true",
         help="report non-integer output entries (exit 3 if any)",
@@ -352,7 +339,6 @@ def main(argv=None) -> int:
     except (
         TableKindError,
         TableBoundError,
-        PoleLocationError,
         PoleAtZeroError,
         TruncationError,
         RingMismatchError,

@@ -53,7 +53,6 @@ __all__ = [
     "i_coefficient",
     "j_y_coefficient",
     "j_x_coefficient",
-    "x_element_from_cover_data",
     "split_check",
     "SplitCheckReport",
     "SplitCheckResult",
@@ -159,7 +158,8 @@ def i_coefficient(r: int) -> KElem:
     """Novikov-degree-r coefficient of the localization series, rank-6 ring.
 
     The telescoping products of (1 - Pt q^m) over (1 - P q^m) cancel
-    against the (1-Pt)^2 prefactor (see absorption_check), leaving
+    against the (1-Pt)^2 prefactor (the absorption that
+    scripts/run_all_checks.py checks), leaving
 
         (1-Pt)^2 / ((Pt)^{2r} x^{r-1} (1 - P x)^2)   at x = q^r.
 
@@ -178,21 +178,6 @@ def j_y_coefficient(r: int) -> KElem:
 def j_x_coefficient(r: int) -> KElem:
     """Same combination with the (1-Pt)^2 factor removed, rank-2 ring."""
     return _element(X_RING, _j_numerators(_X_CONSTANTS, r), 0, r)
-
-
-def x_element_from_cover_data(
-    divisor_coeff: QRationalFunction, structure_coeff: QRationalFunction
-) -> KElem:
-    """Assemble (1+(1-P)) * divisor + (1-P) * structure in the rank-2 ring.
-
-    This is the fixed dictionary between abstract divisor/structure
-    symbols and rank-2 ring classes used by the delta cross-check.  It
-    shares no code with :func:`j_x_coefficient`, so the two agreeing on
-    a(r, q^r) and b(r, q^r) is an independent check.
-    """
-    one = ring_one(X_RING)
-    p = gen_p(X_RING)
-    return (one + (one - p)) * divisor_coeff + (one - p) * structure_coeff
 
 
 @dataclass(frozen=True)
@@ -239,10 +224,12 @@ def split_check(r_max: int) -> SplitCheckReport:
     a homomorphism, so by the lemma this is the residual of the split in
     q.  Both builders give integer numerators over denominators fixed by
     construction: x^(r-1) (x-1)^3 for I and (x-1)^3 for J.  The
-    integer split of I's numerator leaves its proper part as a numerator
-    over (x-1)^3, from which J's numerator is subtracted.  A zero
-    difference is the zero residual; any other is made canonical by trial
-    division by x - 1, with no gcd.
+    integer split of I's numerator (:func:`~bps_kit.series._split_over_z`)
+    leaves its proper part as a numerator over (x-1)^3, from which J's
+    numerator is subtracted; no rational function is built or combined
+    on the way.  A zero difference is the zero residual, stored as the
+    canonical 0/1; any other is made canonical by trial division by
+    x - 1, with no gcd.
 
     A failing report carries the residuals, and a clean report only ever
     means the identity was actually checked.  Each r logs its verdict at
@@ -250,7 +237,8 @@ def split_check(r_max: int) -> SplitCheckReport:
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    zero, den, constants = QRationalFunction.constant(0), _q_minus_one_to(3), _rank6_factors()[2]
+    zero = QRationalFunction._from_canonical((), (Fraction(1),))
+    den, constants = _q_minus_one_to(3), _rank6_factors()[2]
     results = []
     for r in range(1, r_max + 1):
         residuals = []

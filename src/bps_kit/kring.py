@@ -18,8 +18,11 @@ multiplication by generator i the block companion matrix of the
 relation.  The basis, the multiplication table and the normal form of
 every monomial follow from these integer matrices.
 
-Coefficients are generic: anything with commutative +, -, * works, so
-the same tables serve exact rationals and rational functions in q.
+Coefficients are generic: anything with commutative +, -, * works.  The
+library runs the ring arithmetic on exact rationals, and stores rational
+functions in q as coordinates without combining them; the tests run the
+same tables over rational functions in q through their oracle type, a
+subclass of QRationalFunction with field arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "gen_p",
     "gen_t",
     "element",
-    "absorption_check",
 ]
 
 
@@ -353,18 +355,3 @@ _BUNDLE_RELATION = {(0, 0): 1, (0, 1): -1, (1, 1): -2, (1, 2): 2, (2, 2): 1, (2,
 
 Y_RING = _build_ring("Y", ("P", "t"), (_LINE_RELATION, _BUNDLE_RELATION))
 X_RING = _build_ring("X", ("P",), (_LINE_RELATION,))
-
-
-def absorption_check(m_max: int) -> bool:
-    """Check that (1-Pt)^2 absorbs the t from (1 - P q^m t) for m <= m_max.
-
-    Multiplying by the square of (1 - Pt) makes (1 - P q^m t) and
-    (1 - P q^m) interchangeable; this is the cancellation that collapses
-    the telescoping products in the cover series.  The difference of the
-    two products is q^m P (1-Pt)^2 (1-t), and q^m is a nonzero scalar, so
-    one rank-6 element decides every m: P (1-Pt)^2 (1-t) = 0.
-    """
-    if m_max < 1:
-        raise ValueError("m_max must be at least 1")
-    one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
-    return (p * (one - p * t) ** 2 * (one - t)).is_zero

@@ -291,9 +291,12 @@ def _dump_integrality(report: IntegralityReport, nl: str) -> str:
 def _dump_table(table: InvariantTable, nl: str) -> str:
     """A table document, writing the entries from one template.
 
-    Every entry has the same shape, so one ``%``-template per table, built
-    from its rank and the indent, writes each entry in a single step.  The
-    values are written from the genus layers, with no Fraction built.
+    Every entry has the same shape, so one ``%``-template per table is
+    built from its rank and the indent.  Each genus layer is written by
+    one ``%`` over that template repeated, so no entry is a string of its
+    own, and the values come from the layer, with no Fraction built.  The
+    document is one join over the layer texts and their separators, as in
+    :func:`_dump_jmgs`: no text is copied into an enclosing array first.
     """
     inner = nl + "  "
     entry = inner + "  "
@@ -304,19 +307,25 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
         '"degree": ' + _array(field, ["%d"] * table.lattice_rank),
         '"value": "%s"',
     )
-    cells = []
-    for g, (den, layer) in enumerate(table._layers):
-        degrees = sorted(layer)
-        values = _ratio_strs([layer[beta] for beta in degrees], den)
-        cells += [template % (g, *beta, v) for beta, v in zip(degrees, values)]
-    head = {
+    fields = {
         "kind": table.kind,
         "lattice_rank": table.lattice_rank,
         "genus_max": table.genus_max,
         "degree_max": table.degree_max,
     }
-    items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in head.items()]
-    return _obj(nl, *items, '"entries": ' + _array(inner, cells))
+    items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in fields.items()]
+    head = "{" + inner + ("," + inner).join(items) + "," + inner + '"entries": '
+    pieces, sep = [head + "[" + entry], "," + entry
+    for g, (den, layer) in enumerate(table._layers):
+        if layer:
+            degrees = sorted(layer)
+            values = _ratio_strs([layer[beta] for beta in degrees], den)
+            args = [x for beta, v in zip(degrees, values) for x in (g, *beta, v)]
+            pieces += [sep.join([template] * len(degrees)) % tuple(args), sep]
+    if len(pieces) == 1:
+        return head + "[]" + nl + "}"
+    pieces[-1] = inner + "]" + nl + "}"
+    return "".join(pieces)
 
 
 def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:

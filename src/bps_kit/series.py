@@ -1,25 +1,23 @@
-"""Exact series and rational-function arithmetic over the rationals.
+"""Exact series and rational functions in q over the rationals.
 
 No floating point appears anywhere.  Polynomial work runs on one kernel
-of integer coefficient tuples: product, division with remainder, gcd
-and the Taylor step.  Rational polynomials are scaled to integers over
-one lcm on the way in, and :class:`fractions.Fraction` appears only
-where a value is stored or returned.  Two value types are provided:
+of integer coefficient tuples: product, division with remainder, the
+Taylor step and the integer split of a quotient into Laurent polynomial
+plus proper part (:func:`_split_over_z`).  :class:`fractions.Fraction`
+appears only where a value is stored or returned.  Two value types are
+provided, both stored values rather than arithmetic types: the library
+computes their coefficients from integers elsewhere and stores them.
 
-* :class:`LaurentSeries` -- a stored truncated Laurent series in one
-  formal variable (lambda, or q for the expansions of rational functions
-  regular at q = 0).  It is a value, not an arithmetic type: the library
-  computes its coefficients elsewhere and stores them.  The truncation
-  order travels with the value, and reading a coefficient at or above it
-  raises :class:`TruncationError` instead of silently returning zero.
-* :class:`QRationalFunction` -- an exact rational function in q, stored
-  gcd-reduced with a monic denominator so that structural equality is
-  mathematical equality.
-
-:func:`polar_split` decomposes a rational function whose poles lie only
-at q = 0 and at roots of unity into a Laurent polynomial plus a proper
-part (numerator degree < denominator degree) regular at q = 0.  That
-decomposition is unique and both pieces are returned exactly.
+* :class:`LaurentSeries` -- a truncated Laurent series in one formal
+  variable (lambda, or q for the expansions of rational functions
+  regular at q = 0).  The truncation order travels with the value, and
+  reading a coefficient at or above it raises :class:`TruncationError`
+  instead of silently returning zero.
+* :class:`QRationalFunction` -- a rational function in q, stored with a
+  numerator coprime to a monic denominator, so that structural equality
+  is mathematical equality.  Every one is built canonical from integer
+  numerators, with trial division and no gcd, and is then expanded,
+  substituted (q -> q^r) or written.
 """
 
 from __future__ import annotations
@@ -27,17 +25,12 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 __all__ = [
     "LaurentSeries",
     "QRationalFunction",
-    "PolarSplit",
-    "polar_split",
-    "q_power",
     "TruncationError",
     "PoleAtZeroError",
-    "PoleLocationError",
     "LAMBDA",
     "QVAR",
 ]
@@ -56,10 +49,6 @@ class PoleAtZeroError(ZeroDivisionError):
     """Raised when expanding a rational function with a pole at q = 0."""
 
 
-class PoleLocationError(ValueError):
-    """Raised when a rational function has a pole away from 0 and roots of unity."""
-
-
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -73,19 +62,12 @@ def _as_fraction(x) -> Fraction:
 # ---------------------------------------------------------------------------
 # integer polynomial kernel (ascending int tuples, trimmed, () = 0)
 #
-# Rational polynomials are scaled to integers over one lcm by
-# _clear_denominators; Fractions are built again only for stored results.
-# Hot paths build tuples as tuple([...]), not tuple(<generator>): a generator
-# has no length hint, so CPython allocates a 10-slot tuple and resizes it.
+# Fractions are built only for stored results.  Hot paths build tuples as
+# tuple([...]), not tuple(<generator>): a generator has no length hint, so
+# CPython allocates a 10-slot tuple and resizes it.
 # When such short tuples die they fill the interpreter's per-size tuple free
 # lists, which then hold several MB that resident memory never gives back.
 # ---------------------------------------------------------------------------
-
-
-def _clear_denominators(*polys) -> tuple[int, list[tuple[int, ...]]]:
-    """L and each of `polys` times L, where L is the lcm of all their denominators."""
-    lcm = math.lcm(*[c.denominator for p in polys for c in p])
-    return lcm, [tuple([c.numerator * (lcm // c.denominator) for c in p]) for p in polys]
 
 
 def _int_trim(p) -> tuple[int, ...]:
@@ -93,15 +75,6 @@ def _int_trim(p) -> tuple[int, ...]:
     while end and p[end - 1] == 0:
         end -= 1
     return tuple(p[:end])
-
-
-def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
-    g = 0
-    for c in p:
-        g = math.gcd(g, abs(c))
-    if g <= 1:
-        return p
-    return tuple([c // g for c in p])
 
 
 def _int_add(a: tuple[int, ...], b: tuple[int, ...], scale: int = 1) -> tuple[int, ...]:
@@ -148,42 +121,6 @@ def _int_divmod(a, b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
             for i in range(db):  # the top coefficient cancels by construction
                 r[k + i] -= c * b[i]
     return tuple(q), _int_trim(r[:db])
-
-
-def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Primitive gcd, up to sign, of nonzero integer polynomials a and b.
-
-    A primitive pseudo-remainder sequence.  The pseudo-remainder of A by
-    B is the remainder of lead(B)^(deg A - deg B + 1) * A, whose division
-    by B is exact over Z; dividing out the integer content at every step
-    keeps coefficient growth under control.
-    """
-    A = _int_primitive(a)
-    B = _int_primitive(b)
-    if len(A) < len(B):
-        A, B = B, A
-    while B:
-        scale = B[-1] ** (len(A) - len(B) + 1)
-        A, B = B, _int_primitive(_int_divmod([scale * c for c in A], B)[1])
-    return A
-
-
-def _reduce(n: tuple[int, ...], d: tuple[int, ...]) -> tuple[tuple, tuple]:
-    """Canonical Fraction tuples of n/d, for trimmed integer n and d != ().
-
-    n and d are divided exactly by their gcd (primitive, so by Gauss's
-    lemma the quotients are integer polynomials), then once by the
-    leading coefficient of d.
-    """
-    if not n:
-        return (), (Fraction(1),)
-    if len(n) > 1 and len(d) > 1:
-        g = _int_gcd(n, d)
-        if len(g) > 1:
-            n = _int_divmod(n, g)[0]
-            d = _int_divmod(d, g)[0]
-    lead = d[-1]
-    return tuple([Fraction(c, lead) for c in n]), tuple([Fraction(c, lead) for c in d])
 
 
 def _spread(p, r: int):
@@ -358,23 +295,14 @@ class LaurentSeries:
 class QRationalFunction:
     """Rational function in q over the rationals, in canonical form.
 
-    Stored with gcd(numerator, denominator) = 1 and a monic denominator,
-    so two instances are equal iff they are mathematically equal.  The
-    zero function has an empty numerator tuple.
+    A stored value: ``num`` and ``den`` are trimmed Fraction tuples with
+    gcd(num, den) = 1 and den monic, so two instances are equal iff they
+    are mathematically equal.  The zero function is num = () over
+    den = (1,).  The library builds every instance canonical through
+    :meth:`_from_canonical` and does no arithmetic on it.
     """
 
     __slots__ = ("num", "den")
-
-    def __init__(self, num, den=(Fraction(1),)):
-        _, (n, d) = _clear_denominators(
-            [_as_fraction(c) for c in num], [_as_fraction(c) for c in den]
-        )
-        d = _int_trim(d)
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        n, d = _reduce(_int_trim(n), d)
-        object.__setattr__(self, "num", n)
-        object.__setattr__(self, "den", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QRationalFunction is immutable")
@@ -388,27 +316,6 @@ class QRationalFunction:
         object.__setattr__(out, "den", den)
         return out
 
-    @classmethod
-    def constant(cls, c) -> "QRationalFunction":
-        c = _as_fraction(c)
-        return cls((c,) if c else ())
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, QRationalFunction):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QRationalFunction.constant(x)
-        return None
-
-    @property
-    def num_degree(self) -> int:
-        return len(self.num) - 1
-
-    @property
-    def den_degree(self) -> int:
-        return len(self.den) - 1
-
     @property
     def is_zero(self) -> bool:
         return not self.num
@@ -418,104 +325,25 @@ class QRationalFunction:
         return self.den == (Fraction(1),)
 
     @property
-    def is_proper(self) -> bool:
-        """True iff the function vanishes as q goes to infinity."""
-        return self.num_degree < self.den_degree
-
-    @property
     def regular_at_zero(self) -> bool:
         return self.den[0] != 0
 
     def __bool__(self):
         return not self.is_zero
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
-        return QRationalFunction._from_canonical(
-            *_reduce(_int_add(_int_mul(a, d), _int_mul(c, b)), _int_mul(b, d))
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QRationalFunction._from_canonical(tuple([-c for c in self.num]), self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # a nonzero scalar keeps num and den coprime and den monic
-            if not other:
-                return QRationalFunction._from_canonical((), (Fraction(1),))
-            return QRationalFunction._from_canonical(
-                tuple([other * c for c in self.num]), self.den
-            )
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
-        return QRationalFunction._from_canonical(*_reduce(_int_mul(a, c), _int_mul(b, d)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
-        return QRationalFunction._from_canonical(*_reduce(_int_mul(a, d), _int_mul(b, c)))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (QRationalFunction.constant(1) / self) ** (-n)
-        return _power(self, n) if n else QRationalFunction.constant(1)
-
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        if isinstance(other, QRationalFunction):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            # a constant equals its Fraction
+            return self.den == (1,) and self.num == ((other,) if other else ())
+        return NotImplemented
 
     def __hash__(self):
         if len(self.num) <= 1 and self.den == (1,):
             # a constant equals its Fraction, so it must hash alike
             return hash(self.num[0] if self.num else Fraction(0))
         return hash((self.num, self.den))
-
-    def evaluate(self, x) -> Fraction:
-        x = _as_fraction(x)
-        n = Fraction(0)
-        for c in reversed(self.num):
-            n = n * x + c
-        d = Fraction(0)
-        for c in reversed(self.den):
-            d = d * x + c
-        if d == 0:
-            raise ZeroDivisionError(f"pole at q = {x}")
-        return n / d
 
     def expand(self, order: int) -> LaurentSeries:
         """Taylor expansion at q = 0, exact, up to (excluding) `order`."""
@@ -556,13 +384,6 @@ class QRationalFunction:
         return f"QRationalFunction({self!s})"
 
 
-def q_power(n: int) -> QRationalFunction:
-    """The monomial q**n as a rational function; n may be negative."""
-    if n >= 0:
-        return QRationalFunction((Fraction(0),) * n + (Fraction(1),))
-    return QRationalFunction((Fraction(1),), (Fraction(0),) * (-n) + (Fraction(1),))
-
-
 def _q_minus_one_to(m: int) -> tuple[int, ...]:
     return tuple([math.comb(m, k) * (-1) ** (m - k) for k in range(m + 1)])
 
@@ -596,18 +417,6 @@ def _from_poles_at_0_and_1(num: list[int], at_0: int, at_1: int) -> QRationalFun
 # ---------------------------------------------------------------------------
 
 
-class PolarSplit(NamedTuple):
-    """Result of :func:`polar_split`: f = laurent + proper, exactly.
-
-    ``laurent`` maps exponents to coefficients (a Laurent polynomial in
-    q); ``proper`` has numerator degree < denominator degree and no pole
-    at q = 0.
-    """
-
-    laurent: dict[int, Fraction]
-    proper: QRationalFunction
-
-
 @functools.cache
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """The cyclotomic polynomial Phi_d as an ascending integer tuple.
@@ -621,46 +430,6 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return p
 
 
-def _euler_phi(d: int) -> int:
-    out = d
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
-    return out
-
-
-def _check_roots_of_unity(poly: tuple[int, ...]) -> None:
-    """Raise PoleLocationError unless every root of `poly` is a root of unity.
-
-    Each Phi_d is monic, so it divides the integer polynomial `poly` over
-    Q exactly when it does over Z.
-    """
-    w = poly
-    deg0 = len(w) - 1
-    d = 1
-    # phi(d) >= sqrt(d/2), so no cyclotomic factor can hide past 2*deg^2
-    while len(w) > 1 and d <= 2 * deg0 * deg0 + 1:
-        if _euler_phi(d) <= len(w) - 1:
-            cyc = _cyclotomic(d)
-            while len(w) > 1:
-                quo, rem = _int_divmod(w, cyc)
-                if rem:
-                    break
-                w = quo
-        d += 1
-    if len(w) > 1:
-        raise PoleLocationError(
-            "denominator has a pole away from q = 0 and roots of unity"
-        )
-
-
 def _split_over_z(n, k: int, den: tuple[int, ...]) -> tuple[list, tuple, tuple]:
     """(principal, quo, rem) with n / (q^k den) = principal / q^k + quo + rem / den.
 
@@ -670,6 +439,12 @@ def _split_over_z(n, k: int, den: tuple[int, ...]) -> tuple[list, tuple, tuple]:
     by q^k; quo and rem are the quotient and remainder of (n - p den) / q^k
     by den.  Every common factor of rem and den divides n, so when n is
     coprime to den, so is rem: the proper part needs no gcd.
+
+    This is the split of the quotient into a Laurent polynomial
+    (principal / q^k + quo) and a proper part regular at q = 0 (rem / den).
+    The two constraints pin it: the difference of two candidates would be
+    a Laurent polynomial that vanishes at infinity and is regular at 0,
+    hence 0.
     """
     principal = _poly_taylor(n, den, k)
     # (n - principal * den) / q^k: from q^k up, principal * den only
@@ -677,36 +452,3 @@ def _split_over_z(n, k: int, den: tuple[int, ...]) -> tuple[list, tuple, tuple]:
     t = max(k - len(den) + 1, 0)
     n = _int_add(n[k:], _int_mul(principal[t:], den)[k - t :], -1)
     return (principal, *_int_divmod(n, den))
-
-
-def polar_split(f: QRationalFunction) -> PolarSplit:
-    """Split f into a Laurent polynomial plus a proper part regular at 0.
-
-    The poles of f must lie at q = 0 or at roots of unity.  The two
-    constraints (Laurent polynomial; proper and regular at 0) pin the
-    decomposition uniquely: the difference of two candidates would be a
-    Laurent polynomial vanishing at infinity and regular at 0, hence 0.
-
-    Write f = num / (q^k den) with den(0) != 0.  The split runs over Z by
-    a cyclotomic-product lemma: den is monic, and a monic polynomial over
-    Q whose roots are all roots of unity is the product of the minimal
-    polynomials of its roots, each a cyclotomic Phi_d.  So when the
-    roots-of-unity check passes on the integer form of den, den was an
-    integer polynomial already, monic, with den(0) = +-1 (Phi_1(0) = -1
-    and Phi_d(0) = 1 for d > 1); any other den raises PoleLocationError.
-    num is cleared once to N / L with N integral, N / (q^k den) is split
-    by :func:`_split_over_z`, and Fractions c / L are built only for the
-    output coefficients.
-    """
-    _, (den,) = _clear_denominators(f.den)
-    k = next(i for i, c in enumerate(den) if c)  # strip the q-power
-    den = den[k:]
-    _check_roots_of_unity(den)  # so den is f.den[k:] by the lemma
-    lcm, (n,) = _clear_denominators(f.num)
-    principal, quo, rem = _split_over_z(n, k, den)
-    laurent = {i - k: Fraction(c, lcm) for i, c in enumerate(principal) if c}
-    laurent.update({e: Fraction(c, lcm) for e, c in enumerate(quo) if c})
-    if not rem:
-        return PolarSplit(laurent, QRationalFunction._from_canonical((), (Fraction(1),)))
-    proper = tuple([Fraction(c, lcm) for c in rem])
-    return PolarSplit(laurent, QRationalFunction._from_canonical(proper, f.den[k:]))

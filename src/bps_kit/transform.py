@@ -54,7 +54,7 @@ from .series import LAMBDA, LaurentSeries, _as_fraction
 __all__ = [
     "KIND_GW", "KIND_GV", "InvariantTable", "IntegralityReport", "TableKindError",
     "TableBoundError", "sin_power_series", "gw_to_gv", "gv_to_gw", "mobius",
-    "gw_to_gv_genus0_mobius", "check_integrality", "degree_vectors",
+    "check_integrality", "degree_vectors",
 ]
 
 KIND_GW = "GW"
@@ -424,20 +424,6 @@ def mobius(n: int) -> int:
             sign = -sign
         p += 1
     return -sign if n > 1 else sign
-
-
-def gw_to_gv_genus0_mobius(table: InvariantTable) -> InvariantTable:
-    """Genus-zero rank-1 inversion, GV_d = sum_{e|d} mu(e)/e^3 GW_{d/e}.
-
-    That is gw_to_gv where B^-1 is the 1x1 identity, so it runs gw_to_gv.
-    """
-    if table.kind != KIND_GW:
-        raise TableKindError(f"expected a {KIND_GW} table, got {table.kind}")
-    if table.lattice_rank != 1:
-        raise TableBoundError("the Mobius path requires a rank-1 table")
-    if table.genus_max != 0:
-        raise TableBoundError("the Mobius path requires a genus-zero table")
-    return gw_to_gv(table)
 
 
 def check_integrality(table: InvariantTable) -> IntegralityReport:

@@ -3,7 +3,11 @@
 Everything here is deliberately written against the obvious definition
 (dict convolutions, long division by ascending terms, divisor sums,
 binomial formulas) and shares no code with the library, so agreement
-between the two is a real check rather than a tautology.
+between the two is a real check rather than a tautology.  The one
+exception is :class:`QRF`, the field arithmetic on rational functions in
+q that the oracles build their values with: the library stores rational
+functions but does no arithmetic on them, so the tests bring their own,
+on the library's integer polynomial kernel.
 """
 
 from __future__ import annotations
@@ -13,7 +17,210 @@ import itertools
 import math
 from fractions import Fraction
 
+from bps_kit.kring import KElem
+from bps_kit.series import (
+    QRationalFunction,
+    _as_fraction,
+    _int_add,
+    _int_divmod,
+    _int_mul,
+    _int_trim,
+    _power,
+)
+
 Fr = Fraction
+
+
+class PoleLocationError(ValueError):
+    """Raised by :func:`polar_split_fraction` for a pole away from 0 and roots of unity."""
+
+
+# --- rational functions in q with field arithmetic ---------------------------------
+
+
+def _clear_denominators(*polys) -> tuple[int, list[tuple[int, ...]]]:
+    """L and each of `polys` times L, where L is the lcm of all their denominators."""
+    lcm = math.lcm(*[c.denominator for p in polys for c in p])
+    return lcm, [tuple([c.numerator * (lcm // c.denominator) for c in p]) for p in polys]
+
+
+def _int_primitive(p: tuple[int, ...]) -> tuple[int, ...]:
+    g = math.gcd(*p)
+    return p if g <= 1 else tuple([c // g for c in p])
+
+
+def _int_gcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Primitive gcd, up to sign, of nonzero integer polynomials a and b.
+
+    A primitive pseudo-remainder sequence.  The pseudo-remainder of A by
+    B is the remainder of lead(B)^(deg A - deg B + 1) * A, whose division
+    by B is exact over Z; dividing out the integer content at every step
+    keeps coefficient growth under control.
+    """
+    A = _int_primitive(a)
+    B = _int_primitive(b)
+    if len(A) < len(B):
+        A, B = B, A
+    while B:
+        scale = B[-1] ** (len(A) - len(B) + 1)
+        A, B = B, _int_primitive(_int_divmod([scale * c for c in A], B)[1])
+    return A
+
+
+def _reduce(n: tuple[int, ...], d: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Canonical Fraction tuples of n/d, for trimmed integer n and d != ().
+
+    n and d are divided exactly by their gcd (primitive, so by Gauss's
+    lemma the quotients are integer polynomials), then once by the
+    leading coefficient of d.
+    """
+    if not n:
+        return (), (Fraction(1),)
+    if len(n) > 1 and len(d) > 1:
+        g = _int_gcd(n, d)
+        if len(g) > 1:
+            n = _int_divmod(n, g)[0]
+            d = _int_divmod(d, g)[0]
+    lead = d[-1]
+    return tuple([Fraction(c, lead) for c in n]), tuple([Fraction(c, lead) for c in d])
+
+
+class QRF(QRationalFunction):
+    """A QRationalFunction with field arithmetic: the tests' rational functions in q.
+
+    ``QRF(num, den)`` reduces num/den to the library's canonical form by a
+    polynomial gcd.  The operators take library values, ints and Fractions
+    as operands and return QRFs, and a KElem whose coordinates are QRFs
+    runs the ring arithmetic over rational functions in q.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, num, den=(Fraction(1),)):
+        _, (n, d) = _clear_denominators(
+            [_as_fraction(c) for c in num], [_as_fraction(c) for c in den]
+        )
+        d = _int_trim(d)
+        if not d:
+            raise ZeroDivisionError("zero denominator")
+        n, d = _reduce(_int_trim(n), d)
+        object.__setattr__(self, "num", n)
+        object.__setattr__(self, "den", d)
+
+    @classmethod
+    def constant(cls, c) -> "QRF":
+        c = _as_fraction(c)
+        return cls((c,) if c else ())
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, QRationalFunction):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QRF.constant(x)
+        return None
+
+    @property
+    def num_degree(self) -> int:
+        return len(self.num) - 1
+
+    @property
+    def den_degree(self) -> int:
+        return len(self.den) - 1
+
+    @property
+    def is_proper(self) -> bool:
+        """True iff the function vanishes as q goes to infinity."""
+        return self.num_degree < self.den_degree
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
+        return QRF._from_canonical(*_reduce(_int_add(_int_mul(a, d), _int_mul(c, b)), _int_mul(b, d)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QRF._from_canonical(tuple([-c for c in self.num]), self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-lift(o))
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a nonzero scalar keeps num and den coprime and den monic
+            if not other:
+                return QRF._from_canonical((), (Fraction(1),))
+            return QRF._from_canonical(tuple([other * c for c in self.num]), self.den)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
+        return QRF._from_canonical(*_reduce(_int_mul(a, c), _int_mul(b, d)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero:
+            raise ZeroDivisionError("division by the zero rational function")
+        _, (a, b, c, d) = _clear_denominators(self.num, self.den, o.num, o.den)
+        return QRF._from_canonical(*_reduce(_int_mul(a, d), _int_mul(b, c)))
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return lift(o) / self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return (QRF.constant(1) / self) ** (-n)
+        return _power(self, n) if n else QRF.constant(1)
+
+    def evaluate(self, x) -> Fraction:
+        x = _as_fraction(x)
+        n = Fraction(0)
+        for c in reversed(self.num):
+            n = n * x + c
+        d = Fraction(0)
+        for c in reversed(self.den):
+            d = d * x + c
+        if d == 0:
+            raise ZeroDivisionError(f"pole at q = {x}")
+        return n / d
+
+
+def q_power(n: int) -> QRF:
+    """The monomial q**n as a rational function; n may be negative."""
+    if n >= 0:
+        return QRF((Fraction(0),) * n + (Fraction(1),))
+    return QRF((Fraction(1),), (Fraction(0),) * (-n) + (Fraction(1),))
+
+
+def lift(x):
+    """A library value with arithmetic: a rational function as a QRF, a ring element
+    with each rational-function coordinate lifted; anything else as it is."""
+    if isinstance(x, QRationalFunction):
+        return x if isinstance(x, QRF) else QRF._from_canonical(x.num, x.den)
+    if isinstance(x, KElem):
+        return KElem(x.ring, tuple([lift(c) for c in x.coords]))
+    return x
 
 
 # --- dict-based Laurent arithmetic ------------------------------------------
@@ -296,8 +503,6 @@ def polar_split_fraction(num, den):
     numerator, proper denominator)) and raises the library's
     PoleLocationError for any other pole.
     """
-    from bps_kit.series import PoleLocationError
-
     k = next(i for i, c in enumerate(den) if c)
     den = tuple(den[k:])
     rest, deg0 = den, len(den) - 1
@@ -333,8 +538,6 @@ def substitute(f, r: int):
     Each coefficient of the numerator and of the denominator moves from
     exponent e to exponent r*e.
     """
-    from bps_kit.series import QRationalFunction
-
     if not isinstance(f, QRationalFunction):
         return f
 
@@ -344,16 +547,14 @@ def substitute(f, r: int):
             out[r * e] = c
         return out
 
-    return QRationalFunction(spread(f.num), spread(f.den))
+    return QRF(spread(f.num), spread(f.den))
 
 
 # --- the cover series and the I/J coefficients built directly in q -------------
 
 
 def _one_minus_q_to(r: int):
-    from bps_kit.series import QRationalFunction
-
-    return QRationalFunction([1] + [0] * (r - 1) + [-1])
+    return QRF([1] + [0] * (r - 1) + [-1])
 
 
 def _repeated_product(x, n: int):
@@ -386,7 +587,6 @@ def i_coefficient_in_q(r: int, power: int | None = None):
     go through the ring's own power.
     """
     from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
-    from bps_kit.series import q_power
 
     power = r if power is None else power
     one, p, t = ring_one(Y_RING), gen_p(Y_RING), gen_t(Y_RING)
@@ -416,17 +616,16 @@ def rank6_factors_generic():
     Same return shape: (pole, parts, constants).
     """
     from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
-    from bps_kit.series import QRationalFunction, q_power
 
     one, p, rank = ring_one(Y_RING), gen_p(Y_RING), Y_RING.rank
     m = one - p * gen_t(Y_RING)
     factor_inv2 = (one - p * q_power(1)).inverse() ** 2
-    pole = max(QRationalFunction._coerce(c).den_degree for c in factor_inv2.coords)
+    pole = max(QRF._coerce(c).den_degree for c in factor_inv2.coords)
     lifted = factor_inv2 * (q_power(1) - 1) ** pole
-    width = max(len(QRationalFunction._coerce(c).num) for c in lifted.coords)
+    width = max(len(QRF._coerce(c).num) for c in lifted.coords)
     nums, power = [], m * m
     while not power.is_zero:
-        for f in map(QRationalFunction._coerce, (power * lifted).coords):
+        for f in map(QRF._coerce, (power * lifted).coords):
             assert f.is_polynomial and all(c.denominator == 1 for c in f.num)
             nums.append(tuple(map(int, f.num)) + (0,) * (width - len(f.num)))
         power = power * m
@@ -437,9 +636,7 @@ def rank6_factors_generic():
 
 def laurent_polynomial_to_qrf(terms):
     """Rebuild a rational function from Laurent-polynomial coefficients {e: c}."""
-    from bps_kit.series import QRationalFunction, q_power
-
-    out = QRationalFunction.constant(0)
+    out = QRF.constant(0)
     for e, c in terms.items():
         out = out + q_power(e) * Fr(c)
     return out
@@ -472,17 +669,15 @@ def groebner_normal_forms(a_max: int, b_max: int) -> dict:
 
 
 def weighted_sum_naive(pairs):
-    """Sum of w * f over (w, f) pairs, one library addition per pair.
+    """Sum of w * f over (w, f) pairs, one QRF addition per pair.
 
     The pairwise loop the library used before it added over one common
     denominator: each addition cross-multiplies and takes a gcd.
     """
-    from bps_kit.series import QRationalFunction
-
-    exact = QRationalFunction.constant(0)
+    exact = QRF.constant(0)
     for w, f in pairs:
         if w:
-            exact = f * w if exact.is_zero else exact + f * w
+            exact = lift(f) * w if exact.is_zero else exact + lift(f) * w
     return exact
 
 
@@ -492,14 +687,13 @@ def weighted_sum_naive(pairs):
 def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int) -> dict:
     """The terms of the GV-weighted double cover sum, built term by term.
 
-    Unlike the rest of this module it uses the library's rational
-    functions: it is the direct per-(degree, r) loop, which rebuilds
+    Unlike the rest of this module it uses the library's cover series,
+    summed as QRFs: it is the direct per-(degree, r) loop, which rebuilds
     a(r) and b(r) for every pair and expands each sum at the end, kept
     as a reference for the terms of ``jmgs_rhs``, in the same order.
     Table and argument validation is left to the library.
     """
     from bps_kit.jfunctions import JmgsTerm, a_series, b_series
-    from bps_kit.series import QRationalFunction
 
     n_div = len(pairing.vectors)
     buckets: dict[tuple[int, ...], list] = {}
@@ -508,10 +702,10 @@ def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int) -> dict:
             total = tuple(r * x for x in d)
             slot = buckets.setdefault(
                 total,
-                [[QRationalFunction.constant(0)] * n_div, QRationalFunction.constant(0)],
+                [[QRF.constant(0)] * n_div, QRF.constant(0)],
             )
-            a_r = a_series(r)
-            b_r = b_series(r)
+            a_r = lift(a_series(r))
+            b_r = lift(b_series(r))
             for j, vec in enumerate(pairing.vectors):
                 weight = sum(x * y for x, y in zip(vec, d))
                 if weight:
@@ -589,8 +783,6 @@ def qrf_to_dict(f) -> dict:
 
 def kelem_to_dict(e) -> dict:
     """The "ring_element" document of a KElem."""
-    from bps_kit.series import QRationalFunction
-
     coords = [qrf_to_dict(c) if isinstance(c, QRationalFunction) else str(c) for c in e.coords]
     return {
         "type": "ring_element",

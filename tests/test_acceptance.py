@@ -22,13 +22,11 @@ from bps_kit.jfunctions import (
     j_x_coefficient,
     jmgs_rhs,
     split_check,
-    x_element_from_cover_data,
 )
 from bps_kit.kring import (
     KElem,
     X_RING,
     Y_RING,
-    absorption_check,
     element,
     gen_p,
     gen_t,
@@ -43,11 +41,15 @@ from bps_kit.transform import (
     degree_vectors,
     gv_to_gw,
     gw_to_gv,
-    gw_to_gv_genus0_mobius,
     sin_power_series,
 )
 
-from oracles import genus_zero_slice, groebner_normal_forms, sin_power_coeffs
+from oracles import (
+    genus_zero_slice,
+    groebner_normal_forms,
+    mobius_transform_genus0,
+    sin_power_coeffs,
+)
 
 Fr = Fraction
 
@@ -128,7 +130,11 @@ def test_criterion_3_round_trip_100_tables():
             assert gv_to_gw(gv) == gw, "round trip failed"
             if rank == 1:
                 slice0 = genus_zero_slice(gw)
-                assert genus_zero_slice(gv) == gw_to_gv_genus0_mobius(slice0)
+                gv0 = gw_to_gv(slice0)
+                assert genus_zero_slice(gv) == gv0
+                gw0 = {d: v for (_, (d,)), v in slice0.entries.items()}
+                for d in range(1, degree_max[0] + 1):
+                    assert gv0.value(0, (d,)) == mobius_transform_genus0(gw0, d)
             n_tables += 1
     print("\nACCEPTANCE 3 round trip on 100 random tables + Mobius slice: PASS")
 
@@ -156,7 +162,7 @@ def test_criterion_4_series_anchors():
     print("\nACCEPTANCE 4 series anchors vs brute-force oracle: PASS")
 
 
-def test_criterion_5_kring_soundness():
+def test_criterion_5_kring_soundness(checks_script):
     with timed(5.0):
         one = ring_one(Y_RING)
         p = gen_p(Y_RING)
@@ -183,7 +189,7 @@ def test_criterion_5_kring_soundness():
             assert a * (b + c) == a * b + a * c
             assert a * ring_one(ring) == a
             checked += 1
-        assert absorption_check(10)
+        assert checks_script.absorption_check(10)
     # normal forms of all monomials P^a t^b with a <= 4, b <= 6 against
     # Groebner-basis remainders, outside the budget since sympy is slow
     pytest.importorskip("sympy")
@@ -204,16 +210,15 @@ def test_criterion_6_split_identity_r20():
     print("\nACCEPTANCE 6 proper-part identity for all r <= 20: PASS")
 
 
-def test_criterion_7_delta_rhs_matches_rank2_j():
+def test_criterion_7_delta_rhs_matches_rank2_j(checks_script):
     with timed(5.0):
         delta = InvariantTable(KIND_GV, 1, 0, (1,), {(0, (1,)): Fr(1)})
         rhs = jmgs_rhs(delta, DivisorPairing(((1,),)), 6, 6)
         for r in range(1, 7):
             term = rhs.terms[(r,)]
-            assembled = x_element_from_cover_data(
-                term.divisor_exact[0], term.structure_exact
+            assert checks_script.x_element_matches(
+                term.divisor_exact[0], term.structure_exact, j_x_coefficient(r)
             )
-            assert assembled == j_x_coefficient(r)
     print("\nACCEPTANCE 7 delta-table RHS equals rank-2 J-coefficients: PASS")
 
 

@@ -20,7 +20,7 @@ from bps_kit.serialize import SchemaError, table_from_dict
 from bps_kit.series import LaurentSeries, QRationalFunction
 from bps_kit.transform import InvariantTable, KIND_GV, KIND_GW
 
-from oracles import qrf_to_dict, table_to_dict
+from oracles import QRF, qrf_to_dict, table_to_dict
 
 Fr = Fraction
 
@@ -124,17 +124,15 @@ def quintic_path():
     return quintic_gw_path()
 
 
-def test_cli_gw2gv_mobius_flag_matches_full_path(tmp_path):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert main(["gw2gv", str(quintic_path()), "--output", str(out_a)]) == 0
-    assert (
-        main(
-            ["gw2gv", str(quintic_path()), "--genus0-mobius", "--output", str(out_b)]
-        )
-        == 0
-    )
-    assert json.loads(out_a.read_text()) == json.loads(out_b.read_text())
+def test_cli_gw2gv_has_no_genus0_mobius_flag(capsys):
+    # gw2gv runs one transform; the genus-zero Mobius option, which ran the
+    # same transform after three checks, is gone and is rejected as unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["gw2gv", str(quintic_path()), "--genus0-mobius"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --genus0-mobius" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_round_trip_bit_exact(tmp_path):
@@ -199,15 +197,6 @@ def test_cli_bound_violation_exits_2(tmp_path, capsys):
     write_json(wrong, gv_doc)
     assert main(["gw2gv", str(wrong)]) == 2
     assert main(["gv2gw", str(quintic_path())]) == 2
-
-
-def test_cli_mobius_flag_requires_rank1_genus0(tmp_path):
-    doc = table_to_dict(
-        InvariantTable(KIND_GW, 1, 1, (2,), {(0, (1,)): Fr(1)})
-    )
-    src = tmp_path / "g1.json"
-    write_json(src, doc)
-    assert main(["gw2gv", str(src), "--genus0-mobius"]) == 2
 
 
 def test_cli_integrality_failure_exit_code(tmp_path, capsys):
@@ -302,11 +291,8 @@ def test_cli_split_check(capsys):
 def test_cli_split_check_failure_maps_to_exit_3(monkeypatch, capsys):
     import bps_kit.cli as cli_mod
     from bps_kit.jfunctions import SplitCheckReport, SplitCheckResult
-    from bps_kit.series import QRationalFunction
 
-    fake = SplitCheckReport(
-        (SplitCheckResult(1, False, (QRationalFunction([1]),) * 6),)
-    )
+    fake = SplitCheckReport((SplitCheckResult(1, False, (QRF([1]),) * 6),))
     monkeypatch.setattr(cli_mod, "split_check", lambda rmax: fake)
     assert main(["split-check", "--rmax", "1"]) == 3
     assert "FAIL" in capsys.readouterr().out
@@ -332,7 +318,7 @@ def test_cli_jmgs(tmp_path, capsys):
     assert len(doc["terms"]) == 2
     first = doc["terms"][0]
     assert first["total_degree"] == [1]
-    assert first["divisor"][0] == qrf_to_dict(QRationalFunction([1], [1, -2, 1]))
+    assert first["divisor"][0] == qrf_to_dict(QRF([1], [1, -2, 1]))
 
 
 def test_cli_jmgs_bad_pairing(tmp_path, capsys):
@@ -486,7 +472,8 @@ def test_cli_golden_json(tmp_path, capsys, golden, argv, code):
 
 
 # Every q-rational object on these commands is built from integer numerators
-# with trial division, so none of them may run a polynomial gcd.
+# with trial division: the package has no polynomial gcd, and the oracles'
+# gcd reduction finds each object they build canonical already.
 QRATIONAL_CASES = [
     case
     for case in GOLDEN_CASES
@@ -496,14 +483,33 @@ QRATIONAL_CASES = [
 
 @pytest.mark.parametrize("golden, argv, code", QRATIONAL_CASES, ids=[c[0] for c in QRATIONAL_CASES])
 def test_q_rational_commands_run_no_polynomial_gcd(monkeypatch, tmp_path, golden, argv, code):
-    def no_gcd(a, b):
-        raise AssertionError("polynomial gcd on a q-rational CLI path")
-
-    monkeypatch.setattr(series, "_int_gcd", no_gcd)
+    built = record_rational_functions(monkeypatch)
     jfunctions._rank6_factors.cache_clear()  # its build runs under the patch too
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert_built_canonical(built)
+
+
+def record_rational_functions(monkeypatch) -> list:
+    """The list that each QRationalFunction the library builds is appended to."""
+    assert not [m for m in (series, jfunctions) if hasattr(m, "_int_gcd")]
+    built = []
+    trusted = QRationalFunction._from_canonical.__func__
+
+    def recorded(cls, num, den):
+        built.append(trusted(cls, num, den))
+        return built[-1]
+
+    monkeypatch.setattr(QRationalFunction, "_from_canonical", classmethod(recorded))
+    return built
+
+
+def assert_built_canonical(built):
+    # jmgs --json builds none: it writes the integer parts directly
+    for f in built:
+        reduced = QRF(f.num, f.den)
+        assert (f.num, f.den) == (reduced.num, reduced.den)
 
 
 # jmgs --json is written from the integer parts of jmgs_rhs: no rational
@@ -517,7 +523,6 @@ def test_jmgs_json_builds_no_rational_function_or_series(monkeypatch, tmp_path, 
     def fail(*args, **kwargs):
         raise AssertionError("a rational function, a series or a term on the jmgs --json path")
 
-    monkeypatch.setattr(QRationalFunction, "__init__", fail)
     monkeypatch.setattr(QRationalFunction, "_from_canonical", fail)
     monkeypatch.setattr(LaurentSeries, "_from_fractions", fail)
     monkeypatch.setattr(jfunctions, "_cover_objects", fail)
@@ -553,10 +558,7 @@ def test_table_commands_build_no_entries_view(monkeypatch, tmp_path, capsys, gol
 def test_failing_split_check_runs_no_polynomial_gcd(monkeypatch, capsys, shift):
     # off-by-one nilpotent weights make every residual nonzero; each one is
     # made canonical by trial division, not by a gcd
-    def no_gcd(a, b):
-        raise AssertionError("polynomial gcd on a failing split-check")
-
-    monkeypatch.setattr(series, "_int_gcd", no_gcd)
+    built = record_rational_functions(monkeypatch)
     monkeypatch.setattr(
         jfunctions,
         "_nilpotent_weights",
@@ -566,6 +568,8 @@ def test_failing_split_check_runs_no_polynomial_gcd(monkeypatch, capsys, shift):
     assert main(["split-check", "--rmax", "6", "--json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert [res["passed"] for res in doc] == [False] * 6
+    assert len(built) >= 6 * 6  # every residual, and the builders' coordinates
+    assert_built_canonical(built)
 
 
 def test_main_builds_the_parser_once(capsys):
@@ -593,5 +597,5 @@ def test_reused_parser_prints_what_a_fresh_parser_prints(capsys, argv):
 
 def test_log_env_var(monkeypatch, capsys):
     monkeypatch.setenv("BPS_KIT_LOG", "DEBUG")
-    assert main(["gw2gv", str(quintic_path()), "--genus0-mobius"]) == 0
+    assert main(["gw2gv", str(quintic_path())]) == 0
     assert '"kind": "GV"' in capsys.readouterr().out

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bps_kit import jfunctions, series
+from bps_kit import jfunctions
 from bps_kit.jfunctions import (
     DivisorPairing,
     a_series,
@@ -25,21 +25,15 @@ from bps_kit.jfunctions import (
     j_y_coefficient,
     jmgs_rhs,
     split_check,
-    x_element_from_cover_data,
 )
 from bps_kit.kring import X_RING, Y_RING, gen_p, gen_t, ring_one
-from bps_kit.series import (
-    PoleLocationError,
-    QVAR,
-    LaurentSeries,
-    QRationalFunction,
-    polar_split,
-    q_power,
-)
+from bps_kit.series import QVAR, LaurentSeries, QRationalFunction
 from bps_kit.serialize import dumps, table_from_dict
 from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
 
 from oracles import (
+    QRF,
+    PoleLocationError,
     a_series_in_q,
     b_series_in_q,
     i_coefficient_in_q,
@@ -47,6 +41,9 @@ from oracles import (
     j_y_coefficient_in_q,
     jmgs_rhs_naive,
     laurent_polynomial_to_qrf,
+    lift,
+    polar_split_fraction,
+    q_power,
     rank6_factors_generic,
     substitute,
     weighted_sum_naive,
@@ -60,7 +57,14 @@ T = gen_t(Y_RING)
 
 
 def qrf(num, den=(1,)):
-    return QRationalFunction(num, den)
+    return QRF(num, den)
+
+
+def polar_split(f):
+    """(laurent, proper) of a rational function or a constant, by the oracles' Fraction split."""
+    f = coord_qrf(f)
+    laurent, (num, den) = polar_split_fraction(f.num, f.den)
+    return laurent, QRF(num, den)
 
 
 # --- a and b ------------------------------------------------------------------
@@ -73,12 +77,12 @@ def test_a_series_r1_is_inverse_square():
 
 def test_a_series_value_at_zero_is_r():
     for r in range(1, 8):
-        assert a_series(r).evaluate(0) == r
+        assert lift(a_series(r)).evaluate(0) == r
 
 
 def test_b_series_value_at_zero_is_r_squared():
     for r in range(1, 8):
-        assert b_series(r).evaluate(0) == r * r
+        assert lift(b_series(r)).evaluate(0) == r * r
 
 
 def test_b_series_r1_expansion():
@@ -97,12 +101,10 @@ def test_b_series_r2_constant_term():
 
 def test_ab_series_are_proper_and_regular():
     for r in range(1, 7):
-        for f in (a_series(r), b_series(r)):
+        for f in (lift(a_series(r)), lift(b_series(r))):
             assert f.is_proper
             assert f.regular_at_zero
-            sp = polar_split(f)
-            assert sp.laurent == {}
-            assert sp.proper == f
+            assert polar_split(f) == ({}, f)
 
 
 def test_ab_series_reject_nonpositive_degree():
@@ -154,9 +156,9 @@ def test_i_coefficient_identity_component_expands():
     # the coordinate on the basis monomial 1, made regular by splitting
     # off the Laurent part, expands with finite exact coefficients
     coord = i_coefficient(1).coords[0]
-    sp = polar_split(coord)
-    series = sp.proper.expand(5)
-    rebuilt = laurent_polynomial_to_qrf(sp.laurent) + sp.proper
+    laurent, proper = polar_split(coord)
+    series = proper.expand(5)
+    rebuilt = laurent_polynomial_to_qrf(laurent) + proper
     assert rebuilt == coord
     assert series.trunc_order == 5
 
@@ -186,9 +188,7 @@ def test_j_y_coefficient_at_zero():
     n2 = (ONE - P * T) ** 2
     for r in (1, 2, 3):
         j = j_y_coefficient(r)
-        coords = tuple(
-            c.evaluate(0) if isinstance(c, QRationalFunction) else c for c in j.coords
-        )
+        coords = tuple(lift(c).evaluate(0) for c in j.coords)
         expected = n2 * ((2 * ONE - P) * Fr(r) + (ONE - P) * Fr(r * r))
         assert coords == expected.coords
 
@@ -197,16 +197,16 @@ def test_j_y_without_nilpotent_reduces_to_a():
     # dropping (1-P) terms leaves (1-Pt)^2 a(r, q^r)
     n2 = (ONE - P * T) ** 2
     for r in (1, 2):
-        stripped = n2 * a_series(r)
-        full = j_y_coefficient(r)
+        stripped = n2 * lift(a_series(r))
+        full = lift(j_y_coefficient(r))
         diff = full - stripped
         # the remainder is (1-Pt)^2 (1-P) (a + b)
-        assert diff == n2 * (ONE - P) * (a_series(r) + b_series(r))
+        assert diff == n2 * (ONE - P) * (lift(a_series(r)) + b_series(r))
 
 
 def test_j_x_coefficient_at_zero():
     jx = j_x_coefficient(1)
-    assert [c.evaluate(0) for c in jx.coords] == [3, -2]
+    assert [lift(c).evaluate(0) for c in jx.coords] == [3, -2]
 
 
 def test_j_x_change_of_basis():
@@ -215,14 +215,14 @@ def test_j_x_change_of_basis():
     p = gen_p(X_RING)
     for r in (1, 2, 3):
         jx = j_x_coefficient(r)
-        a_r, b_r = a_series(r), b_series(r)
+        a_r, b_r = lift(a_series(r)), lift(b_series(r))
         assert jx == one * a_r + (one - p) * (a_r + b_r)
 
 
 def test_j_x_r2_matches_series_oracle():
     jx = j_x_coefficient(2)
-    a2 = a_series(2)
-    b2 = b_series(2)
+    a2 = lift(a_series(2))
+    b2 = lift(b_series(2))
     one = ring_one(X_RING)
     p = gen_p(X_RING)
     direct = (one + (one - p)) * a2 + (one - p) * b2
@@ -236,7 +236,7 @@ def test_j_x_is_j_y_with_normal_factor_removed():
     # ring reproduces j_y, coordinate for coordinate
     n2 = (ONE - P * T) ** 2
     for r in (1, 2, 3):
-        lifted = n2 * ((2 * ONE - P) * a_series(r) + (ONE - P) * b_series(r))
+        lifted = n2 * ((2 * ONE - P) * lift(a_series(r)) + (ONE - P) * lift(b_series(r)))
         assert lifted == j_y_coefficient(r)
 
 
@@ -265,13 +265,11 @@ def test_split_check_sensitivity_control():
     p = gen_p(Y_RING)
     t = gen_t(Y_RING)
     n2 = (one - p * t) ** 2
-    wrong = n2 * (one + (one - p)) * a_series(1) + n2 * (one - p) * a_series(1)
+    a1 = lift(a_series(1))
+    wrong = n2 * (one + (one - p)) * a1 + n2 * (one - p) * a1
     mismatch = False
     for idx in range(Y_RING.rank):
-        c = i_el.coords[idx]
-        sp = polar_split(c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c))
-        w = wrong.coords[idx]
-        if sp.proper != (w if isinstance(w, QRationalFunction) else QRationalFunction.constant(w)):
+        if polar_split(i_el.coords[idx])[1] != coord_qrf(wrong.coords[idx]):
             mismatch = True
     assert mismatch
 
@@ -279,9 +277,9 @@ def test_split_check_sensitivity_control():
 def test_split_plus_part_is_laurent_only():
     for r in (2, 3):
         for c in i_coefficient(r).coords:
-            sp = polar_split(c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c))
-            assert sp.proper.is_zero or sp.proper.is_proper
-            assert sp.proper.regular_at_zero
+            _, proper = polar_split(c)
+            assert proper.is_zero or proper.is_proper
+            assert proper.regular_at_zero
 
 
 def test_split_plus_part_closed_form():
@@ -293,7 +291,7 @@ def test_split_plus_part_closed_form():
     n2 = (ONE - P * T) ** 2
     n3 = n2 * (ONE - P * T)
     for r in range(1, 6):
-        plus = n2 * QRationalFunction.constant(0)
+        plus = n2 * QRF.constant(0)
         for i in range(1, r):
             mono = q_power(-r * (r - i))
             plus = plus + n2 * (mono * i) + n3 * (mono * (i * (2 * r - i + 1)))
@@ -301,11 +299,8 @@ def test_split_plus_part_closed_form():
         assert expected == i_coefficient(r)
         # and the split recovers exactly that Laurent part, coordinatewise
         for idx in range(Y_RING.rank):
-            c = i_coefficient(r).coords[idx]
-            sp = polar_split(c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c))
-            pc = plus.coords[idx]
-            pc = pc if isinstance(pc, QRationalFunction) else QRationalFunction.constant(pc)
-            assert laurent_polynomial_to_qrf(sp.laurent) == pc
+            laurent, _ = polar_split(i_coefficient(r).coords[idx])
+            assert laurent_polynomial_to_qrf(laurent) == coord_qrf(plus.coords[idx])
 
 
 # --- jmgs_rhs ---------------------------------------------------------------------
@@ -332,14 +327,13 @@ def test_jmgs_rhs_delta_matches_cover_coefficients():
         assert term.divisor_expansion[0] == a_series(r).expand(5)
 
 
-def test_jmgs_rhs_delta_reproduces_rank2_j():
+def test_jmgs_rhs_delta_reproduces_rank2_j(checks_script):
     rhs = jmgs_rhs(delta_gv(), DivisorPairing(((1,),)), 6, 4)
     for r in range(1, 7):
         term = rhs.terms[(r,)]
-        assembled = x_element_from_cover_data(
-            term.divisor_exact[0], term.structure_exact
+        assert checks_script.x_element_matches(
+            term.divisor_exact[0], term.structure_exact, j_x_coefficient(r)
         )
-        assert assembled == j_x_coefficient(r)
 
 
 def test_jmgs_rhs_quintic_first_term():
@@ -353,8 +347,8 @@ def test_jmgs_rhs_quintic_first_term():
     rhs = jmgs_rhs(gv, DivisorPairing(((1,),)), 3, 4)
     # total degree 1 comes only from (d=1, r=1)
     term = rhs.terms[(1,)]
-    assert term.divisor_exact[0] == a_series(1) * 2875
-    assert term.structure_exact == b_series(1) * 2875
+    assert term.divisor_exact[0] == lift(a_series(1)) * 2875
+    assert term.structure_exact == lift(b_series(1)) * 2875
 
 
 def test_jmgs_rhs_degree_grouping_bruteforce():
@@ -366,15 +360,15 @@ def test_jmgs_rhs_degree_grouping_bruteforce():
     rhs = jmgs_rhs(gv, DivisorPairing(((2,),)), r_max, 3)
     # brute-force enumeration of (d, r) pairs with r*d = n
     for n in range(1, 4 * r_max + 1):
-        div_expected = QRationalFunction.constant(0)
-        struct_expected = QRationalFunction.constant(0)
+        div_expected = QRF.constant(0)
+        struct_expected = QRF.constant(0)
         hit = False
         for d, v in gv_vals.items():
             for r in range(1, r_max + 1):
                 if r * d == n:
                     hit = True
-                    div_expected = div_expected + a_series(r) * (v * 2 * d)
-                    struct_expected = struct_expected + b_series(r) * v
+                    div_expected = div_expected + lift(a_series(r)) * (v * 2 * d)
+                    struct_expected = struct_expected + lift(b_series(r)) * v
         if hit:
             term = rhs.terms[(n,)]
             assert term.divisor_exact[0] == div_expected
@@ -391,12 +385,13 @@ def test_jmgs_rhs_rank2_pairing():
     rhs = jmgs_rhs(gv, pairing, 2, 3)
     term = rhs.terms[(1, 1)]
     # only (d=(1,1), r=1) lands on total degree (1,1)
-    assert term.divisor_exact == (a_series(1) * 5, a_series(1) * 5)
-    assert term.structure_exact == b_series(1) * 5
+    a1, b1 = lift(a_series(1)), lift(b_series(1))
+    assert term.divisor_exact == (a1 * 5, a1 * 5)
+    assert term.structure_exact == b1 * 5
     # (2, 0) gets d=(1,0) doubled via r=2
     term20 = rhs.terms[(2, 0)]
-    assert term20.divisor_exact == (a_series(2) * 2, QRationalFunction.constant(0))
-    assert term20.structure_exact == b_series(2) * 2
+    assert term20.divisor_exact == (lift(a_series(2)) * 2, QRF.constant(0))
+    assert term20.structure_exact == lift(b_series(2)) * 2
 
 
 def test_jmgs_rhs_validation():
@@ -511,8 +506,8 @@ def test_jmgs_rhs_opposite_values_meeting_at_one_degree(q_order):
     pairing = DivisorPairing(((0, 1), (1, -1)))
     assert_same_rhs(gv, pairing, 2, q_order)
     term = jmgs_rhs(gv, pairing, 2, q_order).terms[(2, 0)]
-    assert term.divisor_exact[0] == QRationalFunction.constant(0)
-    assert term.structure_exact == b_series(2) * 4 - b_series(1) * 4
+    assert term.divisor_exact[0] == QRF.constant(0)
+    assert term.structure_exact == lift(b_series(2)) * 4 - lift(b_series(1)) * 4
 
 
 def test_jmgs_rhs_builds_no_cover_series(monkeypatch):
@@ -598,7 +593,7 @@ def test_closed_forms_match_the_cover_series(r):
     for pole, series in COVER.items():
         numerator, coeff = jfunctions._COVER_FORMS[pole]
         # numerator / (x - 1)^pole at x = q^r
-        f = QRationalFunction(
+        f = QRF(
             numerator(r), [(-1) ** (pole - k) * math.comb(pole, k) for k in range(pole + 1)]
         )
         assert f.at_power(r) == series(r)
@@ -638,14 +633,14 @@ def test_cover_sum_returns_integers_over_one_scale():
     assert den[-1] == 1 and len(sums) == 4
     assert Fr(sums[0], scale) == Fr(1, 2) * 1 - Fr(1, 3) * 2
     exact, expansion = jfunctions._cover_objects((scale, num, den, sums))
-    assert exact == a_series(1) * Fr(1, 2) - a_series(2) * Fr(1, 3)
+    assert exact == lift(a_series(1)) * Fr(1, 2) - lift(a_series(2)) * Fr(1, 3)
     assert expansion == exact.expand(4)
     # zero is () over (1,), with one zero coefficient per order
     assert cover_sum_ints({3: 0}, 3, 2) == (1, (), (1,), [0, 0])
 
 
 def test_cover_sum_of_zero_weights_is_zero():
-    zero = (QRationalFunction.constant(0), LaurentSeries(QVAR, 0, [], 5))
+    zero = (QRF.constant(0), LaurentSeries(QVAR, 0, [], 5))
     for pole in COVER:
         assert cover_sum({}, pole, 5) == zero
         assert cover_sum({1: 0, 2: 0, 6: 0}, pole, 5) == zero
@@ -656,8 +651,9 @@ def test_cover_sum_of_one_degree_is_the_scaled_series():
         for w in (1, -1, Fr(3, 7), BIG):
             # a zero weight beside it drops out
             exact, expansion = cover_sum({3: 0, 4: w}, pole, 9)
-            assert (exact.num, exact.den) == ((series(4) * w).num, (series(4) * w).den)
-            assert expansion == (series(4) * w).expand(9)
+            scaled = lift(series(4)) * w
+            assert (exact.num, exact.den) == (scaled.num, scaled.den)
+            assert expansion == scaled.expand(9)
 
 
 def test_cover_sum_of_opposite_weights_cancels_to_zero():
@@ -665,7 +661,7 @@ def test_cover_sum_of_opposite_weights_cancels_to_zero():
         for weights in ({4: Fr(3, 7)}, {1: -BIG, 2: 5, 6: Fr(1, 3)}):
             f, s = cover_sum(weights, pole, 7)
             g, t = cover_sum({r: -w for r, w in weights.items()}, pole, 7)
-            assert g == -f and (f + g).is_zero
+            assert g == -lift(f) and (lift(f) + g).is_zero
             assert t == LaurentSeries(QVAR, s.min_exp, [-c for c in s.coeffs], s.trunc_order)
 
 
@@ -673,7 +669,7 @@ def test_cover_sum_divides_out_a_common_cyclotomic_factor():
     # a(1, q) - 4 a(2, q^2) = (5q + 7) (q - 1) / ((q - 1)^2 (q + 1)^2)
     exact, _ = cover_sum({1: 1, 2: -4}, 2, 0)
     assert (exact.num, exact.den) == ((7, 5), (-1, -1, 1, 1))
-    assert exact == a_series(1) - 4 * a_series(2)
+    assert exact == lift(a_series(1)) - 4 * lift(a_series(2))
 
 
 def test_cover_sum_divides_out_phi_2_only_where_it_cancels():
@@ -702,7 +698,7 @@ def test_jmgs_rhs_logs_its_trial_divisions(caplog):
     rhs = jmgs_rhs(gv, DivisorPairing(((1,),)), 4, 12)
     # the divisor sum at degree 12 loses one Phi_2, the structure sum two
     term = rhs.terms[(12,)]
-    assert (term.divisor_exact[0].den_degree, term.structure_exact.den_degree) == (11, 16)
+    assert (len(term.divisor_exact[0].den), len(term.structure_exact.den)) == (12, 17)
     assert [rec.getMessage() for rec in caplog.records] == [
         "jmgs_rhs: 26 sums; Phi_d skipped by multiplicity 44, rejected mod q^d - 1 22; "
         "divisions tried 3, succeeded 3"
@@ -765,7 +761,8 @@ def test_jmgs_rhs_keeps_no_setup_between_calls(monkeypatch):
 
 
 def coord_qrf(c):
-    return c if isinstance(c, QRationalFunction) else QRationalFunction.constant(c)
+    """A ring coordinate as a QRF: a rational function lifted, a constant as its QRF."""
+    return lift(c) if isinstance(c, QRationalFunction) else QRF.constant(c)
 
 
 def i_in_x(r):
@@ -792,10 +789,10 @@ def perturb_j_numerators(monkeypatch, extra):
 @pytest.mark.parametrize(
     "extra, e",
     [
-        ((-1, 3, -3, 1), QRationalFunction.constant(1)),  # (x-1)^3 / (x-1)^3: not proper
+        ((-1, 3, -3, 1), QRF.constant(1)),  # (x-1)^3 / (x-1)^3: not proper
         # -(x-1)^2 / (x-1)^3 = 1/(1-x) is 1/(1-q^r) in q: the residuals depend
         # on r from r = 2 on
-        ((-1, 2, -1), QRationalFunction([1], [1, -1])),
+        ((-1, 2, -1), QRF([1], [1, -1])),
     ],
     ids=["constant", "cover-pole"],
 )
@@ -809,7 +806,7 @@ def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra,
     for res in report.results:
         j_q = j_y_coefficient_in_q(res.r) + substitute(e, res.r)
         expected = tuple(
-            polar_split(coord_qrf(i)).proper - coord_qrf(j)
+            polar_split(i)[1] - coord_qrf(j)
             for i, j in zip(i_coefficient_in_q(res.r).coords, j_q.coords)
         )
         assert not res.passed
@@ -819,9 +816,13 @@ def test_split_check_failure_residuals_come_from_polar_split(monkeypatch, extra,
 @pytest.mark.parametrize("shift", [0, 1, -1])
 def test_split_check_runs_no_rational_function_arithmetic(monkeypatch, shift):
     # split_check decides each coordinate on integer numerators, passing or
-    # failing: no polar_split and no QRationalFunction operator runs
+    # failing: QRationalFunction has no operator, and no comparison runs
     def forbidden(*args):
         raise AssertionError("rational-function arithmetic in split_check")
+
+    operators = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__pow__")
+    assert not [name for name in operators if hasattr(QRationalFunction, name)]
 
     monkeypatch.setattr(
         jfunctions,
@@ -829,11 +830,7 @@ def test_split_check_runs_no_rational_function_arithmetic(monkeypatch, shift):
         lambda r, count: [math.comb(2 * r + k - 1 + shift, k) for k in range(count)],
     )
     with monkeypatch.context() as m:
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
-                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__eq__"):
-            m.setattr(QRationalFunction, name, forbidden)
-        m.setattr(series, "polar_split", forbidden)
-        m.setattr(jfunctions, "polar_split", forbidden, raising=False)
+        m.setattr(QRationalFunction, "__eq__", forbidden)
         report = split_check(8)
     assert [res.passed for res in report.results] == [shift == 0] * 8
 
@@ -866,24 +863,26 @@ def test_x_builds_substitute_to_the_q_builds():
         ):
             # the same values, and Fractions where the q build has Fractions
             assert built == oracle
-            assert [type(c) for c in built.coords] == [type(c) for c in oracle.coords]
+            assert [isinstance(c, QRationalFunction) for c in built.coords] == [
+                isinstance(c, QRationalFunction) for c in oracle.coords
+            ]
 
 
-FOREIGN_POLE = QRationalFunction([1], [1, -2])
+FOREIGN_POLE = QRF([1], [1, -2])
 
 # perturbations e(x) of I: with a pole at 1 or away from the roots of
 # unity, a constant, and a double and a shared pole
 PERTURBATIONS = [
-    QRationalFunction([1], [1, -1]),
+    QRF([1], [1, -1]),
     FOREIGN_POLE,
-    QRationalFunction.constant(1),
-    QRationalFunction([0, 1], [1, -2, 1]),
-    QRationalFunction([1], [1, 0, -1]),
+    QRF.constant(1),
+    QRF([0, 1], [1, -2, 1]),
+    QRF([1], [1, 0, -1]),
 ]
 
 
 def test_proper_part_commutes_with_substitution():
-    zero = QRationalFunction.constant(0)
+    zero = QRF.constant(0)
     for r in range(1, 13):
         i_x, i_q = i_in_x(r), i_coefficient_in_q(r)
         for e in [zero] + PERTURBATIONS:
@@ -896,7 +895,7 @@ def test_proper_part_commutes_with_substitution():
                     with pytest.raises(PoleLocationError):
                         polar_split(f_q)
                     continue
-                assert polar_split(f_x).proper.at_power(r) == polar_split(f_q).proper
+                assert polar_split(f_x)[1].at_power(r) == polar_split(f_q)[1]
 
 
 # --- the closed-form builders of I and J in x -------------------------------------------
@@ -914,7 +913,9 @@ def test_j_builder_matches_the_ring_product_oracle(r):
     n2 = (ONE - P * T) * (ONE - P * T)
     divisor, structure = n2 * (ONE + (ONE - P)), n2 * (ONE - P)
     built = j_y_in_x(r)
-    assert built == divisor * jfunctions._cover_at(r, 2) + structure * jfunctions._cover_at(r, 3)
+    assert built == divisor * lift(jfunctions._cover_at(r, 2)) + structure * lift(
+        jfunctions._cover_at(r, 3)
+    )
     assert built == j_y_coefficient_in_q(r, 1)
     assert all(isinstance(c, QRationalFunction) for c in built.coords)
 
@@ -978,8 +979,7 @@ def test_rank6_factors_closed_form_matches_the_generic_inverse(fresh_rank6_facto
 
 
 @pytest.mark.parametrize("r", range(1, 31))
-def test_j_x_builder_is_independent_of_the_cover_data_assembly(r):
+def test_j_x_builder_is_independent_of_the_cover_data_assembly(checks_script, r):
     built = j_x_coefficient(r)
-    assembled = x_element_from_cover_data(a_series(r), b_series(r))
-    assert built == assembled
-    assert [type(c) for c in built.coords] == [type(c) for c in assembled.coords]
+    assert checks_script.x_element_matches(a_series(r), b_series(r), built)
+    assert all(isinstance(c, QRationalFunction) for c in built.coords)

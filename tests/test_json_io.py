@@ -29,6 +29,7 @@ from bps_kit.transform import (
 )
 
 from oracles import (
+    QRF,
     integrality_to_dict,
     jmgs_rhs_naive,
     jmgs_to_dict,
@@ -207,13 +208,37 @@ def test_dump_jmgs_writes_a_large_document_without_copying_it():
     assert peak < 2.5 * len(text)
 
 
+def test_dump_table_writes_a_large_document_without_copying_it():
+    # each genus layer is written by one % over its entries' template, and the
+    # document is one join over the layers: beside the layer texts, the result
+    # is the one full copy.  Joining the cells, then the entries array, then
+    # the object, each apart, peaked at 4.5x the text; this writes at 2.2x.
+    rng = random.Random(16)
+    entries = {}
+    for g in range(5):
+        for d in degree_vectors((16, 16)):
+            top = 2875 * 438 ** (sum(d) - 1)  # the quintic's growth: 284 bits at degree 32
+            entries[(g, d)] = Fraction(rng.choice((-1, 1)) * rng.randint(top // 10 + 1, top))
+    table = InvariantTable(KIND_GV, 2, 4, (16, 16), entries)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        text = dumps(table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 200_000
+    assert peak < 2.5 * len(text)
+
+
 # --- the library values dumps writes directly, against their dict documents ----------
 
 FRACTIONS = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
 Q_RATIONALS = st.one_of(
-    st.just(QRationalFunction.constant(0)),
+    st.just(QRF.constant(0)),
     st.builds(
-        QRationalFunction,
+        QRF,
         st.lists(FRACTIONS, max_size=4),
         st.lists(FRACTIONS, min_size=1, max_size=4).filter(any),
     ),

@@ -18,14 +18,12 @@ from bps_kit.kring import (
     X_RING,
     Y_RING,
     _build_ring,
-    absorption_check,
     element,
     gen_p,
     gen_t,
     ring_one,
 )
-from bps_kit.series import QRationalFunction, q_power
-from oracles import groebner_normal_forms
+from oracles import QRF, groebner_normal_forms, q_power
 
 Fr = Fraction
 
@@ -214,7 +212,7 @@ def test_inverse_with_rational_function_coefficients():
     assert f * inv == one
     # matches the nilpotent closed form (1 + (P-1) u/(1-u)) / (1-u), u = q^2
     u = q_power(2)
-    base = QRationalFunction([1], [1, 0, -1])  # 1/(1-q^2)
+    base = QRF([1], [1, 0, -1])  # 1/(1-q^2)
     closed = (one + (P - one) * (u * base)) * base
     assert inv == closed
 
@@ -256,11 +254,11 @@ def test_power_is_the_repeated_product():
             assert x**n == product
 
 
-def test_absorption_identity():
-    assert absorption_check(1)
-    assert absorption_check(10)
+def test_absorption_identity(checks_script):
+    assert checks_script.absorption_check(1)
+    assert checks_script.absorption_check(10)
     with pytest.raises(ValueError):
-        absorption_check(0)
+        checks_script.absorption_check(0)
 
 
 def absorption_by_powers_of_q(ring, m_max):
@@ -274,11 +272,12 @@ def absorption_by_powers_of_q(ring, m_max):
 
 
 @pytest.mark.parametrize("m_max", [1, 4])
-def test_absorption_as_one_identity_matches_the_loop_over_m(monkeypatch, m_max):
+def test_absorption_as_one_identity_matches_the_loop_over_m(monkeypatch, checks_script, m_max):
+    absorption_check = checks_script.absorption_check
     assert absorption_check(m_max) and absorption_by_powers_of_q(Y_RING, m_max)
     # t^2 = 0 in place of (1-Pt)^2 (1-t) = 0: a rank-4 ring with no absorption
     mutated = _build_ring("Y", ("P", "t"), (kring._LINE_RELATION, {(0, 2): 1}))
-    monkeypatch.setattr(kring, "Y_RING", mutated)
+    monkeypatch.setattr(checks_script, "Y_RING", mutated)
     assert not absorption_check(m_max)
     assert not absorption_by_powers_of_q(mutated, m_max)
 

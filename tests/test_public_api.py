@@ -16,26 +16,25 @@ MODULE_ALL = {
     "covers": {"bernoulli", "conifold_gw_table", "conifold_gv_table"},
     "jfunctions": {
         "a_series", "b_series", "i_coefficient", "j_y_coefficient", "j_x_coefficient",
-        "x_element_from_cover_data", "split_check", "SplitCheckReport", "SplitCheckResult",
+        "split_check", "SplitCheckReport", "SplitCheckResult",
         "DivisorPairing", "JmgsTerm", "JmgsRhs", "jmgs_rhs",
     },
     "kring": {
         "RingSpec", "KElem", "RingMismatchError", "NotInvertibleError", "Y_RING", "X_RING",
-        "ring_one", "gen_p", "gen_t", "element", "absorption_check",
+        "ring_one", "gen_p", "gen_t", "element",
     },
     "serialize": {
         "SchemaError", "table_from_dict", "pairing_from_dict", "dumps",
         "render_table_text", "render_kelem_text", "render_integrality_text",
     },
     "series": {
-        "LaurentSeries", "QRationalFunction", "PolarSplit", "polar_split", "q_power",
-        "TruncationError", "PoleAtZeroError", "PoleLocationError",
+        "LaurentSeries", "QRationalFunction", "TruncationError", "PoleAtZeroError",
         "LAMBDA", "QVAR",
     },
     "transform": {
         "KIND_GW", "KIND_GV", "InvariantTable", "IntegralityReport", "TableKindError",
         "TableBoundError", "sin_power_series", "gw_to_gv", "gv_to_gw", "mobius",
-        "gw_to_gv_genus0_mobius", "check_integrality", "degree_vectors",
+        "check_integrality", "degree_vectors",
     },
 }
 
@@ -43,11 +42,10 @@ PACKAGE_EXPORTS = {
     "bernoulli", "conifold_gv_table", "conifold_gw_table",
     "DivisorPairing", "JmgsRhs", "JmgsTerm", "SplitCheckReport", "a_series", "b_series",
     "i_coefficient", "j_x_coefficient", "j_y_coefficient", "jmgs_rhs", "split_check",
-    "x_element_from_cover_data",
-    "KElem", "X_RING", "Y_RING", "absorption_check", "element", "gen_p", "gen_t", "ring_one",
-    "LaurentSeries", "PolarSplit", "QRationalFunction", "polar_split", "q_power",
+    "KElem", "X_RING", "Y_RING", "element", "gen_p", "gen_t", "ring_one",
+    "LaurentSeries", "QRationalFunction",
     "IntegralityReport", "InvariantTable", "KIND_GV", "KIND_GW", "check_integrality",
-    "gv_to_gw", "gw_to_gv", "gw_to_gv_genus0_mobius", "mobius",
+    "gv_to_gw", "gw_to_gv", "mobius",
     "sin_power_series",
 }
 

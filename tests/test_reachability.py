@@ -1,8 +1,8 @@
 """Every function in src/bps_kit runs on a CLI or script path, or is kept for a stated reason.
 
 A fresh interpreter imports the package, runs every golden CLI case of
-test_cli, ``gw2gv --genus0-mobius`` on the bundled quintic and
-scripts/run_all_checks.py under ``sys.setprofile``, and reports each
+test_cli and scripts/run_all_checks.py under ``sys.setprofile``, and
+reports each
 code object it entered by file and first line.  Each ``def`` in the
 package is matched to its code object the same way (a decorated def's
 code starts at its first decorator).  A def never entered must be on
@@ -27,12 +27,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bps_kit"
 
-_PROTOCOL = "protocol method: Python calls it for hash(), repr(), str(), bool() or assignment"
+_PROTOCOL = "protocol method: Python calls it for ==, hash(), repr(), str(), bool() or assignment"
 _ORACLE_OPERATOR = "operator that the tests' oracles build their independent values with"
-_POLAR_SPLIT = "the paper's split of a rational function, kept public for ROADMAP item 8"
 _ACCESSOR = "public accessor or constructor that tests call; no CLI path needs it"
 
 KEEP = {
+    "kring.KElem.__eq__": _PROTOCOL,
     "kring.KElem.__hash__": _PROTOCOL,
     "kring.KElem.__repr__": _PROTOCOL,
     "kring.KElem.__str__": _PROTOCOL,
@@ -42,26 +42,13 @@ KEEP = {
     "series.LaurentSeries.__repr__": _PROTOCOL,
     "series.LaurentSeries.__setattr__": _PROTOCOL,
     "series.QRationalFunction.__bool__": _PROTOCOL,
+    "series.QRationalFunction.__eq__": _PROTOCOL,
     "series.QRationalFunction.__hash__": _PROTOCOL,
     "series.QRationalFunction.__repr__": _PROTOCOL,
     "series.QRationalFunction.__setattr__": _PROTOCOL,
     "transform.InvariantTable.__repr__": _PROTOCOL,
     "kring.KElem.__rsub__": _ORACLE_OPERATOR,
     "kring.scalar": _ORACLE_OPERATOR + " (a scalar operand of KElem + and -)",
-    "series.QRationalFunction.__neg__": _ORACLE_OPERATOR,
-    "series.QRationalFunction.__pow__": _ORACLE_OPERATOR,
-    "series.QRationalFunction.__rsub__": _ORACLE_OPERATOR,
-    "series.QRationalFunction.__rtruediv__": _ORACLE_OPERATOR,
-    "series.QRationalFunction.__sub__": _ORACLE_OPERATOR,
-    "series.QRationalFunction.__truediv__": _ORACLE_OPERATOR,
-    "series.QRationalFunction.den_degree": _ORACLE_OPERATOR,
-    "series.QRationalFunction.evaluate": _ACCESSOR,
-    "series.QRationalFunction.is_proper": _ACCESSOR,
-    "series.QRationalFunction.num_degree": _ACCESSOR,
-    "series.polar_split": _POLAR_SPLIT,
-    "series._check_roots_of_unity": _POLAR_SPLIT,
-    "series._euler_phi": _POLAR_SPLIT,
-    "series.q_power": _ACCESSOR,
     "transform.InvariantTable.value": _ACCESSOR + " (the table's basic cell read)",
     "transform.degree_vectors": _ACCESSOR,
 }
@@ -100,10 +87,9 @@ def _entered() -> set[tuple[str, int]]:
 
     sys.setprofile(None)
     # imported untraced: building the case list is not a CLI or script path
-    from test_cli import GOLDEN_CASES, quintic_path
+    from test_cli import GOLDEN_CASES
 
     cases = [argv for _, argv, _ in GOLDEN_CASES]
-    cases.append(["gw2gv", str(quintic_path()), "--genus0-mobius"])
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(profile)
         try:

@@ -1,4 +1,4 @@
-"""Tests for the exact series / rational-function kernels."""
+"""Tests for the exact series kernels and the stored series and rational functions."""
 
 from __future__ import annotations
 
@@ -14,29 +14,30 @@ from bps_kit.series import (
     QVAR,
     LaurentSeries,
     PoleAtZeroError,
-    PoleLocationError,
     QRationalFunction,
     TruncationError,
-    polar_split,
-    q_power,
 )
 from bps_kit.series import (
-    _clear_denominators,
     _cyclotomic,
     _from_poles_at_0_and_1,
     _int_divmod,
+    _split_over_z,
 )
 from bps_kit.jfunctions import a_series, b_series
 from bps_kit.kring import KElem, Y_RING
 from bps_kit.transform import _series_power
 
 from oracles import (
+    QRF,
+    _clear_denominators,
     cyclotomic_fraction,
     inv_power_series_coeff,
     laurent_polynomial_to_qrf,
+    lift,
     polar_split_fraction,
     poly_long_division,
     poly_mul,
+    q_power,
     substitute,
 )
 
@@ -44,7 +45,7 @@ Fr = Fraction
 
 
 def qrf(num, den=(1,)):
-    return QRationalFunction(num, den)
+    return QRF(num, den)
 
 
 # --- LaurentSeries basics ---------------------------------------------------
@@ -72,12 +73,14 @@ def test_equality_and_hash_consistency():
     assert hash(a) == hash(b)
     assert a != LaurentSeries(QVAR, 0, [1, 0, Fr(1, 3)], 3)
     # a constant rational function equals its Fraction, so hashes alike
-    one = QRationalFunction.constant(1)
-    assert one == Fr(1) and hash(one) == hash(Fr(1))
+    one = QRationalFunction._from_canonical((Fr(1),), (Fr(1),))
+    zero = QRationalFunction._from_canonical((), (Fr(1),))
+    assert one == Fr(1) and one == 1 and hash(one) == hash(Fr(1))
     assert len({one, Fr(1)}) == 1
-    assert hash(QRationalFunction.constant(0)) == hash(Fr(0))
+    assert zero == 0 and hash(zero) == hash(Fr(0))
+    assert one != 2 and zero != one and one == QRF.constant(1)
     x = KElem(Y_RING, (one,) + (Fr(0),) * 5)
-    y = KElem(Y_RING, (Fr(1),) + (QRationalFunction.constant(0),) * 5)
+    y = KElem(Y_RING, (Fr(1),) + (zero,) * 5)
     assert x == y and hash(x) == hash(y)
 
 
@@ -243,11 +246,11 @@ def test_qrf_field_axioms_sampled(num, den_choice, h):
     h = qrf(*h)
     assert f + g == g + f
     assert f * g == g * f
-    assert f - f == QRationalFunction.constant(0)
+    assert f - f == QRF.constant(0)
     assert (f + g) + h == f + (g + h)
     assert f * (g + h) == f * g + f * h
     if not f.is_zero:
-        assert f / f == QRationalFunction.constant(1)
+        assert f / f == QRF.constant(1)
     if not h.is_zero:
         assert (f * h) / h == f
 
@@ -287,26 +290,46 @@ def test_integer_reduced_qrf_matches_sympy_cancel(a, b):
         assert all(type(c) is Fraction for c in got.num + got.den)
 
 
-# --- polar_split -------------------------------------------------------------
+# --- the split into Laurent polynomial + proper part ------------------------------
+
+
+def split(f):
+    """(laurent, proper) of f by the integer split, checked against the Fraction split.
+
+    f's denominator is q^k times a monic integer polynomial with constant
+    term +-1, as every denominator the library splits is.  f's numerator is
+    cleared to integers over one lcm L, split by _split_over_z, and read
+    back over L.
+    """
+    k = next(i for i, c in enumerate(f.den) if c)
+    den = tuple([int(c) for c in f.den[k:]])
+    assert den == f.den[k:] and den[0] in (1, -1)
+    lcm, (n,) = _clear_denominators(f.num)
+    principal, quo, rem = _split_over_z(n, k, den)
+    laurent = {i - k: Fr(c, lcm) for i, c in enumerate(principal) if c}
+    laurent.update({e: Fr(c, lcm) for e, c in enumerate(quo) if c})
+    proper = QRF._from_canonical(tuple([Fr(c, lcm) for c in rem]), f.den[k:]) if rem else QRF(())
+    assert (laurent, (proper.num, proper.den)) == polar_split_fraction(f.num, f.den)
+    return laurent, proper
 
 
 def split_sum_matches(f):
-    sp = polar_split(f)
-    return laurent_polynomial_to_qrf(sp.laurent) + sp.proper == f
+    laurent, proper = split(f)
+    return laurent_polynomial_to_qrf(laurent) + proper == f
 
 
 def test_split_already_proper():
     f = qrf([1], [1, -1])
-    sp = polar_split(f)
-    assert sp.laurent == {}
-    assert sp.proper == f
+    laurent, proper = split(f)
+    assert laurent == {}
+    assert proper == f
 
 
 def test_split_additive():
     f = q_power(-1) + qrf([1], [1, -2, 1])
-    sp = polar_split(f)
-    assert sp.laurent == {-1: Fr(1)}
-    assert sp.proper == qrf([1], [1, -2, 1])
+    laurent, proper = split(f)
+    assert laurent == {-1: Fr(1)}
+    assert proper == qrf([1], [1, -2, 1])
     assert split_sum_matches(f)
 
 
@@ -316,19 +339,19 @@ def test_split_monomial_over_one_minus_q():
     # pins the decomposition to exactly that one.
     f = qrf([0, 0, 0, 1], [1, -1])
     quo, rem = poly_long_division([Fr(0), Fr(0), Fr(0), Fr(1)], [Fr(1), Fr(-1)])
-    sp = polar_split(f)
-    assert sp.laurent == {0: Fr(-1), 1: Fr(-1), 2: Fr(-1)}
-    assert sp.laurent == {e: c for e, c in enumerate(quo) if c != 0}
-    assert sp.proper == qrf(rem, [1, -1])
-    assert sp.proper == qrf([1], [1, -1])
+    laurent, proper = split(f)
+    assert laurent == {0: Fr(-1), 1: Fr(-1), 2: Fr(-1)}
+    assert laurent == {e: c for e, c in enumerate(quo) if c != 0}
+    assert proper == qrf(rem, [1, -1])
+    assert proper == qrf([1], [1, -1])
     assert split_sum_matches(f)
 
 
 def test_split_of_laurent_polynomial_has_zero_proper_part():
-    f = q_power(-2) + q_power(3) * 5 + QRationalFunction.constant(7)
-    sp = polar_split(f)
-    assert sp.proper.is_zero
-    assert sp.laurent == {-2: Fr(1), 0: Fr(7), 3: Fr(5)}
+    f = q_power(-2) + q_power(3) * 5 + QRF.constant(7)
+    laurent, proper = split(f)
+    assert proper.is_zero
+    assert laurent == {-2: Fr(1), 0: Fr(7), 3: Fr(5)}
 
 
 def test_split_proper_part_cases():
@@ -336,8 +359,8 @@ def test_split_proper_part_cases():
     laurent = q_power(-3) * 2 + q_power(1) - 5
     cases = [
         (laurent + one_minus_q, one_minus_q, True),
-        (laurent + one_minus_q, QRationalFunction.constant(0), False),
-        (laurent, QRationalFunction.constant(0), True),
+        (laurent + one_minus_q, QRF.constant(0), False),
+        (laurent, QRF.constant(0), True),
         (one_minus_q, one_minus_q, True),
         (laurent + qrf([1], [1, 0, -1]), one_minus_q, False),
         (laurent + one_minus_q * 3, one_minus_q, False),
@@ -347,13 +370,7 @@ def test_split_proper_part_cases():
         (qrf([1], [-1, 1]), qrf([1], [-2, 1]), False),
     ]
     for f, g, expected in cases:
-        assert (polar_split(f).proper == g) == expected
-
-
-def test_split_rejects_disallowed_pole():
-    f = qrf([1], [1, -2])  # pole at q = 1/2
-    with pytest.raises(PoleLocationError):
-        polar_split(f)
+        assert (split(f)[1] == g) == expected
 
 
 def test_split_accepts_higher_cyclotomic_poles():
@@ -372,20 +389,18 @@ def test_split_properties_random(num, k, r, m):
     den = [Fr(0)] * k + [Fr(1)]
     base = qrf([1] + [0] * (r - 1) + [-1])  # 1 - q^r
     f = qrf(num, den) / base**m
-    sp = polar_split(f)
-    assert laurent_polynomial_to_qrf(sp.laurent) + sp.proper == f
-    assert sp.proper.is_zero or sp.proper.is_proper
-    assert sp.proper.regular_at_zero
+    laurent, proper = split(f)
+    assert laurent_polynomial_to_qrf(laurent) + proper == f
+    assert proper.is_zero or proper.is_proper
+    assert proper.regular_at_zero
     # idempotence: the proper part splits to itself
-    again = polar_split(sp.proper)
-    assert again.laurent == {}
-    assert again.proper == sp.proper
+    assert split(proper) == ({}, proper)
 
 
 @st.composite
 def proper_regular_functions(draw):
     """A proper function regular at 0, over a product of factors (1 - q^k)^m."""
-    den = QRationalFunction.constant(1)
+    den = QRF.constant(1)
     factors = st.tuples(
         st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2)
     )
@@ -404,12 +419,12 @@ def proper_regular_functions(draw):
 def test_split_is_unique(laurent, proper, c):
     laurent = {e: v for e, v in laurent.items() if v}
     f = laurent_polynomial_to_qrf(laurent) + proper
-    sp = polar_split(f)
-    assert sp.laurent == laurent
-    assert sp.proper == proper
-    assert_canonical(sp.proper)
-    assert polar_split(proper) == ({}, proper)
-    assert sp.proper != proper + c
+    got_laurent, got_proper = split(f)
+    assert got_laurent == laurent
+    assert got_proper == proper
+    assert_canonical(got_proper)
+    assert split(proper) == ({}, proper)
+    assert got_proper != proper + c
 
 
 # --- the integer split against the Fraction split ---------------------------------
@@ -431,36 +446,8 @@ def cyclotomic_denominators(draw):
 @settings(max_examples=150, deadline=None)
 def test_integer_split_matches_the_fraction_split(num, den):
     f = qrf(num, den)
-    sp = polar_split(f)
-    laurent, proper = polar_split_fraction(f.num, f.den)
-    assert sp.laurent == laurent
-    assert (sp.proper.num, sp.proper.den) == proper
-    assert all(type(c) is Fraction for c in [*sp.laurent.values(), *sp.proper.num, *sp.proper.den])
-
-
-FOREIGN_FACTORS = [
-    (-2, 1),  # q - 2
-    (-1, -1, 1),  # q^2 - q - 1
-    (-1, 2),  # a root at 1/2
-    (-2, 0, 1),  # q^2 - 2
-    (1, Fr(-6, 5), 1),  # roots on the unit circle that are not roots of unity
-]
-
-
-@pytest.mark.parametrize("foreign", FOREIGN_FACTORS)
-@given(
-    c=rational_coefficients.filter(bool),
-    j=st.integers(0, 3),
-    den=cyclotomic_denominators(),
-)
-@settings(max_examples=25, deadline=None)
-def test_a_pole_off_the_roots_of_unity_raises_in_both_splits(foreign, c, j, den):
-    # a monomial numerator cannot cancel the foreign factor
-    f = qrf([0] * j + [c], poly_mul(den, foreign))
-    with pytest.raises(PoleLocationError):
-        polar_split(f)
-    with pytest.raises(PoleLocationError):
-        polar_split_fraction(f.num, f.den)
+    laurent, proper = split(f)  # split asserts the match with the Fraction split
+    assert all(type(c) is Fraction for c in [*laurent.values(), *proper.num, *proper.den])
 
 
 # --- scaling by a scalar ----------------------------------------------------------
@@ -477,7 +464,7 @@ SCALARS = [0, 1, -1, Fr(3, 7), Fr(-3, 7), 10**40 + 7, -(3**90)]
 def test_scalar_mul_matches_general_constructor(num, den, c):
     sympy = pytest.importorskip("sympy")
     f = qrf(num, den)
-    expected = QRationalFunction(tuple(c * x for x in f.num), f.den)
+    expected = QRF(tuple(c * x for x in f.num), f.den)
     for scaled in (f * c, c * f):
         assert scaled == expected
         assert hash(scaled) == hash(expected)
@@ -573,8 +560,9 @@ def test_at_power_matches_substitution_oracle(f, g, r):
     expected = substitute(f, r)
     assert (fr.num, fr.den) == (expected.num, expected.den)
     assert_canonical(fr)
-    assert (f + g).at_power(r) == fr + g.at_power(r)
-    assert (f * g).at_power(r) == fr * g.at_power(r)
+    f, g = lift(f), lift(g)
+    assert (f + g).at_power(r) == lift(fr) + g.at_power(r)
+    assert (f * g).at_power(r) == lift(fr) * g.at_power(r)
 
 
 @given(
@@ -593,7 +581,7 @@ def test_poles_at_0_and_1_match_the_gcd_construction(num, at_0, at_1, factors):
     lifted = [0] * zeros + lifted
     den = [0] * at_0 + [math.comb(at_1, k) * (-1) ** (at_1 - k) for k in range(at_1 + 1)]
     f = _from_poles_at_0_and_1(list(lifted), at_0, at_1)
-    expected = QRationalFunction(lifted, den)
+    expected = QRF(lifted, den)
     assert (f.num, f.den) == (expected.num, expected.den)
     assert all(type(c) is Fraction for c in f.num + f.den)
     assert_canonical(f)

@@ -23,7 +23,6 @@ from bps_kit.transform import (
     degree_vectors,
     gv_to_gw,
     gw_to_gv,
-    gw_to_gv_genus0_mobius,
     mobius,
     sin_power_series,
 )
@@ -128,9 +127,11 @@ def test_mobius_against_bruteforce():
 
 
 def test_quintic_mobius_path():
+    # at genus zero and rank one, gw_to_gv is the Mobius divisor sum
     gw = rank1_table(KIND_GW, QUINTIC_GW)
-    gv = gw_to_gv_genus0_mobius(gw)
+    gv = gw_to_gv(gw)
     assert {d[0]: v for (_, d), v in gv.entries.items()} == QUINTIC_GV
+    assert all(mobius_transform_genus0(QUINTIC_GW, d) == v for d, v in QUINTIC_GV.items())
 
 
 def test_quintic_full_transform():
@@ -156,10 +157,11 @@ def test_single_seed_forward():
 
 def test_single_seed_inverse():
     gw = rank1_table(KIND_GW, {1: Fr(1)}, dmax=3)
-    gv = gw_to_gv_genus0_mobius(gw)
+    gv = gw_to_gv(gw)
     assert gv.value(0, (1,)) == 1
     assert gv.value(0, (2,)) == Fr(-1, 8)
     assert gv.value(0, (3,)) == Fr(-1, 27)
+    assert all(gv.value(0, (d,)) == mobius_transform_genus0({1: Fr(1)}, d) for d in (1, 2, 3))
 
 
 def test_genus_filtered_hand_solve():
@@ -183,7 +185,7 @@ def test_mobius_identity_pushforward():
     # GW_d = sum_{e|d} e^-3 corresponds to GV identically 1
     dmax = 8
     gw_vals = {d: sum(Fr(1, e**3) for e in divisors(d)) for d in range(1, dmax + 1)}
-    gv = gw_to_gv_genus0_mobius(rank1_table(KIND_GW, gw_vals))
+    gv = gw_to_gv(rank1_table(KIND_GW, gw_vals))
     assert all(gv.value(0, (d,)) == 1 for d in range(1, dmax + 1))
     # and agrees with the brute-force divisor convolution
     for d in range(1, dmax + 1):
@@ -239,15 +241,6 @@ def test_kind_mismatch_rejected():
         gv_to_gw(gw)
     with pytest.raises(TableKindError):
         check_integrality(gw)
-
-
-def test_mobius_path_preconditions():
-    rank2 = InvariantTable(KIND_GW, 2, 0, (1, 1), {(0, (1, 0)): Fr(1)})
-    with pytest.raises(TableBoundError):
-        gw_to_gv_genus0_mobius(rank2)
-    higher_genus = InvariantTable(KIND_GW, 1, 1, (1,), {(0, (1,)): Fr(1)})
-    with pytest.raises(TableBoundError):
-        gw_to_gv_genus0_mobius(higher_genus)
 
 
 # --- integrality ----------------------------------------------------------------
@@ -324,8 +317,11 @@ def test_genus_zero_slice_agrees_with_mobius_path():
         gmax = rng.randint(0, 3)
         gw = random_table(rng, 1, gmax, (dmax,))
         full = gw_to_gv(gw)
-        sliced = gw_to_gv_genus0_mobius(genus_zero_slice(gw))
+        sliced = gw_to_gv(genus_zero_slice(gw))
         assert genus_zero_slice(full) == sliced
+        gw0 = {d: v for (g, (d,)), v in gw.entries.items() if g == 0}
+        for d in range(1, dmax + 1):
+            assert sliced.value(0, (d,)) == mobius_transform_genus0(gw0, d)
 
 
 def test_transform_is_genus_filtered():
@@ -490,7 +486,7 @@ def _library_tables():
         gv,
         gv_to_gw(gv),
         gw_to_gv(InvariantTable(KIND_GW, 2, 1, (2, 2), {})),
-        gw_to_gv_genus0_mobius(rank1),
+        gw_to_gv(rank1),
         genus_zero_slice(gw),
         conifold_gw_table(3, 5),
     ]
