@@ -30,7 +30,7 @@ from .jfunctions import (
     jmgs_rhs,
     split_check,
 )
-from .kring import NotInvertibleError, RingMismatchError
+from .kring import NotInvertibleError
 from .serialize import (
     SchemaError,
     dumps,
@@ -40,12 +40,11 @@ from .serialize import (
     render_table_text,
     table_from_dict,
 )
-from .series import PoleAtZeroError, TruncationError
+from .series import PoleAtZeroError
 from .transform import (
     KIND_GV,
     InvariantTable,
     TableBoundError,
-    TableKindError,
     check_integrality,
     gv_to_gw,
     gw_to_gv,
@@ -66,6 +65,8 @@ def _load_json(path: str):
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
 
 
 def _emit(args, text: str) -> None:
@@ -336,15 +337,7 @@ def main(argv=None) -> int:
     except (SchemaError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        TableKindError,
-        TableBoundError,
-        PoleAtZeroError,
-        TruncationError,
-        RingMismatchError,
-        NotInvertibleError,
-        ValueError,
-    ) as exc:
+    except (ValueError, PoleAtZeroError, NotInvertibleError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

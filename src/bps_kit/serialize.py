@@ -17,8 +17,8 @@ and pairing files hold one integer vector per divisor direction:
 
 Either may carry a top-level "description" string.  Unknown fields are
 rejected.  Schema problems raise :class:`SchemaError`; entries that
-violate the declared bounds raise TableBoundError, with the table
-constructor's message.  :func:`dumps` writes every JSON document, with
+violate the declared bounds raise TableBoundError from the bounds check
+the table constructor runs too.  :func:`dumps` writes every JSON document, with
 each library value the CLI emits in it as one document shape: a Fraction
 as its string; a QRationalFunction as "q_rational"; a LaurentSeries in q
 as "q_series" (a power series only: from q^-1 it raises ValueError), and
@@ -31,20 +31,15 @@ jmgs document, written from its integer parts.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .jfunctions import JmgsRhs
 from .kring import KElem
 from .series import QVAR, LaurentSeries, QRationalFunction
-from .transform import (
-    IntegralityReport,
-    InvariantTable,
-    TableBoundError,
-    _cell_error,
-    _degree_max_error,
-    _layer,
-)
+from .transform import IntegralityReport, InvariantTable, _checked_layers
 
 __all__ = [
     "SchemaError",
@@ -61,11 +56,18 @@ class SchemaError(ValueError):
     """Raised on malformed input documents (wrong shape, types, or fields)."""
 
 
+# the exponent of a spelling such as "1.5e3", as Fraction reads it
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def _int_pair(s) -> tuple[int, int]:
     """Integers (num, den), den > 0, with num / den the value of ``Fraction(s)``.
 
     SchemaError where ``Fraction(s)`` raises.  "-?digits(/digits)" is read
     by int(), unreduced; any other spelling goes through ``Fraction(s)``.
+    int() refuses more than ``sys.get_int_max_str_digits()`` digits, so an
+    exponent over that many (when the limit is set) is refused too, before
+    ``Fraction`` would expand it to 10^|e|.
     """
     if not isinstance(s, str):
         raise SchemaError(f"rational values must be strings, got {type(s).__name__}")
@@ -76,6 +78,9 @@ def _int_pair(s) -> tuple[int, int]:
             if d:
                 return int(num), d
             raise ZeroDivisionError(s)
+        exponent, limit = _EXPONENT.search(s), sys.get_int_max_str_digits()
+        if exponent and limit and abs(int(exponent[1])) > limit:
+            raise ValueError(f"exponent over {limit}")
         v = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid rational value {s!r}") from exc
@@ -125,13 +130,14 @@ _ENTRY_FIELDS = frozenset(("genus", "degree", "value"))
 
 
 def table_from_dict(doc) -> InvariantTable:
-    """The table of a table document, checked in one pass over its entries.
+    """The table of a table document.
 
-    A schema fault raises SchemaError at the first entry that has one.  A
-    bound fault raises TableBoundError, with the constructor's message,
-    only once every entry has passed its schema checks.  The bounds of a
-    degree vector are checked once.  Each value is read as an integer
-    pair, and each genus becomes one integer layer with zero values dropped.
+    A schema fault, a duplicate cell among them, raises SchemaError at the
+    first entry that has one.  Once every entry has passed, the cells go
+    through the constructor's bounds check, which raises TableBoundError
+    at the first bound fault and builds one integer layer per genus with
+    zero values dropped.  Each value is read as an integer pair, with no
+    Fraction built.
     """
     _require_document_keys(
         doc, {"kind", "lattice_rank", "genus_max", "degree_max", "entries"}, "table file"
@@ -144,9 +150,7 @@ def table_from_dict(doc) -> InvariantTable:
     degree_max = tuple([int(d) for d in _int_vector(doc["degree_max"], "table file: degree_max")])
     if not isinstance(doc["entries"], list):
         raise SchemaError("table file: entries must be a list")
-    bound_error = _degree_max_error(rank, degree_max)
-    genera: dict[int, dict] = {}  # genus -> {degree: (num, den)}, zero values too
-    in_bounds = set()
+    cells: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}  # zero values too
     for i, entry in enumerate(doc["entries"]):
         # cheap tests first; where one fails, the full check raises the error
         # with its "entry #i" text, or accepts what the test is too strict for
@@ -162,18 +166,11 @@ def table_from_dict(doc) -> InvariantTable:
             if any(x < 0 for x in deg):
                 raise SchemaError(f"entry #{i}: degree components must be nonnegative")
         value = _int_pair(entry["value"])
-        beta = tuple(deg)
-        cells = genera.get(g)
-        if cells is None:
-            cells = genera[g] = {}
-        elif beta in cells:
+        key = g, tuple(deg)
+        if key in cells:
             raise SchemaError(f"entry #{i}: duplicate cell (genus {g}, degree {deg})")
-        if bound_error is None and (g > genus_max or beta not in in_bounds):
-            bound_error = _cell_error(genus_max, degree_max, g, beta, in_bounds)
-        cells[beta] = value
-    if bound_error:
-        raise TableBoundError(bound_error)
-    layers = [_layer(genera.get(g, {})) for g in range(genus_max + 1)]
+        cells[key] = value
+    layers = _checked_layers(rank, genus_max, degree_max, cells)
     return InvariantTable._of_layers(kind, rank, genus_max, degree_max, layers)
 
 

@@ -77,34 +77,6 @@ def degree_vectors(degree_max: tuple[int, ...]) -> list[tuple[int, ...]]:
     return vecs
 
 
-# The bound messages, shared by the constructor and serialize.table_from_dict.
-
-
-def _degree_max_error(rank: int, degree_max: tuple[int, ...]) -> str | None:
-    if len(degree_max) != rank or any(d < 0 for d in degree_max):
-        return f"degree_max {degree_max} incompatible with rank {rank}"
-    return None
-
-
-def _cell_error(genus_max, degree_max, g, deg, in_bounds: set) -> str | None:
-    """Why the cell (g, deg) is outside the bounds, or None.
-
-    A degree vector that passes joins in_bounds; a table repeats each one
-    in up to genus_max + 1 cells, and it is not checked again.
-    """
-    if g < 0 or g > genus_max:
-        return f"entry genus {g} outside [0, {genus_max}]"
-    if deg not in in_bounds:
-        if len(deg) != len(degree_max):
-            return f"degree {deg} has wrong rank"
-        if not any(deg):
-            return "degree vector must be nonzero"
-        if any(d < 0 or d > m for d, m in zip(deg, degree_max)):
-            return f"degree {deg} outside bounds {degree_max}"
-        in_bounds.add(deg)
-    return None
-
-
 # A genus layer is (den, {beta: num}): the nonzero cells of one genus, num / den
 # each, with den > 0 a common denominator (not necessarily the least one).
 _Layer = tuple[int, dict[tuple[int, ...], int]]
@@ -118,15 +90,45 @@ def _layer(cells: dict[tuple[int, ...], tuple[int, int]]) -> _Layer:
     return den, {beta: n * (den // d) for beta, (n, d) in cells.items() if n}
 
 
+def _checked_layers(rank, genus_max, degree_max, cells) -> tuple[_Layer, ...]:
+    """The genus layers of cells {(g, beta): (num, den)}, den > 0, within the bounds.
+
+    Every table from outside the library passes here: the constructor
+    and serialize.table_from_dict.  TableBoundError names the first
+    fault: degree_max against the rank, then each cell in order, its
+    genus and then its degree vector.  A table repeats a degree vector in
+    up to genus_max + 1 cells, and each distinct one is checked once.
+    """
+    if len(degree_max) != rank or any(d < 0 for d in degree_max):
+        raise TableBoundError(f"degree_max {degree_max} incompatible with rank {rank}")
+    genera: list[dict] = [{} for _ in range(genus_max + 1)]
+    in_bounds: set[tuple[int, ...]] = set()
+    for (g, deg), value in cells.items():
+        if g < 0 or g > genus_max:
+            raise TableBoundError(f"entry genus {g} outside [0, {genus_max}]")
+        if deg not in in_bounds:
+            if len(deg) != rank:
+                raise TableBoundError(f"degree {deg} has wrong rank")
+            if not any(deg):
+                raise TableBoundError("degree vector must be nonzero")
+            if any(d < 0 or d > m for d, m in zip(deg, degree_max)):
+                raise TableBoundError(f"degree {deg} outside bounds {degree_max}")
+            in_bounds.add(deg)
+        genera[g][deg] = value
+    return tuple([_layer(c) for c in genera])
+
+
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class InvariantTable:
     """Invariants indexed by (genus, degree vector), with declared bounds.
 
     Missing entries are exact zeros.  Entries must satisfy g <= genus_max,
-    beta <= degree_max componentwise and beta != 0.  The cells are stored
-    as one integer genus layer per genus; ``entries`` is a read-only view
-    of the nonzero cells as Fractions, built on first read.  Two tables
-    are equal when their kinds, bounds and values are.
+    beta <= degree_max componentwise and beta != 0.  The constructor
+    normalises keys and values and rejects two keys that name one cell;
+    ``_checked_layers`` checks the bounds, as for a table file.  The cells
+    are stored as one integer genus layer per genus; ``entries`` is a
+    read-only view of the nonzero cells as Fractions, built on first
+    read.  Two tables are equal when their kinds, bounds and values are.
     """
 
     kind: str
@@ -153,26 +155,19 @@ class InvariantTable:
             raise TableBoundError("lattice rank must be positive")
         if gmax < 0:
             raise TableBoundError("genus bound must be nonnegative")
-        message = _degree_max_error(rank, dmax)
-        if message:
-            raise TableBoundError(message)
-        cells: list[dict] = [{} for _ in range(gmax + 1)]
-        in_bounds: set[tuple[int, ...]] = set()
+        cells: dict[tuple[int, tuple[int, ...]], tuple[int, int]] = {}
         for (g, deg), value in entries.items():
             try:
-                g, deg = operator.index(g), tuple([operator.index(d) for d in deg])
+                key = operator.index(g), tuple([operator.index(d) for d in deg])
             except TypeError as exc:
                 raise TableBoundError(
                     f"entry ({g!r}, {deg!r}) has a non-integer genus or degree"
                 ) from exc
             v = _as_fraction(value)
-            message = _cell_error(gmax, dmax, g, deg, in_bounds)
-            if message:
-                raise TableBoundError(message)
-            if deg in cells[g]:
-                raise TableBoundError(f"two entries for the cell (genus {g}, degree {deg})")
-            cells[g][deg] = (v.numerator, v.denominator)
-        self._init(kind, rank, gmax, dmax, tuple([_layer(c) for c in cells]))
+            if key in cells:
+                raise TableBoundError(f"two entries for the cell (genus {key[0]}, degree {key[1]})")
+            cells[key] = v.numerator, v.denominator
+        self._init(kind, rank, gmax, dmax, _checked_layers(rank, gmax, dmax, cells))
 
     def _init(self, kind, rank, genus_max, degree_max, layers):
         object.__setattr__(self, "kind", kind)

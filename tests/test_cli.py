@@ -184,6 +184,14 @@ def test_cli_non_utf8_input_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+def test_cli_deeply_nested_input_exits_1(tmp_path, capsys):
+    # the JSON parser runs out of recursion depth: malformed input, not a crash
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert main(["gv2gw", str(deep)]) == 1
+    assert capsys.readouterr().err == f"input error: {deep}: JSON nested too deeply\n"
+
+
 def test_cli_bound_violation_exits_2(tmp_path, capsys):
     doc = quintic_doc()
     doc["entries"][0]["degree"] = [9]  # beyond degree_max = [4]

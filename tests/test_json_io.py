@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import time
 import tracemalloc
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction
 from pathlib import Path
 
 import pytest
@@ -320,10 +322,16 @@ def test_dump_q_series_pads_and_rejects_a_series_from_q_to_the_minus_one():
 
 
 # --- the loader's value parser: integers (num, den) with num / den == Fraction(s),
-# and SchemaError where Fraction raises ---------------------------------------------
+# and SchemaError where Fraction raises or where an exponent is over the int()
+# digit limit -------------------------------------------------------------------
 
 
 def _check_parse(s):
+    spelling = _RATIONAL_FORMAT.match(s)
+    if spelling and spelling["exp"] and abs(int(spelling["exp"])) > sys.get_int_max_str_digits():
+        with pytest.raises(SchemaError):
+            _int_pair(s)
+        return
     try:
         expected = Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -413,6 +421,13 @@ BAD_ENTRIES = [
      TableBoundError, "degree (3, 0) outside bounds (2, 2)"),
     ("not an object", ["genus", 1],
      SchemaError, "entry #3 must be a JSON object"),
+    # a tuple holds several entries, in order; the first bound fault is named
+    ("genus over bound, then out of bounds",
+     ({"genus": 2, "degree": [0, 2], "value": "1"}, {"genus": 1, "degree": [3, 0], "value": "1"}),
+     TableBoundError, "entry genus 2 outside [0, 1]"),
+    ("out of bounds, then genus over bound",
+     ({"genus": 1, "degree": [3, 0], "value": "1"}, {"genus": 2, "degree": [0, 2], "value": "1"}),
+     TableBoundError, "degree (3, 0) outside bounds (2, 2)"),
 ]
 
 
@@ -424,7 +439,8 @@ def _gv_doc(entries):
     "entry, error, message", [case[1:] for case in BAD_ENTRIES], ids=[case[0] for case in BAD_ENTRIES]
 )
 def test_malformed_entry_error_and_exit_code(tmp_path, capsys, entry, error, message):
-    doc = _gv_doc(VALID_ENTRIES + [entry])
+    entries = VALID_ENTRIES + (list(entry) if isinstance(entry, tuple) else [entry])
+    doc = _gv_doc(entries)
     with pytest.raises(error) as info:
         table_from_dict(doc)
     assert str(info.value) == message
@@ -432,6 +448,12 @@ def test_malformed_entry_error_and_exit_code(tmp_path, capsys, entry, error, mes
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["gv2gw", str(path)]) == (1 if error is SchemaError else 2)
     assert message in capsys.readouterr().err
+    if error is TableBoundError:
+        # the constructor runs the same bounds check on the same cells
+        cells = {(e["genus"], tuple(e["degree"])): Fraction(e["value"]) for e in entries}
+        with pytest.raises(TableBoundError) as info:
+            InvariantTable(KIND_GV, 2, 1, (2, 2), cells)
+        assert str(info.value) == message
 
 
 def test_valid_entries_load():
@@ -519,6 +541,30 @@ def test_table_values_load_as_integer_layers(kind):
     assert table.value(1, (0, 1)) == 0  # "0"
     assert table.value(1, (1, 1)) == Fraction(3, 4)  # " 3/4"
     assert table.value(1, (2, 0)) == 2000  # "2e3"
+
+
+def test_an_exponent_beyond_the_digit_limit_fails_fast(tmp_path, capsys):
+    # Fraction would expand "1e10000000" to 10^(10^7); int() already refuses
+    # a digit spelling of more than the limit's digits, and so does the loader
+    # for an exponent over the limit, before any power of ten is built
+    doc = _table_doc(KIND_GV, 1, 0, (1,), ["1e10000000"])
+    start = time.perf_counter()
+    assert main(["check-integrality", _write(tmp_path, "table.json", doc)]) == 1
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "input error: invalid rational value '1e10000000'\n"
+    limit = sys.get_int_max_str_digits()
+    assert limit
+    for s in [f"1e{limit + 1}", f"1E-{limit + 1}", f"2.5e+{limit + 1} ", f"1e{'9' * 40}"]:
+        with pytest.raises(SchemaError, match="invalid rational value"):
+            _int_pair(s)
+    assert _int_pair(f"1e{limit}") == (10**limit, 1)
+    assert [_int_pair(s) for s in ("2e3", "1.5", " 3/4")] == [(2000, 1), (3, 2), (3, 4)]
+    # with no limit set, no exponent is refused
+    try:
+        sys.set_int_max_str_digits(0)
+        assert _int_pair(f"1e-{limit + 1}") == (1, 10 ** (limit + 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_table_equality_reads_values_not_layer_denominators():
