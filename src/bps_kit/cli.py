@@ -65,6 +65,8 @@ def _load_json(path: str):
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # an integer over the digit limit; its subclasses come first
+        raise SchemaError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{path}: JSON nested too deeply") from exc
 

@@ -36,12 +36,14 @@ from .series import (
     LaurentSeries,
     QRationalFunction,
     _cyclotomic,
+    _from_int_parts,
     _from_poles_at_0_and_1,
     _int_add,
     _int_divmod,
     _int_mul,
     _q_minus_one_to,
     _split_over_z,
+    _spread,
 )
 from .transform import InvariantTable, KIND_GV, TableBoundError, TableKindError
 
@@ -63,8 +65,8 @@ __all__ = [
 ]
 
 
-# Each object below is a rational function F(x), built once in x; at
-# Novikov degree r the public builders return F(q^r), by substitution.
+# Each object below is a rational function F(x), known by integer parts in x;
+# at Novikov degree r the public builders store F(q^r), substituted on them.
 
 # The cover series over x = q^r, keyed by their pole order m at x = 1:
 #   a(r, x) = (r - (r-1) x) / (x-1)^2 = sum_k (r + k) x^k,
@@ -76,11 +78,11 @@ _COVER_FORMS = {
 }
 
 
-def _cover_at(r: int, pole: int) -> QRationalFunction:
-    """a(r, x) (pole 2) or b(r, x) (pole 3), from its entry in _COVER_FORMS."""
+def _cover_at(r: int, pole: int, power: int) -> QRationalFunction:
+    """a(r, x) (pole 2) or b(r, x) (pole 3) at x = q^power, from its entry in _COVER_FORMS."""
     if r < 1:
         raise ValueError("cover degree must be positive")
-    return _from_poles_at_0_and_1(list(_COVER_FORMS[pole][0](r)), 0, pole)
+    return _from_poles_at_0_and_1(list(_COVER_FORMS[pole][0](r)), 0, pole, power)
 
 
 @functools.cache
@@ -139,19 +141,17 @@ def _j_numerators(constants: tuple[tuple[int, int], ...], r: int) -> list[list[i
 
 def _element(ring: RingSpec, nums: list[list[int]], at_0: int, power: int) -> KElem:
     # coordinate c is nums[c] / (x^at_0 (x-1)^3), canonical, at x = q^power
-    return KElem(
-        ring, tuple([_from_poles_at_0_and_1(n, at_0, 3).at_power(power) for n in nums])
-    )
+    return KElem(ring, tuple([_from_poles_at_0_and_1(n, at_0, 3, power) for n in nums]))
 
 
 def a_series(r: int) -> QRationalFunction:
     """Divisor-direction cover coefficient of degree r; a(r, 0) = r."""
-    return _cover_at(r, 2).at_power(r)
+    return _cover_at(r, 2, r)
 
 
 def b_series(r: int) -> QRationalFunction:
     """Structure-sheaf cover coefficient of degree r; b(r, 0) = r^2."""
-    return _cover_at(r, 3).at_power(r)
+    return _cover_at(r, 3, r)
 
 
 def i_coefficient(r: int) -> KElem:
@@ -219,17 +219,17 @@ def split_check(r_max: int) -> SplitCheckReport:
     injective, and G = P.
 
     So each coordinate's residual, the proper part of I(r) minus J(r),
-    is computed in x and mapped to q by
-    :meth:`~bps_kit.series.QRationalFunction.at_power`.  Substitution is
-    a homomorphism, so by the lemma this is the residual of the split in
+    is computed in x on integers and stored at x = q^r by
+    :func:`~bps_kit.series._from_poles_at_0_and_1`.  Substitution is a
+    homomorphism, so by the lemma this is the residual of the split in
     q.  Both builders give integer numerators over denominators fixed by
-    construction: x^(r-1) (x-1)^3 for I and (x-1)^3 for J.  The
-    integer split of I's numerator (:func:`~bps_kit.series._split_over_z`)
+    construction: x^(r-1) (x-1)^3 for I and (x-1)^3 for J.  The integer
+    split of I's numerator (:func:`~bps_kit.series._split_over_z`)
     leaves its proper part as a numerator over (x-1)^3, from which J's
     numerator is subtracted; no rational function is built or combined
-    on the way.  A zero difference is the zero residual, stored as the
-    canonical 0/1; any other is made canonical by trial division by
-    x - 1, with no gcd.
+    on the way.  A zero difference is the zero residual, the canonical
+    0/1 built once per call; any other is made canonical by trial
+    division by x - 1, with no gcd.
 
     A failing report carries the residuals, and a clean report only ever
     means the identity was actually checked.  Each r logs its verdict at
@@ -237,14 +237,14 @@ def split_check(r_max: int) -> SplitCheckReport:
     """
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
-    zero = QRationalFunction._from_canonical((), (Fraction(1),))
+    zero = _from_int_parts((), (1,), 1, 1)
     den, constants = _q_minus_one_to(3), _rank6_factors()[2]
     results = []
     for r in range(1, r_max + 1):
         residuals = []
         for i, j in zip(_i_numerators(r), _j_numerators(constants, r)):
             diff = _int_add(_split_over_z(i, r - 1, den)[2], j, -1)
-            residuals.append(_from_poles_at_0_and_1(list(diff), 0, 3).at_power(r) if diff else zero)
+            residuals.append(_from_poles_at_0_and_1(list(diff), 0, 3, r) if diff else zero)
         passed = all(res.is_zero for res in residuals)
         log.debug("split_check r=%d in x = q^r: %s", r, "passed" if passed else "failed")
         results.append(SplitCheckResult(r, passed, tuple(residuals)))
@@ -434,14 +434,13 @@ class _CoverSetup:
         divisors = sorted({d for r in rs for d in range(1, r + 1) if r % d == 0})
         templates = []
         for r in rs:
-            spread = [0] * ((len(numerator(r)) - 1) * r + 1)
-            spread[::r] = numerator(r)  # at r = 1 it may end in 0; num is trimmed in the sum
+            # at r = 1 the numerator may end in 0; num is trimmed in the sum
             others = self.product(tuple([(d, pole) for d in divisors if r % d]))
             expansion = self.expansions.get((r, pole))
             if expansion is None:
                 count = len(range(0, self.q_order, r))
                 expansion = self.expansions[r, pole] = [coeff(r, k) for k in range(count)]
-            templates.append((_int_mul(tuple(spread), others), expansion))
+            templates.append((_int_mul(_spread(numerator(r), r), others), expansion))
         tested = [i for i, d in enumerate(divisors) if sum([r % d == 0 for r in rs]) > 1]
         den = self.product(tuple([(d, pole) for d in divisors]))
         entry = self.keys[key] = divisors, tested, templates, den
@@ -539,9 +538,7 @@ def _cover_sum(
 def _cover_objects(part) -> tuple[QRationalFunction, LaurentSeries]:
     """The exact sum and the expansion of a :func:`_cover_sum` result, as library objects."""
     scale, num, den, sums = part
-    # Fraction(c) skips the gcd that Fraction(c, 1) takes
     as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
-    exact = QRationalFunction._from_canonical(
-        tuple([as_fraction(c) for c in num]), tuple([Fraction(c) for c in den])
+    return _from_int_parts(num, den, scale, 1), LaurentSeries._from_fractions(
+        QVAR, [as_fraction(c) for c in sums]
     )
-    return exact, LaurentSeries._from_fractions(QVAR, [as_fraction(c) for c in sums])

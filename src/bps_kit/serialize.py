@@ -212,8 +212,8 @@ def dumps(doc) -> str:
 def _dump(doc, nl: str) -> str:
     """The writer behind dumps; ``nl`` is a newline and the indent of the line ``doc`` starts on.
 
-    With an indent, ``json.dumps`` cannot use the C encoder; this writer
-    keeps the C string escaper and joins whole lists of scalars at once.
+    With an indent, ``json.dumps`` cannot use the C encoder; this writer keeps
+    the C string escaper.  Lists go item by item; large arrays use templates.
     """
     scalar = _SCALARS.get(type(doc))
     if scalar is not None:
@@ -223,9 +223,7 @@ def _dump(doc, nl: str) -> str:
         items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in doc.items()]
         return _obj(nl, *items)
     if isinstance(doc, (list, tuple)):
-        kinds = set(map(type, doc))
-        scalar = _SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-        return _array(nl, list(map(scalar, doc)) if scalar else [_dump(v, inner) for v in doc])
+        return _array(nl, [_dump(v, inner) for v in doc])
     for cls, write in _WRITERS:
         if isinstance(doc, cls):
             return write(doc, nl)

@@ -15,9 +15,10 @@ computes their coefficients from integers elsewhere and stores them.
   instead of silently returning zero.
 * :class:`QRationalFunction` -- a rational function in q, stored with a
   numerator coprime to a monic denominator, so that structural equality
-  is mathematical equality.  Every one is built canonical from integer
-  numerators, with trial division and no gcd, and is then expanded,
-  substituted (q -> q^r) or written.
+  is mathematical equality.  Every one is built canonical by one
+  constructor from integer parts in x = q^r (:func:`_from_int_parts`),
+  which substitutes on integers and takes no gcd, and is then expanded
+  or written.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def _int_divmod(a, b: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(q), _int_trim(r[:db])
 
 
-def _spread(p, r: int):
-    # p(q^r): the coefficient of q^e moves to q^(r*e); () stays ()
-    out = [Fraction(0)] * (r * (len(p) - 1) + 1)
+def _spread(p, r: int) -> tuple[int, ...]:
+    # p(q^r) for an integer tuple p: the coefficient of q^e moves to q^(r*e); () stays ()
+    out = [0] * (r * (len(p) - 1) + 1)
     out[::r] = p
     return tuple(out)
 
@@ -298,8 +299,8 @@ class QRationalFunction:
     A stored value: ``num`` and ``den`` are trimmed Fraction tuples with
     gcd(num, den) = 1 and den monic, so two instances are equal iff they
     are mathematically equal.  The zero function is num = () over
-    den = (1,).  The library builds every instance canonical through
-    :meth:`_from_canonical` and does no arithmetic on it.
+    den = (1,).  The library builds every instance canonical from integer
+    parts through :func:`_from_int_parts` and does no arithmetic on it.
     """
 
     __slots__ = ("num", "den")
@@ -353,18 +354,6 @@ class QRationalFunction:
             raise PoleAtZeroError("cannot expand: pole at q = 0")
         return LaurentSeries(QVAR, 0, _poly_taylor(self.num, self.den, order), order)
 
-    def at_power(self, r: int) -> "QRationalFunction":
-        """f(q^r) for a positive integer r, with no gcd.
-
-        Each coefficient moves from exponent e to exponent r*e.  The
-        result is already canonical: the denominator stays monic, and a
-        Bezout identity a*num + b*den = 1 becomes one for num(q^r) and
-        den(q^r), so the two stay coprime.
-        """
-        if r < 1:
-            raise ValueError("substitution q -> q^r needs a positive r")
-        return QRationalFunction._from_canonical(_spread(self.num, r), _spread(self.den, r))
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -388,28 +377,41 @@ def _q_minus_one_to(m: int) -> tuple[int, ...]:
     return tuple([math.comb(m, k) * (-1) ** (m - k) for k in range(m + 1)])
 
 
-def _from_poles_at_0_and_1(num: list[int], at_0: int, at_1: int) -> QRationalFunction:
-    """num / (q^at_0 (q-1)^at_1) in canonical form, by trial division alone.
+def _from_int_parts(num, den, scale: int, r: int) -> QRationalFunction:
+    """num(q^r) / (scale den(q^r)) as a stored rational function, with no gcd.
 
-    q and q - 1 are the only irreducible factors of the denominator, and
+    num is a trimmed integer tuple coprime to the monic integer tuple den
+    (() over (1,) for zero); scale and r are positive.  x -> q^r keeps den
+    monic and turns a Bezout identity a num + b den = 1 into one for
+    num(q^r) and den(q^r), and a positive scale changes neither.
+    """
+    # Fraction(c) skips the gcd of Fraction(c, 1); the spread's zeros share one Fraction
+    as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
+    zero = Fraction(0)
+    return QRationalFunction._from_canonical(
+        tuple([as_fraction(c) if c else zero for c in _spread(num, r)]),
+        tuple([Fraction(c) if c else zero for c in _spread(den, r)]),
+    )
+
+
+def _from_poles_at_0_and_1(num: list[int], at_0: int, at_1: int, r: int) -> QRationalFunction:
+    """num / (x^at_0 (x-1)^at_1) in canonical form at x = q^r, by trial division alone.
+
+    x and x - 1 are the only irreducible factors of the denominator, and
     they divide the integer polynomial num exactly when num(0) = 0 and
-    num(1) = 0.  So once q is stripped while num(0) = 0 and q - 1 divided
+    num(1) = 0.  So once x is stripped while num(0) = 0 and x - 1 divided
     out while num(1) = 0, num is coprime to the denominator, which is
-    monic: no gcd is needed.
+    monic: no gcd is needed, in x or, by :func:`_from_int_parts`, in q.
+    The zero numerator loses every factor and ends as 0/1.
     """
     while num and num[-1] == 0:
         num.pop()
-    if not num:
-        return QRationalFunction._from_canonical((), (Fraction(1),))
-    low = min(at_0, next(i for i, c in enumerate(num) if c))
+    low = min(at_0, next((i for i, c in enumerate(num) if c), at_0))
     num = tuple(num[low:])
     while at_1 and not sum(num):
         num = _int_divmod(num, (-1, 1))[0]
         at_1 -= 1
-    den = (0,) * (at_0 - low) + _q_minus_one_to(at_1)
-    return QRationalFunction._from_canonical(
-        tuple([Fraction(c) for c in num]), tuple([Fraction(c) for c in den])
-    )
+    return _from_int_parts(num, (0,) * (at_0 - low) + _q_minus_one_to(at_1), 1, r)
 
 
 # ---------------------------------------------------------------------------

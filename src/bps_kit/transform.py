@@ -337,22 +337,24 @@ def _genus_mix(layers: list[_Layer], matrix) -> list[_Layer]:
     return out
 
 
-def _cover_sum(layers: list[_Layer], degree_max, weights: list[int]) -> list[_Layer]:
-    """Layer h of the result is sum_{k | gamma} weights[k] k^(2h-3) layers[h](gamma/k) at gamma.
+def _cover_sum(layers: list[_Layer], degree_max, weight) -> list[_Layer]:
+    """Layer h of the result is sum_{k | gamma} weight(k) k^(2h-3) layers[h](gamma/k) at gamma.
 
     The multiples k beta inside the bounds are listed once per beta and
-    shared by every genus.
+    shared by every genus.  weight is called once for each k up to the
+    largest multiple any cell has, not up to the declared degree box.
     """
-    rays = {}
-    for _, cells in layers:
-        for beta in cells.keys() - rays.keys():
-            k_max = min(m // d for d, m in zip(beta, degree_max) if d)
-            multiples = range(1, k_max + 1)
-            rays[beta] = [(k, tuple([k * d for d in beta])) for k in multiples if weights[k]]
+    betas = set().union(*[cells for _, cells in layers])
+    k_maxes = {beta: min(m // d for d, m in zip(beta, degree_max) if d) for beta in betas}
+    weights = [0, *map(weight, range(1, max(k_maxes.values(), default=0) + 1))]
+    rays = {
+        beta: [(k, tuple([k * d for d in beta])) for k in range(1, k_max + 1) if weights[k]]
+        for beta, k_max in k_maxes.items()
+    }
     out = []
     for h, (den, cells) in enumerate(layers):
         e = 2 * h - 3
-        top = max([rays[b][-1][0] for b in cells], default=1)
+        top = max([rays[b][-1][0] for b in cells], default=0)
         ks = [k for k in range(1, top + 1) if weights[k]]
         scale = math.lcm(*[k**-e for k in ks]) if e < 0 else 1
         factors = [0] * (top + 1)
@@ -384,8 +386,7 @@ def gv_to_gw(table: InvariantTable) -> InvariantTable:
     if table.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {table.kind}")
     mixed = _genus_mix(table._layers, _lambda_coefficients(table.genus_max))
-    ones = [1] * (max(table.degree_max) + 1)
-    return _like(table, KIND_GW, _cover_sum(mixed, table.degree_max, ones))
+    return _like(table, KIND_GW, _cover_sum(mixed, table.degree_max, lambda k: 1))
 
 
 def gw_to_gv(table: InvariantTable) -> InvariantTable:
@@ -400,8 +401,7 @@ def gw_to_gv(table: InvariantTable) -> InvariantTable:
     """
     if table.kind != KIND_GW:
         raise TableKindError(f"expected a {KIND_GW} table, got {table.kind}")
-    mu = [0, *[mobius(k) for k in range(1, max(table.degree_max) + 1)]]
-    unmixed = _cover_sum(table._layers, table.degree_max, mu)
+    unmixed = _cover_sum(table._layers, table.degree_max, mobius)
     inverse = _inverse_lambda_coefficients(table.genus_max)
     return _like(table, KIND_GV, _genus_mix(unmixed, inverse))
 

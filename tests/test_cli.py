@@ -192,6 +192,26 @@ def test_cli_deeply_nested_input_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"input error: {deep}: JSON nested too deeply\n"
 
 
+def test_cli_integer_literal_over_the_digit_limit_exits_1(tmp_path, capsys):
+    # json.load refuses an integer literal over the digit limit with a plain
+    # ValueError: malformed input, not a domain error
+    digits = "1" * 5000
+    table = tmp_path / "table.json"
+    table.write_text(
+        '{"kind": "GV", "lattice_rank": 1, "genus_max": %s, "degree_max": [1], "entries": []}'
+        % digits,
+        encoding="utf-8",
+    )
+    assert main(["gv2gw", str(table)]) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {table}: Exceeds the limit")
+    gv = tmp_path / "gv.json"
+    write_json(gv, {"kind": "GV", "lattice_rank": 1, "genus_max": 0, "degree_max": [1], "entries": []})
+    pairing = tmp_path / "pairing.json"
+    pairing.write_text('{"vectors": [[%s]]}' % digits, encoding="utf-8")
+    assert main(["jmgs", "--gv", str(gv), "--pairing", str(pairing), "--rmax", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {pairing}: Exceeds the limit")
+
+
 def test_cli_bound_violation_exits_2(tmp_path, capsys):
     doc = quintic_doc()
     doc["entries"][0]["degree"] = [9]  # beyond degree_max = [4]

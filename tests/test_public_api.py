@@ -1,4 +1,5 @@
-"""The public API, pinned: each module's __all__ and the names the package exports.
+"""The public API, pinned: each module's __all__, the names the package exports,
+and the public methods and properties of the value classes.
 
 A name added to or removed from the API fails here until the lists below
 change with it, so every API change is a deliberate edit.
@@ -6,6 +7,7 @@ change with it, so every API change is a deliberate edit.
 
 from __future__ import annotations
 
+import functools
 import importlib
 
 import pytest
@@ -38,6 +40,17 @@ MODULE_ALL = {
     },
 }
 
+# module, class -> the public methods and properties the class defines
+CLASS_MEMBERS = {
+    ("series", "QRationalFunction"): {"expand", "is_polynomial", "is_zero", "regular_at_zero"},
+    ("series", "LaurentSeries"): {"coefficient", "is_zero", "terms"},
+    ("kring", "KElem"): {"inverse", "is_zero"},
+    ("transform", "InvariantTable"): {"entries", "sorted_items", "value"},
+    ("jfunctions", "JmgsRhs"): {"sorted_degrees", "terms"},
+}
+
+_DESCRIPTORS = (property, functools.cached_property, classmethod, staticmethod)
+
 PACKAGE_EXPORTS = {
     "bernoulli", "conifold_gv_table", "conifold_gw_table",
     "DivisorPairing", "JmgsRhs", "JmgsTerm", "SplitCheckReport", "a_series", "b_series",
@@ -65,3 +78,13 @@ def test_package_exports_are_pinned():
         if not name.startswith("_") and not isinstance(value, type(bps_kit))
     }
     assert exported == PACKAGE_EXPORTS
+
+
+@pytest.mark.parametrize("module, cls", sorted(CLASS_MEMBERS), ids=lambda name: name)
+def test_class_members_are_pinned(module, cls):
+    members = vars(getattr(importlib.import_module(f"bps_kit.{module}"), cls))
+    public = {
+        name for name, value in members.items()
+        if not name.startswith("_") and (callable(value) or isinstance(value, _DESCRIPTORS))
+    }
+    assert public == CLASS_MEMBERS[module, cls]

@@ -19,17 +19,18 @@ from bps_kit.series import (
 )
 from bps_kit.series import (
     _cyclotomic,
+    _from_int_parts,
     _from_poles_at_0_and_1,
     _int_divmod,
     _split_over_z,
 )
-from bps_kit.jfunctions import a_series, b_series
 from bps_kit.kring import KElem, Y_RING
 from bps_kit.transform import _series_power
 
 from oracles import (
     QRF,
     _clear_denominators,
+    _int_gcd,
     cyclotomic_fraction,
     inv_power_series_coeff,
     laurent_polynomial_to_qrf,
@@ -508,21 +509,6 @@ def test_clear_denominators_matches_fraction_products(coeffs):
     assert _clear_denominators(coeffs[:half], coeffs[half:]) == (lcm, [ints[:half], ints[half:]])
 
 
-# --- random rational functions ----------------------------------------------------
-
-
-@st.composite
-def rational_functions(draw):
-    """Cover series, or random functions with a pole at 0 and any sign of lead."""
-    if draw(st.booleans()):
-        return draw(st.sampled_from([a_series, b_series]))(draw(st.integers(1, 6)))
-    num = draw(st.lists(small_fractions, max_size=5))
-    den = draw(st.lists(small_fractions, min_size=1, max_size=5).filter(lambda d: d[-1] != 0))
-    if draw(st.booleans()):
-        den = [-c for c in den]
-    return qrf(num, [0] * draw(st.integers(0, 2)) + den)
-
-
 @pytest.mark.parametrize("n", range(1, 31))
 def test_cyclotomic_table_against_sympy_and_the_divisor_product(n):
     sympy = pytest.importorskip("sympy")
@@ -553,16 +539,38 @@ def test_int_divexact_rejects_an_inexact_quotient():
 # --- substitution q -> q^r -----------------------------------------------------------
 
 
-@given(f=rational_functions(), g=rational_functions(), r=st.integers(1, 4))
+@st.composite
+def integer_parts(draw):
+    """(num, den): a trimmed integer numerator coprime to a monic integer denominator."""
+    num = draw(st.lists(st.integers(-5, 5), max_size=5))
+    den = [0] * draw(st.integers(0, 2)) + draw(st.lists(st.integers(-5, 5), max_size=4)) + [1]
+    while num and num[-1] == 0:
+        num.pop()
+    if not num:
+        return (), (1,)
+    # divide out the gcd: it divides the monic den, so its lead is +-1
+    g = _int_gcd(tuple(num), tuple(den))
+    num, den = _int_divmod(tuple(num), g)[0], _int_divmod(tuple(den), g)[0]
+    if den[-1] < 0:
+        num, den = tuple([-c for c in num]), tuple([-c for c in den])
+    return num, den
+
+
+@given(f=integer_parts(), g=integer_parts(), scale=st.integers(1, 6), r=st.integers(1, 4))
+@example(f=((), (1,)), g=((1,), (1,)), scale=6, r=4)
+@example(f=((3, 0, 2), (0, 0, 1)), g=((-1, 1), (1, 2, 1)), scale=4, r=3)
 @settings(max_examples=80, deadline=None)
-def test_at_power_matches_substitution_oracle(f, g, r):
-    fr = f.at_power(r)
-    expected = substitute(f, r)
+def test_from_int_parts_matches_substitution_oracle(f, g, scale, r):
+    fr = _from_int_parts(*f, scale, r)
+    f_x = QRF([Fr(c, scale) for c in f[0]], f[1])
+    expected = substitute(f_x, r)
     assert (fr.num, fr.den) == (expected.num, expected.den)
+    assert all(type(c) is Fraction for c in fr.num + fr.den)
     assert_canonical(fr)
-    f, g = lift(f), lift(g)
-    assert (f + g).at_power(r) == lift(fr) + g.at_power(r)
-    assert (f * g).at_power(r) == lift(fr) * g.at_power(r)
+    # x -> q^r is a ring homomorphism, so sums and products built in x agree
+    g_x, gr = QRF(*g), lift(_from_int_parts(*g, 1, r))
+    assert substitute(f_x + g_x, r) == lift(fr) + gr
+    assert substitute(f_x * g_x, r) == lift(fr) * gr
 
 
 @given(
@@ -570,9 +578,10 @@ def test_at_power_matches_substitution_oracle(f, g, r):
     at_0=st.integers(0, 3),
     at_1=st.integers(0, 4),
     factors=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    r=st.integers(1, 4),
 )
 @settings(max_examples=120, deadline=None)
-def test_poles_at_0_and_1_match_the_gcd_construction(num, at_0, at_1, factors):
+def test_poles_at_0_and_1_match_the_gcd_construction(num, at_0, at_1, factors, r):
     # num times q^i (q-1)^j, so that the trial divisions have work to do
     zeros, ones = factors
     lifted = list(num)
@@ -580,17 +589,8 @@ def test_poles_at_0_and_1_match_the_gcd_construction(num, at_0, at_1, factors):
         lifted = [b - a for a, b in zip(lifted + [0], [0] + lifted)]
     lifted = [0] * zeros + lifted
     den = [0] * at_0 + [math.comb(at_1, k) * (-1) ** (at_1 - k) for k in range(at_1 + 1)]
-    f = _from_poles_at_0_and_1(list(lifted), at_0, at_1)
-    expected = QRF(lifted, den)
+    f = _from_poles_at_0_and_1(list(lifted), at_0, at_1, r)
+    expected = substitute(QRF(lifted, den), r)
     assert (f.num, f.den) == (expected.num, expected.den)
     assert all(type(c) is Fraction for c in f.num + f.den)
     assert_canonical(f)
-
-
-def test_at_power_needs_a_positive_power():
-    f = qrf([1], [1, -1])
-    assert f.at_power(1) == f
-    assert f.at_power(3) == qrf([1], [1, 0, 0, -1])
-    for r in (0, -1):
-        with pytest.raises(ValueError):
-            f.at_power(r)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bps_kit import transform
 from bps_kit.covers import bernoulli, conifold_gw_table
 from bps_kit.transform import (
     KIND_GV,
@@ -221,6 +222,21 @@ def test_table_value_reads_are_bound_checked():
 def test_mobius_rejects_nonpositive():
     with pytest.raises(ValueError):
         mobius(0)
+
+
+def test_cover_weights_are_sized_by_the_cells_not_the_box(monkeypatch):
+    # mu(k) is computed only up to the largest multiple k that a cell has
+    calls = []
+    monkeypatch.setattr(transform, "mobius", lambda k: calls.append(k) or mobius(k))
+    box = 10**5
+    gw_to_gv(InvariantTable(KIND_GW, 1, 0, (box,), {}))
+    assert calls == []
+    gv = gw_to_gv(InvariantTable(KIND_GW, 1, 1, (box,), {(0, (30_000,)): Fr(1)}))
+    assert calls == [1, 2, 3]
+    assert [gv.value(0, (d,)) for d in (30_000, 60_000, 90_000)] == [1, -Fr(1, 8), -Fr(1, 27)]
+    calls.clear()
+    gw_to_gv(InvariantTable(KIND_GW, 2, 0, (box, 4), {(0, (1, 1)): Fr(1), (0, (2, 1)): Fr(1)}))
+    assert calls == [1, 2, 3, 4]
 
 
 def test_sin_series_argument_validation():
