@@ -16,7 +16,9 @@ unit there (the builder raises otherwise).  That makes the monomials
 below its degree, times the basis so far, a free Z-basis, and
 multiplication by generator i the block companion matrix of the
 relation.  The basis, the multiplication table and the normal form of
-every monomial follow from these integer matrices.
+every monomial follow from these integer matrices.  Rings and elements
+are frozen dataclasses; a ring compares and hashes by identity, so
+elements of two rings built alike are never equal.
 
 Coefficients are generic: anything with commutative +, -, * works.  The
 library runs the ring arithmetic on exact rationals, and stores rational
@@ -62,12 +64,14 @@ Mono = tuple[int, int]
 Matrix = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RingSpec:
     """A finite-rank quotient ring with a precomputed multiplication table.
 
     `gen_matrices[i]` is multiplication by generator `_VARS[i]`, stored by
-    columns: column j is that generator times basis element j.
+    columns: column j is that generator times basis element j.  A ring is
+    built once and compares and hashes by identity: two rings built from
+    the same relations are different rings.
     """
 
     name: str
@@ -84,12 +88,13 @@ class RingSpec:
         return f"RingSpec({self.name}, rank {self.rank})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class KElem:
     """Element of one of the fixed quotient rings, in normal-form coordinates.
 
     Coordinates may be Fractions or rational functions in q (or a mix);
-    elements are equal iff their coordinates agree.
+    elements are equal iff their rings are the same ring and their
+    coordinates agree.
     """
 
     ring: RingSpec
@@ -172,16 +177,6 @@ class KElem:
         if not isinstance(n, int) or n < 0:
             raise ValueError("ring powers must use nonnegative integer exponents")
         return _power(self, n) if n else ring_one(self.ring)
-
-    def __eq__(self, other):
-        if not isinstance(other, KElem):
-            return NotImplemented
-        if self.ring is not other.ring:
-            return False
-        return all(a == b for a, b in zip(self.coords, other.coords))
-
-    def __hash__(self):
-        return hash((self.ring.name, self.coords))
 
     @property
     def is_zero(self) -> bool:

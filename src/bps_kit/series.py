@@ -7,6 +7,8 @@ plus proper part (:func:`_split_over_z`).  :class:`fractions.Fraction`
 appears only where a value is stored or returned.  Two value types are
 provided, both stored values rather than arithmetic types: the library
 computes their coefficients from integers elsewhere and stores them.
+Both are frozen dataclasses with slots, so a field cannot be assigned
+or deleted.
 
 * :class:`LaurentSeries` -- a truncated Laurent series in one formal
   variable (lambda, or q for the expansions of rational functions
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -193,18 +196,22 @@ def _terms_str(terms, var: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class LaurentSeries:
     """Truncated Laurent series with exact rational coefficients.
 
     Coefficients are stored densely from ``min_exp`` up to (excluding)
     ``trunc_order``.  Stored zeros are genuine zeros; exponents at or
     above ``trunc_order`` are unknown and reading them is an error.
-    Instances are immutable; leading zeros are stripped on construction
-    so ``min_exp`` is always the valuation (or equals ``trunc_order``
-    for the zero series).
+    A frozen value, equal to another when all four fields are; leading
+    zeros are stripped on construction so ``min_exp`` is always the
+    valuation (or equals ``trunc_order`` for the zero series).
     """
 
-    __slots__ = ("var", "min_exp", "coeffs", "trunc_order")
+    var: str
+    min_exp: int
+    coeffs: tuple[Fraction, ...]
+    trunc_order: int
 
     def __init__(self, var: str, min_exp: int, coeffs, trunc_order: int):
         vals = [_as_fraction(c) for c in coeffs]
@@ -225,9 +232,6 @@ class LaurentSeries:
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", tuple(vals))
         object.__setattr__(self, "trunc_order", trunc_order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentSeries is immutable")
 
     @classmethod
     def _from_fractions(cls, var: str, coeffs: list) -> "LaurentSeries":
@@ -263,19 +267,6 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (
-            self.var == other.var
-            and self.min_exp == other.min_exp
-            and self.trunc_order == other.trunc_order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.var, self.min_exp, self.coeffs, self.trunc_order))
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -293,20 +284,20 @@ class LaurentSeries:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False, eq=False, repr=False)
 class QRationalFunction:
     """Rational function in q over the rationals, in canonical form.
 
-    A stored value: ``num`` and ``den`` are trimmed Fraction tuples with
+    A frozen value: ``num`` and ``den`` are trimmed Fraction tuples with
     gcd(num, den) = 1 and den monic, so two instances are equal iff they
-    are mathematically equal.  The zero function is num = () over
-    den = (1,).  The library builds every instance canonical from integer
-    parts through :func:`_from_int_parts` and does no arithmetic on it.
+    are mathematically equal, and a constant equals its Fraction.  The
+    zero function is num = () over den = (1,).  The library builds every
+    instance canonical from integer parts through :func:`_from_int_parts`
+    and does no arithmetic on it.
     """
 
-    __slots__ = ("num", "den")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QRationalFunction is immutable")
+    num: tuple[Fraction, ...]
+    den: tuple[Fraction, ...]
 
     @classmethod
     def _from_canonical(cls, num: tuple, den: tuple) -> "QRationalFunction":

@@ -95,27 +95,33 @@ def _checked_layers(rank, genus_max, degree_max, cells) -> tuple[_Layer, ...]:
 
     Every table from outside the library passes here: the constructor
     and serialize.table_from_dict.  TableBoundError names the first
-    fault: degree_max against the rank, then each cell in order, its
-    genus and then its degree vector.  A table repeats a degree vector in
-    up to genus_max + 1 cells, and each distinct one is checked once.
+    fault: degree_max against the rank, then each cell in order, by
+    :func:`_check_cell`.  A table repeats a degree vector in up to
+    genus_max + 1 cells, and each distinct one is checked once.
     """
     if len(degree_max) != rank or any(d < 0 for d in degree_max):
         raise TableBoundError(f"degree_max {degree_max} incompatible with rank {rank}")
     genera: list[dict] = [{} for _ in range(genus_max + 1)]
     in_bounds: set[tuple[int, ...]] = set()
     for (g, deg), value in cells.items():
-        if g < 0 or g > genus_max:
-            raise TableBoundError(f"entry genus {g} outside [0, {genus_max}]")
-        if deg not in in_bounds:
-            if len(deg) != rank:
-                raise TableBoundError(f"degree {deg} has wrong rank")
-            if not any(deg):
-                raise TableBoundError("degree vector must be nonzero")
-            if any(d < 0 or d > m for d, m in zip(deg, degree_max)):
-                raise TableBoundError(f"degree {deg} outside bounds {degree_max}")
-            in_bounds.add(deg)
+        _check_cell(rank, genus_max, degree_max, g, deg, in_bounds)
         genera[g][deg] = value
     return tuple([_layer(c) for c in genera])
+
+
+def _check_cell(rank, genus_max, degree_max, g, deg, in_bounds: set) -> None:
+    # TableBoundError on the cell's genus, then on its degree vector; a vector
+    # in in_bounds is known to be good, and one that passes joins it
+    if g < 0 or g > genus_max:
+        raise TableBoundError(f"entry genus {g} outside [0, {genus_max}]")
+    if deg not in in_bounds:
+        if len(deg) != rank:
+            raise TableBoundError(f"degree {deg} has wrong rank")
+        if not any(deg):
+            raise TableBoundError("degree vector must be nonzero")
+        if any(d < 0 or d > m for d, m in zip(deg, degree_max)):
+            raise TableBoundError(f"degree {deg} outside bounds {degree_max}")
+        in_bounds.add(deg)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -222,12 +228,7 @@ class InvariantTable:
             raise TableBoundError(
                 f"cell ({genus!r}, {degree!r}) has a non-integer genus or degree"
             ) from exc
-        if genus < 0 or genus > self.genus_max:
-            raise TableBoundError(f"genus {genus} outside table bounds")
-        if len(degree) != self.lattice_rank:
-            raise TableBoundError(f"degree {degree} has wrong rank")
-        if any(d < 0 or d > m for d, m in zip(degree, self.degree_max)):
-            raise TableBoundError(f"degree {degree} outside table bounds")
+        _check_cell(self.lattice_rank, self.genus_max, self.degree_max, genus, degree, set())
         den, cells = self._layers[genus]
         return Fraction(cells.get(degree, 0), den)
 

@@ -161,6 +161,17 @@ def test_builder_makes_the_quintic_ring_from_one_relation():
         gen_t(ring)
 
 
+def test_rings_compare_by_identity():
+    # a second ring built from the same relation, under the same name, is another ring
+    twin = _build_ring("X", ("P",), (kring._LINE_RELATION,))
+    assert twin.table == X_RING.table and twin.basis == X_RING.basis
+    assert twin != X_RING and twin == twin
+    x, y = gen_p(X_RING), gen_p(twin)
+    assert x.coords == y.coords and x != y
+    assert x == gen_p(X_RING) and hash(x) == hash(gen_p(X_RING))
+    assert len({x, gen_p(X_RING), y}) == 2
+
+
 @pytest.mark.parametrize(
     "gens, relations",
     [

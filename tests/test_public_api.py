@@ -1,18 +1,23 @@
 """The public API, pinned: each module's __all__, the names the package exports,
-and the public methods and properties of the value classes.
+the public methods and properties of the value classes, and their stored fields.
 
 A name added to or removed from the API fails here until the lists below
-change with it, so every API change is a deliberate edit.
+change with it, so every API change is a deliberate edit.  Every public
+class other than an exception is a frozen dataclass, and a built value
+refuses assignment and deletion of its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import importlib
 
 import pytest
 
 import bps_kit
+from bps_kit.jfunctions import DivisorPairing, a_series, i_coefficient, jmgs_rhs, split_check
+from bps_kit.transform import KIND_GV, InvariantTable
 
 MODULE_ALL = {
     "covers": {"bernoulli", "conifold_gw_table", "conifold_gv_table"},
@@ -51,6 +56,15 @@ CLASS_MEMBERS = {
 
 _DESCRIPTORS = (property, functools.cached_property, classmethod, staticmethod)
 
+# module, class -> the names of the stored fields, in order
+CLASS_FIELDS = {
+    ("series", "LaurentSeries"): ("var", "min_exp", "coeffs", "trunc_order"),
+    ("series", "QRationalFunction"): ("num", "den"),
+    ("kring", "KElem"): ("ring", "coords"),
+    ("transform", "InvariantTable"): ("kind", "lattice_rank", "genus_max", "degree_max", "_layers"),
+    ("jfunctions", "JmgsRhs"): ("lattice_rank", "r_max", "q_order", "parts"),
+}
+
 PACKAGE_EXPORTS = {
     "bernoulli", "conifold_gv_table", "conifold_gw_table",
     "DivisorPairing", "JmgsRhs", "JmgsTerm", "SplitCheckReport", "a_series", "b_series",
@@ -60,6 +74,21 @@ PACKAGE_EXPORTS = {
     "IntegralityReport", "InvariantTable", "KIND_GV", "KIND_GW", "check_integrality",
     "gv_to_gw", "gw_to_gv", "mobius",
     "sin_power_series",
+}
+
+
+def _table():
+    return InvariantTable(KIND_GV, 1, 0, (2,), {(0, (1,)): 5})
+
+
+# one built instance of each stored value, built afresh by each call
+STORED_VALUES = {
+    "a_series(2)": lambda: a_series(2),
+    "a_series(2).expand(5)": lambda: a_series(2).expand(5),
+    "i_coefficient(1)": lambda: i_coefficient(1),
+    "table": _table,
+    "jmgs_rhs": lambda: jmgs_rhs(_table(), DivisorPairing(((1,),)), 2, 4),
+    "split_check result": lambda: split_check(1).results[0],
 }
 
 
@@ -88,3 +117,33 @@ def test_class_members_are_pinned(module, cls):
         if not name.startswith("_") and (callable(value) or isinstance(value, _DESCRIPTORS))
     }
     assert public == CLASS_MEMBERS[module, cls]
+
+
+def test_public_classes_are_frozen_dataclasses():
+    for name, names in sorted(MODULE_ALL.items()):
+        module = importlib.import_module(f"bps_kit.{name}")
+        for attr in sorted(names):
+            value = getattr(module, attr)
+            if isinstance(value, type) and not issubclass(value, BaseException):
+                assert dataclasses.is_dataclass(value), attr
+                assert value.__dataclass_params__.frozen, attr
+
+
+@pytest.mark.parametrize("module, cls", sorted(CLASS_FIELDS), ids=lambda name: name)
+def test_class_fields_are_pinned(module, cls):
+    fields = dataclasses.fields(getattr(importlib.import_module(f"bps_kit.{module}"), cls))
+    assert tuple([f.name for f in fields]) == CLASS_FIELDS[module, cls]
+
+
+@pytest.mark.parametrize("build", list(STORED_VALUES.values()), ids=list(STORED_VALUES))
+def test_stored_values_refuse_assignment_and_deletion(build):
+    value = build()
+    before = repr(value)
+    for field in dataclasses.fields(value):
+        # dataclasses.FrozenInstanceError is an AttributeError
+        with pytest.raises(AttributeError):
+            setattr(value, field.name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field.name)
+    assert repr(value) == before
+    assert value == build()

@@ -27,25 +27,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "bps_kit"
 
-_PROTOCOL = "protocol method: Python calls it for ==, hash(), repr(), str(), bool() or assignment"
+_PROTOCOL = "protocol method: Python calls it for ==, hash(), repr(), str() or bool()"
 _ORACLE_OPERATOR = "operator that the tests' oracles build their independent values with"
 _ACCESSOR = "public accessor or constructor that tests call; no CLI path needs it"
 
 KEEP = {
-    "kring.KElem.__eq__": _PROTOCOL,
-    "kring.KElem.__hash__": _PROTOCOL,
     "kring.KElem.__repr__": _PROTOCOL,
     "kring.KElem.__str__": _PROTOCOL,
     "kring.RingSpec.__repr__": _PROTOCOL,
-    "series.LaurentSeries.__eq__": _PROTOCOL,
-    "series.LaurentSeries.__hash__": _PROTOCOL,
     "series.LaurentSeries.__repr__": _PROTOCOL,
-    "series.LaurentSeries.__setattr__": _PROTOCOL,
     "series.QRationalFunction.__bool__": _PROTOCOL,
     "series.QRationalFunction.__eq__": _PROTOCOL,
     "series.QRationalFunction.__hash__": _PROTOCOL,
     "series.QRationalFunction.__repr__": _PROTOCOL,
-    "series.QRationalFunction.__setattr__": _PROTOCOL,
     "transform.InvariantTable.__repr__": _PROTOCOL,
     "kring.KElem.__rsub__": _ORACLE_OPERATOR,
     "kring.scalar": _ORACLE_OPERATOR + " (a scalar operand of KElem + and -)",

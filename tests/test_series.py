@@ -24,6 +24,7 @@ from bps_kit.series import (
     _int_divmod,
     _split_over_z,
 )
+from bps_kit.jfunctions import a_series
 from bps_kit.kring import KElem, Y_RING
 from bps_kit.transform import _series_power
 
@@ -73,6 +74,9 @@ def test_equality_and_hash_consistency():
     assert a == b
     assert hash(a) == hash(b)
     assert a != LaurentSeries(QVAR, 0, [1, 0, Fr(1, 3)], 3)
+    c, d = a_series(2).expand(5), a_series(2).expand(5)
+    assert c is not d and c == d and hash(c) == hash(d)
+    assert c != a_series(2).expand(4) and c != a_series(3).expand(5)
     # a constant rational function equals its Fraction, so hashes alike
     one = QRationalFunction._from_canonical((Fr(1),), (Fr(1),))
     zero = QRationalFunction._from_canonical((), (Fr(1),))

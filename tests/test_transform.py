@@ -212,6 +212,9 @@ def test_table_value_reads_are_bound_checked():
         t.value(0, (3,))
     with pytest.raises(TableBoundError):
         t.value(1, (1,))
+    # the zero degree vector is no cell, as in the constructor
+    with pytest.raises(TableBoundError, match="degree vector must be nonzero"):
+        t.value(0, (0,))
     # malformed keys fail as the constructor fails, never read as zero
     for genus, degree in [(0.5, (2,)), (0, (2.5,)), ("1", (2,)), (0, ("1",)), (0, 2)]:
         with pytest.raises(TableBoundError):
