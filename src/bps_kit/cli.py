@@ -73,7 +73,7 @@ def _load_json(path: str):
 
 def _emit(args, text: str) -> None:
     # two writes, so a large document is not copied to append its newline
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")

@@ -25,6 +25,7 @@ import functools
 import logging
 import math
 import operator
+import types
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -295,24 +296,28 @@ class JmgsTerm:
 class JmgsRhs:
     """The assembled right-hand side: 1 + sum over total degrees of terms.
 
-    ``parts[total]`` holds the :func:`_cover_sum` integers of each divisor
-    direction and then of the structure direction, all over one scale,
-    the denominator of the table's genus-0 layer.  ``terms`` builds every
-    :class:`JmgsTerm` from them on first read;
-    :func:`bps_kit.serialize.dumps` writes the integers directly.
+    ``scale`` is S, the denominator of the table's genus-0 layer, and the
+    read-only ``parts[total]`` holds the :func:`_cover_sum` tuples
+    (N, D, E) over S of each divisor direction and then of the structure
+    direction.  ``terms`` builds every :class:`JmgsTerm` from them on
+    first read; :func:`bps_kit.serialize.dumps` writes the integers
+    directly.  Like an :class:`InvariantTable`, it is not hashable.
     """
 
     lattice_rank: int
     r_max: int
     q_order: int
+    scale: int
     parts: Mapping[tuple[int, ...], tuple]
     constant: ClassVar[Fraction] = Fraction(1)
+
+    __hash__ = None
 
     @functools.cached_property
     def terms(self) -> dict[tuple[int, ...], JmgsTerm]:
         terms = {}
         for total, sums in self.parts.items():
-            *divisor, (exact, expansion) = [_cover_objects(p) for p in sums]
+            *divisor, (exact, expansion) = [_cover_objects(p, self.scale) for p in sums]
             terms[total] = JmgsTerm(
                 tuple([f for f, _ in divisor]), tuple([s for _, s in divisor]), exact, expansion
             )
@@ -341,8 +346,9 @@ def jmgs_rhs(
     (:func:`_cover_sum`); no cover series is built or expanded.  The
     sums share one :class:`_CoverSetup`, so each (r set, pole) pays its
     setup once per call and nothing outlives the call.  Every sum stays
-    integers over the one scale S; the terms' rational functions and
-    series are built when ``terms`` is first read.
+    integer tuples (N, D, E) over S, which the result stores once; the
+    terms' rational functions and series are built when ``terms`` is
+    first read.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -371,7 +377,7 @@ def jmgs_rhs(
     for total, per_r in weights.items():
         items = sorted(per_r.items())
         parts[total] = tuple([
-            _cover_sum([(r, w[j]) for r, w in items if w[j]], scale, pole, setup)
+            _cover_sum([(r, w[j]) for r, w in items if w[j]], pole, setup)
             for j, pole in enumerate(poles)
         ])
     counts = setup.counts
@@ -380,7 +386,7 @@ def jmgs_rhs(
         "divisions tried %d, succeeded %d",
         counts.sums, counts.skipped, counts.rejected, counts.tried, counts.divided,
     )
-    return JmgsRhs(gv.lattice_rank, r_max, q_order, parts)
+    return JmgsRhs(gv.lattice_rank, r_max, q_order, scale, types.MappingProxyType(parts))
 
 
 @dataclass(slots=True)
@@ -448,16 +454,17 @@ class _CoverSetup:
 
 
 def _cover_sum(
-    weights: list[tuple[int, int]], scale: int, pole: int, setup: _CoverSetup
-) -> tuple[int, tuple[int, ...], tuple[int, ...], list[int]]:
+    weights: list[tuple[int, int]], pole: int, setup: _CoverSetup
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Sum of w_r / S * a(r, q^r) (pole 2) or of w_r / S * b(r, q^r) (pole 3), with its expansion.
 
     ``weights`` holds the pairs (r, w_r), r ascending and w_r a nonzero
-    integer, and ``scale`` is S > 0.  Returns integers only: (S, N, D, E).
-    The exact sum is N / (S D), with N a trimmed integer tuple coprime to
-    the monic integer tuple D (N = () and D = (1,) for zero), and its q^n
-    coefficient for n < q_order is E[n] / S.  :func:`_cover_objects`
-    turns them into a QRationalFunction and a LaurentSeries.
+    integer; S > 0 is the caller's.  Returns integer tuples only:
+    (N, D, E).  The exact sum is N / (S D), with N a trimmed integer tuple
+    coprime to the monic integer tuple D (N = () and D = (1,) for zero),
+    and its q^n coefficient for n < q_order is E[n] / S.
+    :func:`_cover_objects` turns them into a QRationalFunction and a
+    LaurentSeries.
 
     Both are summed in integers, times S.  The q^n coefficient is the
     sum of w_r c_r(n/r) over r | n, over S: E is the sum of the
@@ -495,7 +502,7 @@ def _cover_sum(
     counts.sums += 1
     sums = [0] * setup.q_order
     if not weights:
-        return scale, (), (1,), sums
+        return (), (1,), tuple(sums)
     key = tuple([r for r, _ in weights]), pole
     divisors, tested, templates, den = setup.keys.get(key) or setup.build(key)
     # the first template, of the least r, is the longest (deg L - r); the
@@ -509,7 +516,7 @@ def _cover_sum(
     while num and num[-1] == 0:
         num.pop()
     if not num:
-        return scale, (), (1,), sums
+        return (), (1,), tuple(sums)
     num = tuple(num)
     counts.skipped += len(divisors) - len(tested)
     lefts = [pole] * len(divisors)  # the power of each Phi_d left in the denominator
@@ -532,13 +539,12 @@ def _cover_sum(
             lefts[i] -= 1
     if min(lefts) < pole:  # a Phi_d was divided out
         den = setup.product(tuple([(d, e) for d, e in zip(divisors, lefts) if e]))
-    return scale, num, den, sums
+    return num, den, tuple(sums)
 
 
-def _cover_objects(part) -> tuple[QRationalFunction, LaurentSeries]:
-    """The exact sum and the expansion of a :func:`_cover_sum` result, as library objects."""
-    scale, num, den, sums = part
+def _cover_objects(part, scale: int) -> tuple[QRationalFunction, LaurentSeries]:
+    """The exact sum and the expansion of a :func:`_cover_sum` result (N, D, E) over S = ``scale``."""
+    num, den, sums = part
     as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
-    return _from_int_parts(num, den, scale, 1), LaurentSeries._from_fractions(
-        QVAR, [as_fraction(c) for c in sums]
-    )
+    expansion = LaurentSeries(QVAR, 0, map(as_fraction, sums), len(sums))
+    return _from_int_parts(num, den, scale, 1), expansion

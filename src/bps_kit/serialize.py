@@ -24,8 +24,9 @@ as its string; a QRationalFunction as "q_rational"; a LaurentSeries in q
 as "q_series" (a power series only: from q^-1 it raises ValueError), and
 in any other variable as "laurent_series"; a KElem as "ring_element"; an
 IntegralityReport as its report; an InvariantTable as its table
-document; and a ``JmgsRhs(lattice_rank, r_max, q_order, parts)`` as the
-jmgs document, written from its integer parts.
+document; and a ``JmgsRhs(lattice_rank, r_max, q_order, scale, parts)``
+as the jmgs document, written from its integer parts (N, D, E) over its
+one scale.
 """
 
 from __future__ import annotations
@@ -326,9 +327,10 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
 def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
     """A jmgs document, written from the integer parts of the right-hand side.
 
-    Every term has the same shape, so one ``%``-template per document,
-    built from the rank, the number of divisor directions and the indent,
-    writes each term in a single step once its arrays are written.  Each
+    Every part (N, D, E) is over the one ``rhs.scale``.  Every term has
+    the same shape, so one ``%``-template per document, built from the
+    rank, the number of divisor directions and the indent, writes each
+    term in a single step once its arrays are written.  Each
     distinct denominator array is written once per indent and its text
     reused.  The document is one join over the terms and their
     separators, so no term text is copied into an enclosing array first.
@@ -364,13 +366,13 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
             text = dens[den, at] = _quoted(den, 1, at)
         return text
 
-    pieces, sep = [head + "[" + term], "," + term
+    pieces, sep, s = [head + "[" + term], "," + term, rhs.scale
     for total in rhs.sorted_degrees():
-        *divisor, (s, n, d, e) = rhs.parts[total]
+        *divisor, (n, d, e) = rhs.parts[total]
         values = list(total)
-        for scale, num, den, _ in divisor:
-            values += [_quoted(num, scale, deep), den_text(den, deep)]
-        values += [_quoted(sums, scale, deep) for scale, _, _, sums in divisor]
+        for num, den, _ in divisor:
+            values += [_quoted(num, s, deep), den_text(den, deep)]
+        values += [_quoted(sums, s, deep) for _, _, sums in divisor]
         values += [_quoted(n, s, item), den_text(d, item), _quoted(e, s, item)]
         pieces += [template % tuple(values), sep]
     pieces[-1] = inner + "]" + nl + "}"

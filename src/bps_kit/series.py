@@ -14,7 +14,7 @@ or deleted.
   variable (lambda, or q for the expansions of rational functions
   regular at q = 0).  The truncation order travels with the value, and
   reading a coefficient at or above it raises :class:`TruncationError`
-  instead of silently returning zero.
+  instead of silently returning zero; one constructor builds every one.
 * :class:`QRationalFunction` -- a rational function in q, stored with a
   numerator coprime to a monic denominator, so that structural equality
   is mathematical equality.  Every one is built canonical by one
@@ -205,7 +205,8 @@ class LaurentSeries:
     above ``trunc_order`` are unknown and reading them is an error.
     A frozen value, equal to another when all four fields are; leading
     zeros are stripped on construction so ``min_exp`` is always the
-    valuation (or equals ``trunc_order`` for the zero series).
+    valuation (or equals ``trunc_order`` for the zero series), and
+    ``min_exp + len(coeffs) == trunc_order``.  It is the one constructor.
     """
 
     var: str
@@ -216,35 +217,20 @@ class LaurentSeries:
     def __init__(self, var: str, min_exp: int, coeffs, trunc_order: int):
         vals = [_as_fraction(c) for c in coeffs]
         if min_exp + len(vals) > trunc_order:
-            extra = vals[trunc_order - min_exp :]
-            if any(extra):
+            keep = max(trunc_order - min_exp, 0)
+            if any(vals[keep:]):
                 raise TruncationError(
                     "nonzero coefficients supplied at or beyond the truncation order"
                 )
-            vals = vals[: trunc_order - min_exp]
-        while vals and vals[0] == 0:
-            vals.pop(0)
-            min_exp += 1
-        if not vals:
-            min_exp = trunc_order
+            del vals[keep:]
+        start = next((i for i, c in enumerate(vals) if c), len(vals))
+        min_exp = min_exp + start if start < len(vals) else trunc_order
+        del vals[:start]
         vals.extend([Fraction(0)] * (trunc_order - min_exp - len(vals)))
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "min_exp", min_exp)
         object.__setattr__(self, "coeffs", tuple(vals))
         object.__setattr__(self, "trunc_order", trunc_order)
-
-    @classmethod
-    def _from_fractions(cls, var: str, coeffs: list) -> "LaurentSeries":
-        # trusted construction: coeffs is a list of Fractions, the coefficients
-        # of var^0 .. var^(len - 1), truncated at len; only leading zeros are
-        # stripped, so min_exp is the valuation (len for the zero series)
-        start = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
-        out = object.__new__(cls)
-        object.__setattr__(out, "var", var)
-        object.__setattr__(out, "min_exp", start)
-        object.__setattr__(out, "coeffs", tuple(coeffs[start:]))
-        object.__setattr__(out, "trunc_order", len(coeffs))
-        return out
 
     def coefficient(self, exponent: int) -> Fraction:
         """Coefficient at `exponent`; a hard error past the truncation order."""

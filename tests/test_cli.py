@@ -552,7 +552,7 @@ def test_jmgs_json_builds_no_rational_function_or_series(monkeypatch, tmp_path, 
         raise AssertionError("a rational function, a series or a term on the jmgs --json path")
 
     monkeypatch.setattr(QRationalFunction, "_from_canonical", fail)
-    monkeypatch.setattr(LaurentSeries, "_from_fractions", fail)
+    monkeypatch.setattr(LaurentSeries, "__init__", fail)
     monkeypatch.setattr(jfunctions, "_cover_objects", fail)
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == code

@@ -529,7 +529,9 @@ def test_jmgs_rhs_builds_each_term_on_first_read(monkeypatch):
     pairing = DivisorPairing(((1,),))
     built = []
     real = jfunctions._cover_objects
-    monkeypatch.setattr(jfunctions, "_cover_objects", lambda part: built.append(part) or real(part))
+    monkeypatch.setattr(
+        jfunctions, "_cover_objects", lambda part, scale: built.append(part) or real(part, scale)
+    )
     rhs = jmgs_rhs(gv, pairing, 3, 4)
     # degrees, the number of parts and membership build no term
     assert rhs.sorted_degrees() == [(1,), (2,), (3,), (4,), (6,)]
@@ -560,19 +562,20 @@ COVER = {2: a_series, 3: b_series}
 
 
 def cover_sum_ints(weights, pole, q_order, counts=None):
-    """_cover_sum of {r: w_r}, the w_r written as integers over the lcm of their denominators."""
+    """(S, N, D, E): _cover_sum of {r: w_r}, the w_r written as integers over their lcm S."""
     fractions = {r: Fr(w) for r, w in sorted(weights.items())}
     scale = math.lcm(*[w.denominator for w in fractions.values()])
     setup = jfunctions._CoverSetup(q_order)
     if counts is not None:
         setup.counts = counts
     ints = [(r, w.numerator * (scale // w.denominator)) for r, w in fractions.items() if w]
-    return jfunctions._cover_sum(ints, scale, pole, setup)
+    return (scale, *jfunctions._cover_sum(ints, pole, setup))
 
 
 def cover_sum(weights, pole, q_order, counts=None):
     """The cover sum as (QRationalFunction, LaurentSeries), by the conversion the terms use."""
-    return jfunctions._cover_objects(cover_sum_ints(weights, pole, q_order, counts))
+    scale, *part = cover_sum_ints(weights, pole, q_order, counts)
+    return jfunctions._cover_objects(tuple(part), scale)
 
 
 def assert_canonical(f):
@@ -632,11 +635,11 @@ def test_cover_sum_returns_integers_over_one_scale():
     assert all(type(c) is int for c in num + den + tuple(sums))
     assert den[-1] == 1 and len(sums) == 4
     assert Fr(sums[0], scale) == Fr(1, 2) * 1 - Fr(1, 3) * 2
-    exact, expansion = jfunctions._cover_objects((scale, num, den, sums))
+    exact, expansion = jfunctions._cover_objects((num, den, sums), scale)
     assert exact == lift(a_series(1)) * Fr(1, 2) - lift(a_series(2)) * Fr(1, 3)
     assert expansion == exact.expand(4)
     # zero is () over (1,), with one zero coefficient per order
-    assert cover_sum_ints({3: 0}, 3, 2) == (1, (), (1,), [0, 0])
+    assert cover_sum_ints({3: 0}, 3, 2) == (1, (), (1,), (0, 0))
 
 
 def test_cover_sum_of_zero_weights_is_zero():

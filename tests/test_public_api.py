@@ -1,10 +1,13 @@
 """The public API, pinned: each module's __all__, the names the package exports,
-the public methods and properties of the value classes, and their stored fields.
+the public methods and properties of the value classes, their trusted
+constructors, and their stored fields.
 
 A name added to or removed from the API fails here until the lists below
-change with it, so every API change is a deliberate edit.  Every public
-class other than an exception is a frozen dataclass, and a built value
-refuses assignment and deletion of its fields.
+change with it, so every API change, and every new way to build a value
+past its checks, is a deliberate edit.  Every public class other than an
+exception is a frozen dataclass, and a built value refuses assignment and
+deletion of its fields, holds nothing mutable, and hashes unless its
+class sets ``__hash__ = None``.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib
+import types
+from collections.abc import Mapping
 
 import pytest
 
@@ -54,6 +59,16 @@ CLASS_MEMBERS = {
     ("jfunctions", "JmgsRhs"): {"sorted_degrees", "terms"},
 }
 
+# module, class -> the private classmethods: the trusted constructors, which
+# skip the public constructor's checks
+CLASS_TRUSTED = {
+    ("series", "QRationalFunction"): {"_from_canonical"},
+    ("series", "LaurentSeries"): set(),
+    ("kring", "KElem"): set(),
+    ("transform", "InvariantTable"): {"_of_layers"},
+    ("jfunctions", "JmgsRhs"): set(),
+}
+
 _DESCRIPTORS = (property, functools.cached_property, classmethod, staticmethod)
 
 # module, class -> the names of the stored fields, in order
@@ -62,7 +77,7 @@ CLASS_FIELDS = {
     ("series", "QRationalFunction"): ("num", "den"),
     ("kring", "KElem"): ("ring", "coords"),
     ("transform", "InvariantTable"): ("kind", "lattice_rank", "genus_max", "degree_max", "_layers"),
-    ("jfunctions", "JmgsRhs"): ("lattice_rank", "r_max", "q_order", "parts"),
+    ("jfunctions", "JmgsRhs"): ("lattice_rank", "r_max", "q_order", "scale", "parts"),
 }
 
 PACKAGE_EXPORTS = {
@@ -89,6 +104,7 @@ STORED_VALUES = {
     "table": _table,
     "jmgs_rhs": lambda: jmgs_rhs(_table(), DivisorPairing(((1,),)), 2, 4),
     "split_check result": lambda: split_check(1).results[0],
+    "jmgs term": lambda: jmgs_rhs(_table(), DivisorPairing(((1,),)), 2, 4).terms[(1,)],
 }
 
 
@@ -119,6 +135,16 @@ def test_class_members_are_pinned(module, cls):
     assert public == CLASS_MEMBERS[module, cls]
 
 
+@pytest.mark.parametrize("module, cls", sorted(CLASS_TRUSTED), ids=lambda name: name)
+def test_trusted_constructors_are_pinned(module, cls):
+    members = vars(getattr(importlib.import_module(f"bps_kit.{module}"), cls))
+    trusted = {
+        name for name, value in members.items()
+        if name.startswith("_") and isinstance(value, classmethod)
+    }
+    assert trusted == CLASS_TRUSTED[module, cls]
+
+
 def test_public_classes_are_frozen_dataclasses():
     for name, names in sorted(MODULE_ALL.items()):
         module = importlib.import_module(f"bps_kit.{name}")
@@ -147,3 +173,27 @@ def test_stored_values_refuse_assignment_and_deletion(build):
             delattr(value, field.name)
     assert repr(value) == before
     assert value == build()
+
+
+def _mutable_parts(value, path):
+    """The paths of every list, dict, set, bytearray or writable mapping in value's public fields."""
+    if isinstance(value, Mapping):
+        items = value.items()
+    elif isinstance(value, (tuple, list, set, frozenset)):
+        items = enumerate(value)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = [f.name for f in dataclasses.fields(value) if not f.name.startswith("_")]
+        items = [(name, getattr(value, name)) for name in fields]
+    else:
+        items = ()
+    mutable = isinstance(value, (list, set, bytearray, Mapping))
+    own = [path] if mutable and not isinstance(value, types.MappingProxyType) else []
+    return own + [p for key, v in items for p in _mutable_parts(v, f"{path}[{key!r}]")]
+
+
+@pytest.mark.parametrize("build", list(STORED_VALUES.values()), ids=list(STORED_VALUES))
+def test_stored_values_hold_nothing_mutable_and_hash_when_they_can(build):
+    value = build()
+    assert _mutable_parts(value, type(value).__name__) == []
+    if type(value).__hash__ is not None:
+        assert hash(value) == hash(build())

@@ -104,20 +104,44 @@ def test_qseries_reads_are_bounded():
 @example(zeros=0, coeffs=[])
 @example(zeros=3, coeffs=[])
 @example(zeros=2, coeffs=[Fr(1, 3), Fr(0)])
-def test_trusted_series_constructor_matches_the_public_one(zeros, coeffs):
+def test_series_constructor_stores_the_valuation_up_to_the_order(zeros, coeffs):
     # leading zeros, all-zero lists and the empty list (n = 0)
     coeffs = [Fr(0)] * zeros + coeffs
     n = len(coeffs)
-    fast = LaurentSeries._from_fractions(QVAR, list(coeffs))
-    slow = LaurentSeries(QVAR, 0, coeffs, n)
-    fields = ("var", "min_exp", "coeffs", "trunc_order")
-    assert [getattr(fast, f) for f in fields] == [getattr(slow, f) for f in fields]
-    assert type(fast.coeffs) is tuple
+    s = LaurentSeries(QVAR, 0, coeffs, n)
+    assert type(s.coeffs) is tuple
+    assert s.min_exp + len(s.coeffs) == s.trunc_order == n
     # min_exp is the valuation, or the truncation order for the zero series
     if any(coeffs):
-        assert fast.coeffs[0] != 0
+        assert s.coeffs[0] != 0
+        assert s.min_exp == next(i for i, c in enumerate(coeffs) if c)
     else:
-        assert fast.coeffs == () and fast.min_exp == n
+        assert s.coeffs == () and s.min_exp == n
+
+
+@given(
+    min_exp=st.integers(-4, 8),
+    coeffs=st.lists(st.one_of(st.just(Fr(0)), st.fractions(-5, 5, max_denominator=7)), max_size=6),
+    trunc_order=st.integers(-2, 6),
+)
+# every supplied exponent at or past the order is checked, also when all are
+@example(min_exp=5, coeffs=[Fr(1), Fr(0), Fr(0)], trunc_order=3)
+@example(min_exp=4, coeffs=[Fr(1), Fr(0)], trunc_order=3)
+@example(min_exp=5, coeffs=[Fr(0)] * 3, trunc_order=3)
+@example(min_exp=-2, coeffs=[Fr(0), Fr(1, 2)], trunc_order=4)
+def test_series_fills_its_coefficients_up_to_the_order(min_exp, coeffs, trunc_order):
+    past = [c for i, c in enumerate(coeffs) if min_exp + i >= trunc_order]
+    if any(past):
+        with pytest.raises(TruncationError, match="at or beyond the truncation order"):
+            LaurentSeries(QVAR, min_exp, coeffs, trunc_order)
+        return
+    s = LaurentSeries(QVAR, min_exp, coeffs, trunc_order)
+    assert s.min_exp + len(s.coeffs) == s.trunc_order == trunc_order
+    if not any(coeffs):
+        assert s.coeffs == () and s.min_exp == trunc_order
+    assert dict(s.terms()) == {min_exp + i: c for i, c in enumerate(coeffs) if c}
+    for e in range(min(min_exp, trunc_order) - 1, trunc_order):
+        assert s.coefficient(e) == (coeffs[e - min_exp] if 0 <= e - min_exp < len(coeffs) else 0)
 
 
 def test_qrf_evaluate_pole():
