@@ -11,12 +11,15 @@ J-coefficients assembled from the cover data of a one-curve table.
 Tables the library builds from a validated table skip the constructor's
 checks, so they are put through the constructor once more here; the
 jmgs document, written from integers, is read back and compared with
-the right-hand side's own terms.  Everything is exact; the script exits nonzero if any check fails.
+the right-hand side's own terms; and the values built on the way are
+put through pickle, as a process pool would pass them.  Everything is
+exact; the script exits nonzero if any check fails.
 """
 
 from __future__ import annotations
 
 import json
+import pickle
 import sys
 import time
 from fractions import Fraction
@@ -133,12 +136,12 @@ def jmgs_document(rhs) -> dict:
     terms = [
         {
             "total_degree": list(deg),
-            "divisor": [rational(f) for f in rhs.terms[deg].divisor_exact],
-            "divisor_expansion": [expansion(s) for s in rhs.terms[deg].divisor_expansion],
-            "structure": rational(rhs.terms[deg].structure_exact),
-            "structure_expansion": expansion(rhs.terms[deg].structure_expansion),
+            "divisor": [rational(f) for f in term.divisor_exact],
+            "divisor_expansion": [expansion(s) for s in term.divisor_expansion],
+            "structure": rational(term.structure_exact),
+            "structure_expansion": expansion(term.structure_expansion),
         }
-        for deg in rhs.sorted_degrees()
+        for deg, term in rhs.terms.items()
     ]
     return {
         "constant": str(rhs.constant),
@@ -210,9 +213,10 @@ def main() -> int:
     print("delta-table cover sum:")
     one_curve = InvariantTable(KIND_GV, 1, 0, (1,), {(0, (1,)): Fraction(1)})
     rhs = jmgs_rhs(one_curve, DivisorPairing(((1,),)), 6, 6)
+    terms = rhs.terms
     ok = all(
         x_element_matches(
-            rhs.terms[(r,)].divisor_exact[0], rhs.terms[(r,)].structure_exact, j_x_coefficient(r)
+            terms[(r,)].divisor_exact[0], terms[(r,)].structure_exact, j_x_coefficient(r)
         )
         for r in range(1, 7)
     )
@@ -220,6 +224,13 @@ def main() -> int:
     check(
         "its JSON document, written from integers, reads back as its terms",
         json.loads(dumps(rhs)) == jmgs_document(rhs),
+    )
+
+    print("stored values:")
+    values = [gv, rhs, j_x_coefficient(6), report.results[-1]]
+    check(
+        "a table, a right-hand side, a ring element and a split result unpickle equal",
+        all(pickle.loads(pickle.dumps(v)) == v for v in values),
     )
 
     dt = time.perf_counter() - t0

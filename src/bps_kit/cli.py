@@ -225,8 +225,7 @@ def cmd_jmgs(args) -> int:
         _emit(args, dumps(rhs))
     else:
         lines = [f"constant term: {rhs.constant}"]
-        for deg in rhs.sorted_degrees():
-            term = rhs.terms[deg]
+        for deg, term in rhs.terms.items():
             deg_s = ",".join(str(d) for d in deg)
             lines.append(f"Q^({deg_s}):")
             for j, (f, s) in enumerate(

@@ -87,14 +87,14 @@ def _cover_at(r: int, pole: int, power: int) -> QRationalFunction:
 
 
 @functools.cache
-def _rank6_factors() -> tuple[int, tuple, tuple[tuple[int, int], ...]]:
+def _rank6_factors() -> tuple[tuple, tuple[tuple[int, int], ...]]:
     """The r-independent numerators of I and J in the rank-6 ring, built once.
 
     With N = 1 - P, N^2 = 0, so 1 - P x = (1 - x) + N x and
 
         (1 - P x)^-2 = ((x - 1) + 2x N) / (x - 1)^3.
 
-    Returns the pole 3; parts[k][c] = (-a_c, a_c + 2 b_c), the integer
+    Returns (parts, constants): parts[k][c] = (-a_c, a_c + 2 b_c), the integer
     numerator over (x-1)^3 of coordinate c of M^(k+2) (1-P x)^-2, where
     a = M^(k+2), b = a N and M = 1 - Pt, for k = 0, 1, ... while
     M^(k+2) != 0; and coordinate c of (1-Pt)^2 (1+(1-P)) and (1-Pt)^2 (1-P)
@@ -112,9 +112,10 @@ def _rank6_factors() -> tuple[int, tuple, tuple[tuple[int, int], ...]]:
         parts.append(tuple([(int(-a), int(a + 2 * b)) for a, b in pairs]))
         power = power * m
     constants = zip((m * m * (one + n)).coords, (m * m * n).coords)
-    return 3, tuple(parts), tuple([(int(cd), int(cs)) for cd, cs in constants])
+    return tuple(parts), tuple([(int(cd), int(cs)) for cd, cs in constants])
 
 
+_POLE = 3  # the pole order at x = 1 of (1 - P x)^-2, and so of each I and J coordinate
 # per coordinate c of the rank-2 ring: (coordinate c of 1 + (1-P) = 2 - P, of 1 - P)
 _X_CONSTANTS = ((2, 1), (-1, -1))
 
@@ -127,7 +128,7 @@ def _i_numerators(r: int) -> list[list[int]]:
     # per coordinate, one integer combination over x^(r-1) (x-1)^3
     if r < 1:
         raise ValueError("Novikov degree must be positive")
-    _, parts, _ = _rank6_factors()
+    parts = _rank6_factors()[0]
     weights = _nilpotent_weights(r, len(parts))
     return [[sum(map(operator.mul, weights, col)) for col in zip(*n)] for n in zip(*parts)]
 
@@ -141,8 +142,8 @@ def _j_numerators(constants: tuple[tuple[int, int], ...], r: int) -> list[list[i
 
 
 def _element(ring: RingSpec, nums: list[list[int]], at_0: int, power: int) -> KElem:
-    # coordinate c is nums[c] / (x^at_0 (x-1)^3), canonical, at x = q^power
-    return KElem(ring, tuple([_from_poles_at_0_and_1(n, at_0, 3, power) for n in nums]))
+    # coordinate c is nums[c] / (x^at_0 (x-1)^_POLE), canonical, at x = q^power
+    return KElem(ring, tuple([_from_poles_at_0_and_1(n, at_0, _POLE, power) for n in nums]))
 
 
 def a_series(r: int) -> QRationalFunction:
@@ -173,7 +174,7 @@ def i_coefficient(r: int) -> KElem:
 
 def j_y_coefficient(r: int) -> KElem:
     """Novikov-degree-r coefficient of the cover-summed series, rank-6 ring."""
-    return _element(Y_RING, _j_numerators(_rank6_factors()[2], r), 0, r)
+    return _element(Y_RING, _j_numerators(_rank6_factors()[1], r), 0, r)
 
 
 def j_x_coefficient(r: int) -> KElem:
@@ -239,13 +240,13 @@ def split_check(r_max: int) -> SplitCheckReport:
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     zero = _from_int_parts((), (1,), 1, 1)
-    den, constants = _q_minus_one_to(3), _rank6_factors()[2]
+    den, constants = _q_minus_one_to(_POLE), _rank6_factors()[1]
     results = []
     for r in range(1, r_max + 1):
         residuals = []
         for i, j in zip(_i_numerators(r), _j_numerators(constants, r)):
             diff = _int_add(_split_over_z(i, r - 1, den)[2], j, -1)
-            residuals.append(_from_poles_at_0_and_1(list(diff), 0, 3, r) if diff else zero)
+            residuals.append(_from_poles_at_0_and_1(list(diff), 0, _POLE, r) if diff else zero)
         passed = all(res.is_zero for res in residuals)
         log.debug("split_check r=%d in x = q^r: %s", r, "passed" if passed else "failed")
         results.append(SplitCheckResult(r, passed, tuple(residuals)))
@@ -296,35 +297,31 @@ class JmgsTerm:
 class JmgsRhs:
     """The assembled right-hand side: 1 + sum over total degrees of terms.
 
-    ``scale`` is S, the denominator of the table's genus-0 layer, and the
-    read-only ``parts[total]`` holds the :func:`_cover_sum` tuples
-    (N, D, E) over S of each divisor direction and then of the structure
-    direction.  ``terms`` builds every :class:`JmgsTerm` from them on
-    first read; :func:`bps_kit.serialize.dumps` writes the integers
-    directly.  Like an :class:`InvariantTable`, it is not hashable.
+    ``scale`` is S, the least common denominator of the table's genus-0
+    values, and ``parts`` holds one pair (total, sums) per total degree,
+    sorted by (sum(total), total): the :func:`_cover_sum` tuples (N, D, E)
+    over S of each divisor direction and then of the structure direction.
+    A value compares, hashes and pickles by these integer tuples.
+    ``terms`` builds a read-only mapping of :class:`JmgsTerm`s, in
+    ``parts`` order, on each read; ``dumps`` writes the integers directly.
     """
 
     lattice_rank: int
     r_max: int
     q_order: int
     scale: int
-    parts: Mapping[tuple[int, ...], tuple]
+    parts: tuple[tuple[tuple[int, ...], tuple], ...]
     constant: ClassVar[Fraction] = Fraction(1)
 
-    __hash__ = None
-
-    @functools.cached_property
-    def terms(self) -> dict[tuple[int, ...], JmgsTerm]:
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], JmgsTerm]:
         terms = {}
-        for total, sums in self.parts.items():
+        for total, sums in self.parts:
             *divisor, (exact, expansion) = [_cover_objects(p, self.scale) for p in sums]
             terms[total] = JmgsTerm(
                 tuple([f for f, _ in divisor]), tuple([s for _, s in divisor]), exact, expansion
             )
-        return terms
-
-    def sorted_degrees(self):
-        return sorted(self.parts, key=lambda d: (sum(d), d))
+        return types.MappingProxyType(terms)
 
 
 def jmgs_rhs(
@@ -341,14 +338,14 @@ def jmgs_rhs(
     records the integer weights of each total degree per cover degree r:
     n_d * dot(v_j, d) for the j-th divisor direction and n_d for the
     structure direction, where d = total / r and GV_d = n_d / S, with S
-    the layer's denominator.  Then each output is the weighted sum over
-    r, built with its expansion from the closed forms of a and b
-    (:func:`_cover_sum`); no cover series is built or expanded.  The
-    sums share one :class:`_CoverSetup`, so each (r set, pole) pays its
-    setup once per call and nothing outlives the call.  Every sum stays
-    integer tuples (N, D, E) over S, which the result stores once; the
-    terms' rational functions and series are built when ``terms`` is
-    first read.
+    the least common denominator of the layer's values.  Then each output
+    is the weighted sum over r, built with its expansion from the closed
+    forms of a and b (:func:`_cover_sum`); no cover series is built or
+    expanded.  The sums share one :class:`_CoverSetup`, so each (r set,
+    pole) pays its setup once per call and nothing outlives the call.
+    Every sum stays integer tuples (N, D, E) over S, which the result
+    stores once, in total degree order; the terms' rational functions
+    and series are built when ``terms`` is read.
     """
     if gv.kind != KIND_GV:
         raise TableKindError(f"expected a {KIND_GV} table, got {gv.kind}")
@@ -363,30 +360,31 @@ def jmgs_rhs(
     if q_order < 0:
         raise ValueError("expansion order must be nonnegative")
     scale, layer = gv._layers[0]
+    common = math.gcd(scale, *layer.values()) if scale > 1 else 1  # equal tables, one S
+    if common > 1:
+        scale, layer = scale // common, {d: n // common for d, n in layer.items()}
     poles = [2] * len(pairing.vectors) + [3]
-    # weights[total][r] = (divisor weights..., structure weight) of the one
-    # degree d = total / r; dicts keep the order in which totals appear
+    # weights[total][r] = (divisor weights..., structure weight) of d = total / r
     weights: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
-    for d in sorted(layer):
-        n = layer[d]
+    for d, n in layer.items():
         w = tuple([n * sum(map(operator.mul, vec, d)) for vec in pairing.vectors]) + (n,)
         for r in range(1, r_max + 1):
             weights.setdefault(tuple([r * x for x in d]), {})[r] = w
     setup = _CoverSetup(q_order)  # local to the call: no size the caller picks outlives it
-    parts = {}
-    for total, per_r in weights.items():
-        items = sorted(per_r.items())
-        parts[total] = tuple([
+    parts = []
+    for total in sorted(weights, key=lambda d: (sum(d), d)):
+        items = sorted(weights[total].items())
+        parts.append((total, tuple([
             _cover_sum([(r, w[j]) for r, w in items if w[j]], pole, setup)
             for j, pole in enumerate(poles)
-        ])
+        ])))
     counts = setup.counts
     log.debug(
         "jmgs_rhs: %d sums; Phi_d skipped by multiplicity %d, rejected mod q^d - 1 %d; "
         "divisions tried %d, succeeded %d",
         counts.sums, counts.skipped, counts.rejected, counts.tried, counts.divided,
     )
-    return JmgsRhs(gv.lattice_rank, r_max, q_order, scale, types.MappingProxyType(parts))
+    return JmgsRhs(gv.lattice_rank, r_max, q_order, scale, tuple(parts))
 
 
 @dataclass(slots=True)

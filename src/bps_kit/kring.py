@@ -71,7 +71,7 @@ class RingSpec:
     `gen_matrices[i]` is multiplication by generator `_VARS[i]`, stored by
     columns: column j is that generator times basis element j.  A ring is
     built once and compares and hashes by identity: two rings built from
-    the same relations are different rings.
+    the same relations are different rings; a ring pickles as `<name>_RING`.
     """
 
     name: str
@@ -87,6 +87,9 @@ class RingSpec:
     def __repr__(self):
         return f"RingSpec({self.name}, rank {self.rank})"
 
+    def __reduce__(self):
+        return f"{self.name}_RING"
+
 
 @dataclass(frozen=True)
 class KElem:
@@ -94,7 +97,9 @@ class KElem:
 
     Coordinates may be Fractions or rational functions in q (or a mix);
     elements are equal iff their rings are the same ring and their
-    coordinates agree.
+    coordinates agree.  ``+ - *`` raise TypeError on a coordinate of the
+    library's QRationalFunction, as the builders in bps_kit.jfunctions
+    return: that type has no operators (the tests' oracle subclass has).
     """
 
     ring: RingSpec
@@ -264,7 +269,8 @@ def element(ring: RingSpec, monomials: Mapping[Mono, object]) -> KElem:
 
     Coefficients may be Fractions or rational functions in q; the
     integer normal forms of the monomials are combined linearly so the
-    reduction works over either coefficient domain.
+    reduction works over either coefficient domain.  A coefficient of the
+    library's QRationalFunction, which has no operators, raises TypeError.
     """
     n_gens = len(ring.gen_matrices)
     one = _unit(ring.rank, 0)

@@ -327,7 +327,8 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
 def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
     """A jmgs document, written from the integer parts of the right-hand side.
 
-    Every part (N, D, E) is over the one ``rhs.scale``.  Every term has
+    ``rhs.parts`` is in the document's order, and every part (N, D, E) is
+    over the one ``rhs.scale``.  Every term has
     the same shape, so one ``%``-template per document, built from the
     rank, the number of divisor directions and the indent, writes each
     term in a single step once its arrays are written.  Each
@@ -349,7 +350,7 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
     ])
     if not rhs.parts:
         return head + "[]" + nl + "}"
-    n_div = len(next(iter(rhs.parts.values()))) - 1
+    n_div = len(rhs.parts[0][1]) - 1
     template = _obj(
         term,
         '"total_degree": ' + _array(field, ["%d"] * rhs.lattice_rank),
@@ -367,8 +368,7 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
         return text
 
     pieces, sep, s = [head + "[" + term], "," + term, rhs.scale
-    for total in rhs.sorted_degrees():
-        *divisor, (n, d, e) = rhs.parts[total]
+    for total, (*divisor, (n, d, e)) in rhs.parts:
         values = list(total)
         for num, den, _ in divisor:
             values += [_quoted(num, s, deep), den_text(den, deep)]
@@ -425,12 +425,8 @@ def render_table_text(table: InvariantTable) -> str:
         f"kind={table.kind} rank={table.lattice_rank} "
         f"genus_max={table.genus_max} degree_max={list(table.degree_max)}"
     ]
-    for (g, deg), v in table.sorted_items():
-        deg_s = ",".join(str(d) for d in deg)
-        lines.append(f"  g={g} d=({deg_s})  {v}")
-    if not table.entries:
-        lines.append("  (all entries zero)")
-    return "\n".join(lines)
+    items = [f"  g={g} d=({','.join(map(str, deg))})  {v}" for (g, deg), v in table.sorted_items()]
+    return "\n".join(lines + (items or ["  (all entries zero)"]))
 
 
 def render_kelem_text(e: KElem) -> str:

@@ -46,7 +46,7 @@ import operator
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping
 
 from .series import LAMBDA, LaurentSeries, _as_fraction
@@ -133,7 +133,7 @@ class InvariantTable:
     normalises keys and values and rejects two keys that name one cell;
     ``_checked_layers`` checks the bounds, as for a table file.  The cells
     are stored as one integer genus layer per genus; ``entries`` is a
-    read-only view of the nonzero cells as Fractions, built on first
+    read-only mapping of the nonzero cells as Fractions, built on each
     read.  Two tables are equal when their kinds, bounds and values are.
     """
 
@@ -191,7 +191,7 @@ class InvariantTable:
         out._init(kind, rank, genus_max, degree_max, tuple(layers))
         return out
 
-    @cached_property
+    @property
     def entries(self) -> Mapping[tuple[int, tuple[int, ...]], Fraction]:
         # read-only, so a validated table cannot gain an out-of-bounds cell
         return types.MappingProxyType({

@@ -613,7 +613,8 @@ def rank6_factors_generic():
     this inverts 1 - P x by the ring's linear solve over rational functions
     in x, squares it, lifts it by (x - 1)^pole and reads off the integer
     numerators of M^(k+2) times the lift, M = 1 - Pt, padded to one width.
-    Same return shape: (pole, parts, constants).
+    Returns (pole, parts, constants), to compare with the library's
+    ``(_POLE, *_rank6_factors())``.
     """
     from bps_kit.kring import Y_RING, gen_p, gen_t, ring_one
 
@@ -690,7 +691,8 @@ def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int) -> dict:
     Unlike the rest of this module it uses the library's cover series,
     summed as QRFs: it is the direct per-(degree, r) loop, which rebuilds
     a(r) and b(r) for every pair and expands each sum at the end, kept
-    as a reference for the terms of ``jmgs_rhs``, in the same order.
+    as a reference for the terms of ``jmgs_rhs``, in the same order:
+    sorted by (sum(total), total).
     Table and argument validation is left to the library.
     """
     from bps_kit.jfunctions import JmgsTerm, a_series, b_series
@@ -712,7 +714,8 @@ def jmgs_rhs_naive(gv, pairing, r_max: int, q_order: int) -> dict:
                     slot[0][j] = slot[0][j] + a_r * (value * weight)
             slot[1] = slot[1] + b_r * value
     terms = {}
-    for total, (div_parts, structure) in buckets.items():
+    for total in sorted(buckets, key=lambda d: (sum(d), d)):
+        div_parts, structure = buckets[total]
         terms[total] = JmgsTerm(
             divisor_exact=tuple(div_parts),
             divisor_expansion=tuple(p.expand(q_order) for p in div_parts),

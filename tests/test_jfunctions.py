@@ -29,7 +29,8 @@ from bps_kit.jfunctions import (
 from bps_kit.kring import X_RING, Y_RING, gen_p, gen_t, ring_one
 from bps_kit.series import QVAR, LaurentSeries, QRationalFunction
 from bps_kit.serialize import dumps, table_from_dict
-from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError
+from bps_kit.datasets import quintic_gw_table
+from bps_kit.transform import KIND_GV, InvariantTable, TableBoundError, TableKindError, gw_to_gv
 
 from oracles import (
     QRF,
@@ -533,16 +534,52 @@ def test_jmgs_rhs_builds_each_term_on_first_read(monkeypatch):
         jfunctions, "_cover_objects", lambda part, scale: built.append(part) or real(part, scale)
     )
     rhs = jmgs_rhs(gv, pairing, 3, 4)
-    # degrees, the number of parts and membership build no term
-    assert rhs.sorted_degrees() == [(1,), (2,), (3,), (4,), (6,)]
-    assert len(rhs.parts) == 5 and (4,) in rhs.parts and (5,) not in rhs.parts
+    # the parts, sorted by total degree, build no term
+    assert [total for total, _ in rhs.parts] == [(1,), (2,), (3,), (4,), (6,)]
     assert built == []
-    # the first read of terms builds every term, one divisor direction and
-    # the structure direction each; later reads build nothing
+    # a read of terms builds every term, one divisor direction and the
+    # structure direction each
     terms = rhs.terms
     assert len(built) == 2 * 5
-    assert rhs.terms is terms and len(built) == 2 * 5
     assert terms == jmgs_rhs_naive(gv, pairing, 3, 4)
+
+
+def _rank1_genus0_doc(values):
+    return {
+        "kind": "GV", "lattice_rank": 1, "genus_max": 0, "degree_max": [len(values)],
+        "entries": [{"genus": 0, "degree": [d], "value": v} for d, v in enumerate(values, 1)],
+    }
+
+
+def _loaded_pair(first, second):
+    return table_from_dict(_rank1_genus0_doc(first)), table_from_dict(_rank1_genus0_doc(second))
+
+
+def _quintic_gv_and_its_document():
+    gv = gw_to_gv(quintic_gw_table())  # a genus-0 layer over 373248, values integral
+    return gv, table_from_dict(json.loads(dumps(gv)))
+
+
+@pytest.mark.parametrize(
+    "tables",
+    [
+        lambda: _loaded_pair(["1/2", "0"], ["1/2", "0/3"]),
+        lambda: _loaded_pair(["1/2"], ["2/4"]),
+        _quintic_gv_and_its_document,
+    ],
+    ids=["0 against 0/3", "1/2 against 2/4", "gw_to_gv output against its document"],
+)
+def test_equal_tables_give_equal_right_hand_sides(tables):
+    # the tables' genus-0 layers have different denominators; S is the
+    # least common denominator of the values, so the right-hand sides agree
+    # field by field
+    a, b = tables()
+    assert a == b and a._layers[0][0] != b._layers[0][0]
+    pairing = DivisorPairing(((1,),))
+    ra, rb = jmgs_rhs(a, pairing, 3, 5), jmgs_rhs(b, pairing, 3, 5)
+    assert ra == rb and hash(ra) == hash(rb)
+    assert ra.scale == math.lcm(*[v.denominator for (g, _), v in a.entries.items() if g == 0])
+    assert dumps(ra) == dumps(rb)
 
 
 def test_jmgs_rhs_rejects_a_negative_order_for_a_nonempty_table():
@@ -773,7 +810,7 @@ def i_in_x(r):
 
 
 def j_y_in_x(r):
-    constants = jfunctions._rank6_factors()[2]
+    constants = jfunctions._rank6_factors()[1]
     return jfunctions._element(Y_RING, jfunctions._j_numerators(constants, r), 0, 1)
 
 
@@ -934,9 +971,9 @@ def test_one_minus_pt_is_nilpotent_of_order_four():
     m = ONE - P * T
     assert not (m * m * m).is_zero
     assert (m * m * m * m).is_zero
-    pole, parts, constants = jfunctions._rank6_factors()
+    parts, constants = jfunctions._rank6_factors()
     assert len(parts) == 2  # M^2 and M^3
-    assert pole == 3
+    assert jfunctions._POLE == 3
     assert len(constants) == Y_RING.rank
     assert all(len(part) == Y_RING.rank for part in parts)
 
@@ -978,7 +1015,7 @@ def test_one_minus_p_whose_square_is_not_zero_is_a_hard_error(monkeypatch, fresh
 
 
 def test_rank6_factors_closed_form_matches_the_generic_inverse(fresh_rank6_factors):
-    assert jfunctions._rank6_factors() == rank6_factors_generic()
+    assert (jfunctions._POLE, *jfunctions._rank6_factors()) == rank6_factors_generic()
 
 
 @pytest.mark.parametrize("r", range(1, 31))

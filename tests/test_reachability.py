@@ -37,7 +37,6 @@ KEEP = {
     "kring.RingSpec.__repr__": _PROTOCOL,
     "series.LaurentSeries.__repr__": _PROTOCOL,
     "series.QRationalFunction.__bool__": _PROTOCOL,
-    "series.QRationalFunction.__eq__": _PROTOCOL,
     "series.QRationalFunction.__hash__": _PROTOCOL,
     "series.QRationalFunction.__repr__": _PROTOCOL,
     "transform.InvariantTable.__repr__": _PROTOCOL,

@@ -31,6 +31,7 @@ LABELS = [
     *[f"degree r = {r}" for r in range(1, 201)],
     "matches the rank-2 J-coefficients for r <= 6",
     "its JSON document, written from integers, reads back as its terms",
+    "a table, a right-hand side, a ring element and a split result unpickle equal",
 ]
 
 
