@@ -20,11 +20,13 @@ every monomial follow from these integer matrices.  Rings and elements
 are frozen dataclasses; a ring compares and hashes by identity, so
 elements of two rings built alike are never equal.
 
-Coefficients are generic: anything with commutative +, -, * works.  The
-library runs the ring arithmetic on exact rationals, and stores rational
-functions in q as coordinates without combining them; the tests run the
-same tables over rational functions in q through their oracle type, a
-subclass of QRationalFunction with field arithmetic.
+A coordinate is an int or a Fraction, stored as a Fraction, or a
+QRationalFunction; anything else (text, a float, a sympy number) raises
+TypeError.  The library runs the ring arithmetic on exact rationals, and
+stores rational functions in q as coordinates without combining them:
+the library's QRationalFunction has no operators, so arithmetic on such
+a coordinate works only through the tests' oracle type, a subclass of
+QRationalFunction with field arithmetic.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ class RingSpec:
 class KElem:
     """Element of one of the fixed quotient rings, in normal-form coordinates.
 
-    Coordinates may be Fractions or rational functions in q (or a mix);
+    Coordinates are ints or Fractions, stored as Fractions, or rational
+    functions in q (or a mix), and TypeError is raised on any other type;
     elements are equal iff their rings are the same ring and their
     coordinates agree.  ``+ - *`` raise TypeError on a coordinate of the
     library's QRationalFunction, as the builders in bps_kit.jfunctions
@@ -110,16 +113,7 @@ class KElem:
             raise ValueError(
                 f"need {self.ring.rank} coordinates, got {len(self.coords)}"
             )
-        object.__setattr__(
-            self,
-            "coords",
-            tuple(
-                [
-                    c if isinstance(c, QRationalFunction) else _as_fraction(c)
-                    for c in self.coords
-                ]
-            ),
-        )
+        object.__setattr__(self, "coords", tuple([_coordinate(c) for c in self.coords]))
 
     def _check_ring(self, other: "KElem"):
         if self.ring is not other.ring:
@@ -240,8 +234,13 @@ def ring_one(ring: RingSpec) -> KElem:
 
 def scalar(ring: RingSpec, c) -> KElem:
     coords = [Fraction(0)] * ring.rank
-    coords[0] = c if isinstance(c, QRationalFunction) else _as_fraction(c)
+    coords[0] = _coordinate(c)
     return KElem(ring, tuple(coords))
+
+
+def _coordinate(c):
+    """A coordinate as stored: a QRationalFunction as it is, an int or Fraction as a Fraction."""
+    return c if isinstance(c, QRationalFunction) else _as_fraction(c)
 
 
 def gen_p(ring: RingSpec) -> KElem:
@@ -267,16 +266,19 @@ def _times_monomial(mats: tuple[Matrix, ...], mono: tuple[int, ...], v: list) ->
 def element(ring: RingSpec, monomials: Mapping[Mono, object]) -> KElem:
     """Build an element from arbitrary monomials P^a t^b, fully reduced.
 
-    Coefficients may be Fractions or rational functions in q; the
-    integer normal forms of the monomials are combined linearly so the
-    reduction works over either coefficient domain.  A coefficient of the
-    library's QRationalFunction, which has no operators, raises TypeError.
+    Coefficients are ints, Fractions or rational functions in q, read as
+    KElem reads a coordinate (any other type raises TypeError before any
+    arithmetic); the integer normal forms of the monomials are combined
+    linearly so the reduction works over either coefficient domain.  A
+    coefficient of the library's QRationalFunction, which has no
+    operators, raises TypeError.
     """
     n_gens = len(ring.gen_matrices)
     one = _unit(ring.rank, 0)
     out = [None] * ring.rank
     for mono, coeff in monomials.items():
         a, b = mono
+        coeff = _coordinate(coeff)
         if a < 0 or b < 0:
             raise ValueError("monomials need nonnegative exponents")
         if any(mono[n_gens:]):
@@ -288,17 +290,18 @@ def element(ring: RingSpec, monomials: Mapping[Mono, object]) -> KElem:
     return KElem(ring, tuple([Fraction(0) if c is None else c for c in out]))
 
 
-def _build_ring(name: str, gens: tuple[str, ...], relations: tuple[dict, ...]) -> RingSpec:
+def _build_ring(name: str, relations: tuple[dict, ...]) -> RingSpec:
     """Z[gens] / (relations), built as a tower of simple extensions.
 
-    Relation i maps exponent tuples (ordered as `_VARS`) to integer
-    coefficients.  It is read as a polynomial c_d g^d + ... + c_0 in
-    g = gens[i] over the ring of gens[:i], and c_d must be a unit there:
+    The generators are the first ``len(relations)`` names of `_VARS`, and
+    more relations than it has names raise ValueError.  Relation i maps
+    exponent tuples (ordered as `_VARS`) to integer coefficients.  It is
+    read as a polynomial c_d g^d + ... + c_0 in g = gens[i] over the ring
+    of gens[:i], and c_d must be a unit there:
     then g^d = -c_d^-1 (c_{d-1} g^{d-1} + ... + c_0), and the old basis
     times 1, g, ..., g^(d-1) is a free Z-basis of the new ring.
     """
-    if gens != _VARS[: len(gens)]:
-        raise ValueError(f"generators must be a prefix of {_VARS}")
+    gens = _VARS[: len(relations)]
     ring = RingSpec(name, ((0,) * len(_VARS),), ("1",), (((1,),),), ())  # Z
     for i, (gen, relation) in enumerate(zip(gens, relations, strict=True)):
         if any(any(m[i + 1 :]) for m in relation):
@@ -354,5 +357,5 @@ def _build_ring(name: str, gens: tuple[str, ...], relations: tuple[dict, ...]) -
 _LINE_RELATION = {(0, 0): 1, (1, 0): -2, (2, 0): 1}
 _BUNDLE_RELATION = {(0, 0): 1, (0, 1): -1, (1, 1): -2, (1, 2): 2, (2, 2): 1, (2, 3): -1}
 
-Y_RING = _build_ring("Y", ("P", "t"), (_LINE_RELATION, _BUNDLE_RELATION))
-X_RING = _build_ring("X", ("P",), (_LINE_RELATION,))
+Y_RING = _build_ring("Y", (_LINE_RELATION, _BUNDLE_RELATION))
+X_RING = _build_ring("X", (_LINE_RELATION,))

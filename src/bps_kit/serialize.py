@@ -1,7 +1,11 @@
 """Every document the CLI reads or writes: JSON schemas, the JSON writer, text rendering.
 
 Rational values always travel as strings ("p/q" or "p") so nothing is
-ever forced through a float.  Table files carry their own bounds:
+ever forced through a float, and this module is the only code that
+reads a number from text.  The reader takes the writer's spelling and
+no other: ASCII "-?[0-9]+" or "-?[0-9]+/[0-9]+" (unreduced, with a
+nonzero denominator); "1.5", "2e3", " 3/4" and "+3" raise SchemaError.
+Table files carry their own bounds:
 
     {
       "kind": "GW" | "GV",
@@ -32,8 +36,6 @@ one scale.
 from __future__ import annotations
 
 import math
-import re
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -57,35 +59,24 @@ class SchemaError(ValueError):
     """Raised on malformed input documents (wrong shape, types, or fields)."""
 
 
-# the exponent of a spelling such as "1.5e3", as Fraction reads it
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
 def _int_pair(s) -> tuple[int, int]:
-    """Integers (num, den), den > 0, with num / den the value of ``Fraction(s)``.
+    """Integers (num, den), den > 0 and unreduced, of a value spelled as dumps writes it.
 
-    SchemaError where ``Fraction(s)`` raises.  "-?digits(/digits)" is read
-    by int(), unreduced; any other spelling goes through ``Fraction(s)``.
-    int() refuses more than ``sys.get_int_max_str_digits()`` digits, so an
-    exponent over that many (when the limit is set) is refused too, before
-    ``Fraction`` would expand it to 10^|e|.
+    The one spelling read is ASCII "-?[0-9]+" or "-?[0-9]+/[0-9]+", by
+    int().  Any other spelling, a zero denominator, and more digits than
+    int() reads raise SchemaError.
     """
     if not isinstance(s, str):
         raise SchemaError(f"rational values must be strings, got {type(s).__name__}")
     num, slash, den = s.partition("/")
-    try:
-        if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-            d = int(den) if slash else 1
-            if d:
-                return int(num), d
-            raise ZeroDivisionError(s)
-        exponent, limit = _EXPONENT.search(s), sys.get_int_max_str_digits()
-        if exponent and limit and abs(int(exponent[1])) > limit:
-            raise ValueError(f"exponent over {limit}")
-        v = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"invalid rational value {s!r}") from exc
-    return v.numerator, v.denominator
+    if s.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+        try:
+            n, d = int(num), int(den) if slash else 1
+        except ValueError as exc:  # over int()'s digit limit
+            raise SchemaError(f"invalid rational value {s!r}") from exc
+        if d:
+            return n, d
+    raise SchemaError(f"invalid rational value {s!r}")
 
 
 def _require_keys(doc: dict, required: set[str], optional: set[str], what: str):
@@ -137,8 +128,9 @@ def table_from_dict(doc) -> InvariantTable:
     first entry that has one.  Once every entry has passed, the cells go
     through the constructor's bounds check, which raises TableBoundError
     at the first bound fault and builds one integer layer per genus with
-    zero values dropped.  Each value is read as an integer pair, with no
-    Fraction built.
+    zero values dropped.  Each value is read by :func:`_int_pair` as an
+    integer pair, with no Fraction built: a spelling other than the one
+    dumps writes raises SchemaError.
     """
     _require_document_keys(
         doc, {"kind", "lattice_rank", "genus_max", "degree_max", "entries"}, "table file"

@@ -54,11 +54,10 @@ class PoleAtZeroError(ZeroDivisionError):
 
 
 def _as_fraction(x) -> Fraction:
+    """An int or a Fraction as a Fraction; text is read only by bps_kit.serialize."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot use {type(x).__name__} as an exact coefficient")
 
@@ -198,7 +197,7 @@ def _terms_str(terms, var: str) -> str:
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class LaurentSeries:
-    """Truncated Laurent series with exact rational coefficients.
+    """Truncated Laurent series with exact rational coefficients, given as ints or Fractions.
 
     Coefficients are stored densely from ``min_exp`` up to (excluding)
     ``trunc_order``.  Stored zeros are genuine zeros; exponents at or

@@ -129,9 +129,10 @@ class InvariantTable:
     """Invariants indexed by (genus, degree vector), with declared bounds.
 
     Missing entries are exact zeros.  Entries must satisfy g <= genus_max,
-    beta <= degree_max componentwise and beta != 0.  The constructor
-    normalises keys and values and rejects two keys that name one cell;
-    ``_checked_layers`` checks the bounds, as for a table file.  The cells
+    beta <= degree_max componentwise and beta != 0, and values are ints
+    or Fractions (TypeError on text).  The constructor normalises keys
+    and values and rejects two keys that name one cell; ``_checked_layers``
+    checks the bounds, as for a table file.  The cells
     are stored as one integer genus layer per genus; ``entries`` is a
     read-only mapping of the nonzero cells as Fractions, built on each
     read.  Two tables are equal when their kinds, bounds and values are.

@@ -151,7 +151,7 @@ def test_normal_forms_match_groebner_remainders():
 def test_builder_makes_the_quintic_ring_from_one_relation():
     # K(P^4) = Z[P] / ((1-P)^5): built by the same call, not a public ring
     relation = {(k, 0): math.comb(5, k) * (-1) ** k for k in range(6)}
-    ring = _build_ring("P4", ("P",), (relation,))
+    ring = _build_ring("P4", (relation,))
     assert ring.rank == 5
     assert ring.basis_names == ("1", "P", "P^2", "P^3", "P^4")
     n = ring_one(ring) - gen_p(ring)
@@ -163,7 +163,7 @@ def test_builder_makes_the_quintic_ring_from_one_relation():
 
 def test_rings_compare_by_identity():
     # a second ring built from the same relation, under the same name, is another ring
-    twin = _build_ring("X", ("P",), (kring._LINE_RELATION,))
+    twin = _build_ring("X", (kring._LINE_RELATION,))
     assert twin.table == X_RING.table and twin.basis == X_RING.basis
     assert twin != X_RING and twin == twin
     x, y = gen_p(X_RING), gen_p(twin)
@@ -173,17 +173,24 @@ def test_rings_compare_by_identity():
 
 
 @pytest.mark.parametrize(
-    "gens, relations",
+    "relations",
     [
         # 2P - 1: leading coefficient 2 is not a unit in Z
-        (("P",), ({(0, 0): -1, (1, 0): 2},)),
+        ({(0, 0): -1, (1, 0): 2},),
         # (P - 1) t + 1 over Z[P]/((1-P)^2): P - 1 is nilpotent
-        (("P", "t"), ({(0, 0): 1, (1, 0): -2, (2, 0): 1}, {(0, 0): 1, (0, 1): -1, (1, 1): 1})),
+        ({(0, 0): 1, (1, 0): -2, (2, 0): 1}, {(0, 0): 1, (0, 1): -1, (1, 1): 1}),
     ],
 )
-def test_builder_rejects_a_non_unit_leading_coefficient(gens, relations):
+def test_builder_rejects_a_non_unit_leading_coefficient(relations):
     with pytest.raises(ValueError, match="not a unit"):
-        _build_ring("bad", gens, relations)
+        _build_ring("bad", relations)
+
+
+def test_builder_refuses_more_relations_than_generator_names():
+    t_is_one = {(0, 0): -1, (0, 1): 1}
+    assert _build_ring("X", (kring._LINE_RELATION, t_is_one)).basis_names == ("1", "P")
+    with pytest.raises(ValueError, match="longer"):
+        _build_ring("bad", (kring._LINE_RELATION, t_is_one, {(0, 0): 1}))
 
 
 def test_nilpotency_structure():
@@ -287,7 +294,7 @@ def test_absorption_as_one_identity_matches_the_loop_over_m(monkeypatch, checks_
     absorption_check = checks_script.absorption_check
     assert absorption_check(m_max) and absorption_by_powers_of_q(Y_RING, m_max)
     # t^2 = 0 in place of (1-Pt)^2 (1-t) = 0: a rank-4 ring with no absorption
-    mutated = _build_ring("Y", ("P", "t"), (kring._LINE_RELATION, {(0, 2): 1}))
+    mutated = _build_ring("Y", (kring._LINE_RELATION, {(0, 2): 1}))
     monkeypatch.setattr(checks_script, "Y_RING", mutated)
     assert not absorption_check(m_max)
     assert not absorption_by_powers_of_q(mutated, m_max)

@@ -9,7 +9,8 @@ exception is a frozen dataclass, and a built value refuses assignment and
 deletion of its fields, holds nothing mutable, hashes unless its class
 sets ``__hash__ = None``, and round-trips through pickle and deepcopy
 after every public property has been read, each mapping one returns
-being read-only.
+being read-only.  A constructor takes numbers, never text: only
+bps_kit.serialize reads a number from a string.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ import dataclasses
 import functools
 import importlib
 import pickle
+import time
 from collections.abc import Mapping
 
 import pytest
 
 import bps_kit
 from bps_kit.jfunctions import DivisorPairing, a_series, i_coefficient, jmgs_rhs, split_check
+from bps_kit.kring import X_RING, KElem, element, scalar
+from bps_kit.series import QVAR, LaurentSeries
 from bps_kit.transform import KIND_GV, InvariantTable
 
 MODULE_ALL = {
@@ -214,3 +218,32 @@ def test_stored_values_round_trip_after_every_property_is_read(build):
                 view[None] = None
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.deepcopy(value) == value
+
+
+# each constructor with text in a number's place
+TEXT_AS_NUMBER = {
+    "table": lambda s: InvariantTable(KIND_GV, 1, 0, (1,), {(0, (1,)): s}),
+    "series": lambda s: LaurentSeries(QVAR, 0, [s], 1),
+    "ring_element": lambda s: KElem(X_RING, (s, 0)),
+    "scalar": lambda s: scalar(X_RING, s),
+    "element": lambda s: element(X_RING, {(0, 0): s}),
+}
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1/2", "3"])
+@pytest.mark.parametrize("build", list(TEXT_AS_NUMBER.values()), ids=list(TEXT_AS_NUMBER))
+def test_constructors_refuse_text_at_once(build, text):
+    # Fraction("1e10000000") would build a 33-million-bit numerator first
+    start = time.perf_counter()
+    with pytest.raises(TypeError, match="cannot use str as an exact coefficient"):
+        build(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_text_is_not_read_as_a_sequence_or_multiplied_out():
+    # "123" would be three coefficients, and "4" * 2 the coefficient "44"
+    with pytest.raises(TypeError):
+        LaurentSeries(QVAR, 0, "123", 3)
+    with pytest.raises(TypeError):
+        element(X_RING, {(0, 0): "3", (2, 0): "4"})
+    assert element(X_RING, {(0, 0): 3, (2, 0): 4}).coords == (-1, 8)
