@@ -9,10 +9,12 @@ Two cross-checks live here rather than in the package, as no command
 runs them: the absorption identity of the rank-6 ring, and the rank-2
 J-coefficients assembled from the cover data of a one-curve table.
 Tables the library builds from a validated table skip the constructor's
-checks, so they are put through the constructor once more here; the
-jmgs document, written from integers, is read back and compared with
-the right-hand side's own terms; and the values built on the way are
-put through pickle, as a process pool would pass them.  Everything is
+checks, so they are put through the constructor once more here and
+compared field by field, which also checks that the quintic and conifold
+outputs store their genus layers in lowest terms, as the constructor
+does; the jmgs document, written from integers, is read back and
+compared with the right-hand side's own terms; and the values built on
+the way are put through pickle, as a process pool would pass them.  Everything is
 exact; the script exits nonzero if any check fails.
 """
 

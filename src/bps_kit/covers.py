@@ -50,7 +50,10 @@ def conifold_gw_table(g_max: int, d_max: int) -> InvariantTable:
     Each genus is built as one integer layer: genus 0 over lcm(d^3),
     genus 1 over 12 lcm(d), and each genus g >= 2 over the denominator of
     its constant |B_2g| / (2g (2g-2)!), computed once, with the cell of
-    degree d that constant's numerator times d^(2g-3).
+    degree d that constant's numerator times d^(2g-3).  These are in
+    lowest terms, as ``_of_layers`` needs: at genus 0 and 1 the cell at
+    the largest p^a <= d_max is prime to p, and the cell at d = 1 of a
+    genus g >= 2 is the constant's numerator, prime to its denominator.
     """
     g_max, d_max = operator.index(g_max), operator.index(d_max)
     if d_max < 1:

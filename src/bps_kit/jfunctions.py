@@ -297,8 +297,8 @@ class JmgsTerm:
 class JmgsRhs:
     """The assembled right-hand side: 1 + sum over total degrees of terms.
 
-    ``scale`` is S, the least common denominator of the table's genus-0
-    values, and ``parts`` holds one pair (total, sums) per total degree,
+    ``scale`` is S, the denominator of the table's genus-0 layer, and
+    ``parts`` holds one pair (total, sums) per total degree,
     sorted by (sum(total), total): the :func:`_cover_sum` tuples (N, D, E)
     over S of each divisor direction and then of the structure direction.
     A value compares, hashes and pickles by these integer tuples.
@@ -334,14 +334,14 @@ def jmgs_rhs(
     GV_d * b(r, q^r) in the structure direction, at total degree r*d.
 
     The sum is linear in the cover series, so it is assembled in two
-    steps.  One pass over the sorted cells of the genus-zero layer
-    records the integer weights of each total degree per cover degree r:
+    steps.  One pass over the cells of the genus-zero layer records the
+    integer weights of each total degree per cover degree r:
     n_d * dot(v_j, d) for the j-th divisor direction and n_d for the
     structure direction, where d = total / r and GV_d = n_d / S, with S
-    the least common denominator of the layer's values.  Then each output
-    is the weighted sum over r, built with its expansion from the closed
-    forms of a and b (:func:`_cover_sum`); no cover series is built or
-    expanded.  The sums share one :class:`_CoverSetup`, so each (r set,
+    the layer's denominator (least, as layers are in lowest terms).  Then
+    each output is the weighted sum over r, built with its expansion from
+    the closed forms of a and b (:func:`_cover_sum`); no cover series is
+    built or expanded.  The sums share one :class:`_CoverSetup`, so each (r set,
     pole) pays its setup once per call and nothing outlives the call.
     Every sum stays integer tuples (N, D, E) over S, which the result
     stores once, in total degree order; the terms' rational functions
@@ -359,10 +359,7 @@ def jmgs_rhs(
         raise ValueError("r_max must be at least 1")
     if q_order < 0:
         raise ValueError("expansion order must be nonnegative")
-    scale, layer = gv._layers[0]
-    common = math.gcd(scale, *layer.values()) if scale > 1 else 1  # equal tables, one S
-    if common > 1:
-        scale, layer = scale // common, {d: n // common for d, n in layer.items()}
+    scale, layer = gv._layers[0]  # in lowest terms, so S is least
     poles = [2] * len(pairing.vectors) + [3]
     # weights[total][r] = (divisor weights..., structure weight) of d = total / r
     weights: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
@@ -544,5 +541,5 @@ def _cover_objects(part, scale: int) -> tuple[QRationalFunction, LaurentSeries]:
     """The exact sum and the expansion of a :func:`_cover_sum` result (N, D, E) over S = ``scale``."""
     num, den, sums = part
     as_fraction = Fraction if scale == 1 else lambda c: Fraction(c, scale)
-    expansion = LaurentSeries(QVAR, 0, map(as_fraction, sums), len(sums))
+    expansion = LaurentSeries(QVAR, 0, [as_fraction(c) for c in sums], len(sums))
     return _from_int_parts(num, den, scale, 1), expansion

@@ -97,8 +97,8 @@ class RingSpec:
 class KElem:
     """Element of one of the fixed quotient rings, in normal-form coordinates.
 
-    Coordinates are ints or Fractions, stored as Fractions, or rational
-    functions in q (or a mix), and TypeError is raised on any other type;
+    Coordinates (a list or tuple) are ints or Fractions, stored as Fractions,
+    or rational functions in q (or a mix), and TypeError is raised otherwise;
     elements are equal iff their rings are the same ring and their
     coordinates agree.  ``+ - *`` raise TypeError on a coordinate of the
     library's QRationalFunction, as the builders in bps_kit.jfunctions
@@ -109,6 +109,8 @@ class KElem:
     coords: tuple
 
     def __post_init__(self):
+        if not isinstance(self.coords, (list, tuple)):
+            raise TypeError(f"coords must be a list or tuple, not {type(self.coords).__name__}")
         if len(self.coords) != self.ring.rank:
             raise ValueError(
                 f"need {self.ring.rank} coordinates, got {len(self.coords)}"

@@ -127,10 +127,10 @@ def table_from_dict(doc) -> InvariantTable:
     A schema fault, a duplicate cell among them, raises SchemaError at the
     first entry that has one.  Once every entry has passed, the cells go
     through the constructor's bounds check, which raises TableBoundError
-    at the first bound fault and builds one integer layer per genus with
-    zero values dropped.  Each value is read by :func:`_int_pair` as an
-    integer pair, with no Fraction built: a spelling other than the one
-    dumps writes raises SchemaError.
+    at the first bound fault and builds one integer layer per genus in
+    lowest terms ("2/4" loads as 1/2).  Each value is read by
+    :func:`_int_pair` as an integer pair, with no Fraction built: a
+    spelling other than the one dumps writes raises SchemaError.
     """
     _require_document_keys(
         doc, {"kind", "lattice_rank", "genus_max", "degree_max", "entries"}, "table file"
@@ -282,7 +282,8 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
     Every entry has the same shape, so one ``%``-template per table is
     built from its rank and the indent.  Each genus layer is written by
     one ``%`` over that template repeated, so no entry is a string of its
-    own, and the values come from the layer, with no Fraction built.  The
+    own, and the values come from the layer, with no Fraction built and a
+    gcd per cell only in a layer over more than 1 (not integral).  The
     document is one join over the layer texts and their separators, as in
     :func:`_dump_jmgs`: no text is copied into an enclosing array first.
     """

@@ -199,7 +199,7 @@ def _terms_str(terms, var: str) -> str:
 class LaurentSeries:
     """Truncated Laurent series with exact rational coefficients, given as ints or Fractions.
 
-    Coefficients are stored densely from ``min_exp`` up to (excluding)
+    Coefficients come in a list or tuple, stored densely from ``min_exp`` up to (excluding)
     ``trunc_order``.  Stored zeros are genuine zeros; exponents at or
     above ``trunc_order`` are unknown and reading them is an error.
     A frozen value, equal to another when all four fields are; leading
@@ -214,6 +214,8 @@ class LaurentSeries:
     trunc_order: int
 
     def __init__(self, var: str, min_exp: int, coeffs, trunc_order: int):
+        if not isinstance(coeffs, (list, tuple)):
+            raise TypeError(f"coeffs must be a list or tuple, not {type(coeffs).__name__}")
         vals = [_as_fraction(c) for c in coeffs]
         if min_exp + len(vals) > trunc_order:
             keep = max(trunc_order - min_exp, 0)

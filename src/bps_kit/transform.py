@@ -32,8 +32,9 @@ these layers, so both maps read their input layers and return their
 output layers as a table.  A layer built from values is over the lcm of
 their denominators; a cover sum multiplies that by the lcm of k^(3-2h)
 over the k that occur (h <= 1 only), and a genus mix takes the lcm of
-its terms' denominators.  A cell becomes a reduced Fraction only when
-``entries`` or ``value`` is read.  Degree vectors live in the
+its terms' denominators.  ``_lowest`` then puts each in lowest terms, so
+equal tables hold equal layers, and an integral layer is over 1.  A cell
+becomes a reduced Fraction only on a read.  Degree vectors live in the
 nonnegative orthant of a rank-r lattice; k | beta means every component
 divisible by k.
 """
@@ -78,20 +79,24 @@ def degree_vectors(degree_max: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 # A genus layer is (den, {beta: num}): the nonzero cells of one genus, num / den
-# each, with den > 0 a common denominator (not necessarily the least one).
+# each, in lowest terms (gcd(den, *nums) == 1, and an empty layer is (1, {})).
 _Layer = tuple[int, dict[tuple[int, ...], int]]
 
 
+def _lowest(den: int, cells: dict[tuple[int, ...], int]) -> _Layer:
+    """The layer of the nonzero cells beta -> num / den, den > 0, divided by its content."""
+    g = math.gcd(den, *cells.values())  # den itself when there are no cells
+    return (den, cells) if g == 1 else (den // g, {beta: n // g for beta, n in cells.items()})
+
+
 def _layer(cells: dict[tuple[int, ...], tuple[int, int]]) -> _Layer:
-    """The layer of cells beta -> (num, den), den > 0: over the lcm of the dens, zeros dropped."""
+    """The layer of cells beta -> (num, den), den > 0, zeros dropped, in lowest terms."""
     den = math.lcm(*{d for _, d in cells.values()})
-    if den == 1:
-        return 1, {beta: n for beta, (n, _) in cells.items() if n}
-    return den, {beta: n * (den // d) for beta, (n, d) in cells.items() if n}
+    return _lowest(den, {beta: n * (den // d) for beta, (n, d) in cells.items() if n})
 
 
 def _checked_layers(rank, genus_max, degree_max, cells) -> tuple[_Layer, ...]:
-    """The genus layers of cells {(g, beta): (num, den)}, den > 0, within the bounds.
+    """The genus layers, in lowest terms, of cells {(g, beta): (num, den)}, den > 0, in bounds.
 
     Every table from outside the library passes here: the constructor
     and serialize.table_from_dict.  TableBoundError names the first
@@ -124,7 +129,7 @@ def _check_cell(rank, genus_max, degree_max, g, deg, in_bounds: set) -> None:
         in_bounds.add(deg)
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class InvariantTable:
     """Invariants indexed by (genus, degree vector), with declared bounds.
 
@@ -132,10 +137,11 @@ class InvariantTable:
     beta <= degree_max componentwise and beta != 0, and values are ints
     or Fractions (TypeError on text).  The constructor normalises keys
     and values and rejects two keys that name one cell; ``_checked_layers``
-    checks the bounds, as for a table file.  The cells
-    are stored as one integer genus layer per genus; ``entries`` is a
-    read-only mapping of the nonzero cells as Fractions, built on each
-    read.  Two tables are equal when their kinds, bounds and values are.
+    checks the bounds, as for a table file.  The cells are stored as
+    one integer genus layer per genus, in lowest terms, so two tables
+    are equal when their fields, that is their kinds, bounds and values,
+    are.  ``entries`` is a read-only mapping of the nonzero cells as
+    Fractions, built on each read.
     """
 
     kind: str
@@ -186,8 +192,8 @@ class InvariantTable:
     @classmethod
     def _of_layers(cls, kind, rank, genus_max, degree_max, layers) -> "InvariantTable":
         # trusted construction: the bounds are those of a validated table (or
-        # checked ints), and the layers, one per genus, hold only nonzero
-        # numerators keyed by in-bounds int vectors, so no check is run
+        # checked ints), and the layers, one per genus in lowest terms, hold
+        # only nonzero numerators keyed by in-bounds int vectors: no check runs
         out = object.__new__(cls)
         out._init(kind, rank, genus_max, degree_max, tuple(layers))
         return out
@@ -200,18 +206,6 @@ class InvariantTable:
             for g, (den, cells) in enumerate(self._layers)
             for beta, n in cells.items()
         })
-
-    def __eq__(self, other):
-        if not isinstance(other, InvariantTable):
-            return NotImplemented
-        bounds = (self.kind, self.lattice_rank, self.genus_max, self.degree_max)
-        if bounds != (other.kind, other.lattice_rank, other.genus_max, other.degree_max):
-            return False
-        return all(
-            cells.keys() == other_cells.keys()
-            and all([n * other_den == other_cells[beta] * den for beta, n in cells.items()])
-            for (den, cells), (other_den, other_cells) in zip(self._layers, other._layers)
-        )
 
     __hash__ = None
 
@@ -324,18 +318,17 @@ def _inverse_lambda_coefficients(genus_max: int) -> tuple[tuple[Fraction, ...], 
 
 
 def _genus_mix(layers: list[_Layer], matrix) -> list[_Layer]:
-    """Layer j of the result is sum_i matrix[i][j] layers[i], over one lcm."""
+    """Layer j of the result is sum_i matrix[i][j] layers[i], over one lcm, in lowest terms."""
     out = []
     for j in range(len(layers)):
-        terms = [(row[j], den, cells) for row, (den, cells) in zip(matrix, layers)]
-        terms = [(c, den, cells) for c, den, cells in terms if c and cells]
+        terms = [(r[j], den, cells) for r, (den, cells) in zip(matrix, layers) if r[j] and cells]
         common = math.lcm(*[c.denominator * den for c, den, _ in terms])
         acc: dict[tuple[int, ...], int] = {}
         for c, den, cells in terms:
             f = c.numerator * (common // (c.denominator * den))
             for beta, n in cells.items():
                 acc[beta] = acc.get(beta, 0) + f * n
-        out.append((common, {b: n for b, n in acc.items() if n}))
+        out.append(_lowest(common, {b: n for b, n in acc.items() if n}))
     return out
 
 
@@ -345,6 +338,7 @@ def _cover_sum(layers: list[_Layer], degree_max, weight) -> list[_Layer]:
     The multiples k beta inside the bounds are listed once per beta and
     shared by every genus.  weight is called once for each k up to the
     largest multiple any cell has, not up to the declared degree box.
+    Each layer is summed over den lcm(k^(3-2h)) and put in lowest terms.
     """
     betas = set().union(*[cells for _, cells in layers])
     k_maxes = {beta: min(m // d for d, m in zip(beta, degree_max) if d) for beta in betas}
@@ -366,7 +360,7 @@ def _cover_sum(layers: list[_Layer], degree_max, weight) -> list[_Layer]:
         for beta, n in cells.items():
             for k, gamma in rays[beta]:
                 acc[gamma] = acc.get(gamma, 0) + factors[k] * n
-        out.append((den * scale, {g: n for g, n in acc.items() if n}))
+        out.append(_lowest(den * scale, {g: n for g, n in acc.items() if n}))
     return out
 
 

@@ -570,11 +570,12 @@ def _quintic_gv_and_its_document():
     ids=["0 against 0/3", "1/2 against 2/4", "gw_to_gv output against its document"],
 )
 def test_equal_tables_give_equal_right_hand_sides(tables):
-    # the tables' genus-0 layers have different denominators; S is the
-    # least common denominator of the values, so the right-hand sides agree
+    # the values are spelled over different denominators, but each table
+    # stores its layers in lowest terms, so the two hold the same layers; S
+    # is the genus-0 layer's denominator, and the right-hand sides agree
     # field by field
     a, b = tables()
-    assert a == b and a._layers[0][0] != b._layers[0][0]
+    assert a == b and a._layers == b._layers
     pairing = DivisorPairing(((1,),))
     ra, rb = jmgs_rhs(a, pairing, 3, 5), jmgs_rhs(b, pairing, 3, 5)
     assert ra == rb and hash(ra) == hash(rb)

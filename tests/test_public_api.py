@@ -247,3 +247,30 @@ def test_text_is_not_read_as_a_sequence_or_multiplied_out():
     with pytest.raises(TypeError):
         element(X_RING, {(0, 0): "3", (2, 0): "4"})
     assert element(X_RING, {(0, 0): 3, (2, 0): 4}).coords == (-1, 8)
+
+
+# each constructor that takes a sequence of numbers, given a container of two
+SEQUENCE_OF_NUMBERS = {
+    "series": lambda c: LaurentSeries(QVAR, 0, c, 2),
+    "ring_element": lambda c: KElem(X_RING, c),
+}
+
+
+# containers that iterate to numbers but are not a list or tuple
+NOT_A_LIST_OR_TUPLE = {
+    "bytes": lambda: b"\x01\x02",
+    "bytearray": lambda: bytearray(b"\x01\x02"),
+    "map": lambda: map(int, "12"),
+    "generator": lambda: (c for c in (1, 2)),
+}
+
+
+@pytest.mark.parametrize(
+    "container", list(NOT_A_LIST_OR_TUPLE.values()), ids=list(NOT_A_LIST_OR_TUPLE)
+)
+@pytest.mark.parametrize("build", list(SEQUENCE_OF_NUMBERS.values()), ids=list(SEQUENCE_OF_NUMBERS))
+def test_constructors_take_only_a_list_or_tuple(build, container):
+    # b"12" would be the coefficients 49 and 50, and b"\x01\x02" the coordinates (1, 2)
+    with pytest.raises(TypeError, match="must be a list or tuple, not"):
+        build(container())
+    assert build([1, 2]) == build((1, 2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from bps_kit import transform
 from bps_kit.covers import bernoulli, conifold_gw_table
+from bps_kit.serialize import table_from_dict
 from bps_kit.transform import (
     KIND_GV,
     KIND_GW,
@@ -588,3 +590,95 @@ def test_lambda_coefficients_row_zero_is_the_conifold_constant():
     assert row[0] == 1
     for g in range(1, 21):
         assert row[g] == abs(bernoulli(2 * g)) / (2 * g * math.factorial(2 * g - 2)), g
+
+
+# --- genus layers in lowest terms ----------------------------------------------
+
+
+def assert_layers_in_lowest_terms(table):
+    for den, cells in table._layers:
+        assert den >= 1 and all(cells.values())
+        assert math.gcd(den, *cells.values()) == 1
+        assert cells or den == 1  # an empty layer is (1, {})
+
+
+def spelled(table, factors):
+    """The document of table, each value written as k*num / k*den for the next k of factors."""
+    entries = [
+        {"genus": g, "degree": list(deg), "value": f"{k * v.numerator}/{k * v.denominator}"}
+        for ((g, deg), v), k in zip(table.sorted_items(), itertools.cycle(factors))
+    ]
+    return {
+        "kind": table.kind, "lattice_rank": table.lattice_rank, "genus_max": table.genus_max,
+        "degree_max": list(table.degree_max), "entries": entries,
+    }
+
+
+def both_ways(table):
+    """The transform of table and the transform of that back."""
+    there = gv_to_gw(table) if table.kind == KIND_GV else gw_to_gv(table)
+    return [there, gv_to_gw(there) if there.kind == KIND_GV else gw_to_gv(there)]
+
+
+@given(st.sampled_from([KIND_GV, KIND_GW]).flatmap(sparse_tables), st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_layer_is_in_lowest_terms(table, data):
+    factors = data.draw(st.lists(st.integers(1, 60), min_size=1, max_size=6))
+    loaded = table_from_dict(spelled(table, factors))
+    assert loaded._layers == table._layers
+    for t in [table, loaded, *both_ways(table), *both_ways(loaded)]:
+        assert_layers_in_lowest_terms(t)
+
+
+def test_conifold_layers_are_in_lowest_terms():
+    for g in range(7):
+        for d in range(1, 31):
+            gw = conifold_gw_table(g, d)
+            assert_layers_in_lowest_terms(gw)
+            assert gw_to_gv(gw)._layers == ((1, {(1,): 1}), *[(1, {})] * g)
+
+
+def test_a_loaded_value_is_stored_as_its_fraction():
+    doc = {
+        "kind": "GV", "lattice_rank": 1, "genus_max": 1, "degree_max": [2],
+        "entries": [
+            {"genus": 0, "degree": [1], "value": "2/4"},
+            {"genus": 0, "degree": [2], "value": "0/3"},
+            {"genus": 1, "degree": [2], "value": "-6/3"},
+        ],
+    }
+    built = InvariantTable(KIND_GV, 1, 1, (2,), {(0, (1,)): Fr(1, 2), (1, (2,)): Fr(-2)})
+    assert table_from_dict(doc)._layers == built._layers == ((2, {(1,): 1}), (1, {(2,): -2}))
+
+
+@st.composite
+def small_tables(draw):
+    """A table from a space small enough that two draws are often equal.
+
+    It is built by the constructor, loaded from a document with its values
+    spelled over a random factor, or taken through both transforms.
+    """
+    kind = draw(st.sampled_from([KIND_GV, KIND_GW]))
+    genus_max = draw(st.integers(0, 1))
+    degree_max = (draw(st.integers(1, 2)),)
+    values = st.sampled_from([Fr(0), Fr(1), Fr(1, 2), Fr(-1, 3)])
+    cells = [(g, deg) for deg in degree_vectors(degree_max) for g in range(genus_max + 1)]
+    table = InvariantTable(kind, 1, genus_max, degree_max, {c: draw(values) for c in cells})
+    way = draw(st.sampled_from(["constructor", "loader", "transforms"]))
+    if way == "loader":
+        return table_from_dict(spelled(table, draw(st.lists(st.integers(1, 9), min_size=1))))
+    return both_ways(table)[1] if way == "transforms" else table
+
+
+@given(small_tables(), small_tables())
+@settings(max_examples=200, deadline=None)
+def test_tables_are_equal_exactly_when_their_bounds_and_values_are(a, b):
+    # equality reads the fields, and still means equal kinds, bounds and values
+    same = _bounds(a) == _bounds(b) and dict(a.entries) == dict(b.entries)
+    assert (a == b) is same
+    if same:
+        assert a._layers == b._layers
+
+
+def _bounds(table):
+    return table.kind, table.lattice_rank, table.genus_max, table.degree_max
