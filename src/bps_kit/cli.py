@@ -13,6 +13,7 @@ text to JSON, --output sends the primary document to a file.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import logging
@@ -33,6 +34,7 @@ from .jfunctions import (
 from .kring import NotInvertibleError
 from .serialize import (
     SchemaError,
+    _pieces,
     dumps,
     pairing_from_dict,
     render_integrality_text,
@@ -71,14 +73,15 @@ def _load_json(path: str):
         raise SchemaError(f"{path}: JSON nested too deeply") from exc
 
 
-def _emit(args, text: str) -> None:
-    # two writes, so a large document is not copied to append its newline
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
+def _emit(args, pieces) -> None:
+    # the pieces, then the newline, so a large document is never joined; a str
+    # would be written a character at a time, so a whole text comes as (text,)
+    if isinstance(pieces, str):
+        raise TypeError("_emit takes an iterable of text pieces, not a str")
+    stdout = contextlib.nullcontext(sys.stdout)
+    with open(args.output, "w", encoding="utf-8") if args.output else stdout as fh:
+        fh.writelines(pieces)
+        fh.write("\n")
 
 
 def _load_table(path: str):
@@ -97,7 +100,7 @@ def cmd_gw2gv(args) -> int:
         # the table and the report would be two JSON documents on one stdout
         raise ValueError("--json --check-integrality needs --output for the table")
     result = gw_to_gv(_load_table(args.input))
-    _emit(args, dumps(result))
+    _emit(args, _pieces(result))
     if args.check_integrality:
         report = check_integrality(result)
         print(_render_integrality(args, report))
@@ -107,13 +110,13 @@ def cmd_gw2gv(args) -> int:
 
 
 def cmd_gv2gw(args) -> int:
-    _emit(args, dumps(gv_to_gw(_load_table(args.input))))
+    _emit(args, _pieces(gv_to_gw(_load_table(args.input))))
     return EXIT_OK
 
 
 def cmd_check_integrality(args) -> int:
     report = check_integrality(_load_table(args.input))
-    _emit(args, _render_integrality(args, report))
+    _emit(args, (_render_integrality(args, report),))
     return EXIT_OK if report.is_integral else EXIT_VERIFY
 
 
@@ -126,16 +129,15 @@ def cmd_conifold(args) -> int:
     gv = gw_to_gv(gw)
     is_delta = gv == InvariantTable(KIND_GV, 1, args.gmax, (args.dmax,), {(0, (1,)): 1})
     if args.json:
-        _emit(args, dumps({"gw": gw, "gv": gv, "is_delta": is_delta}))
+        _emit(args, _pieces({"gw": gw, "gv": gv, "is_delta": is_delta}))
     else:
-        _emit(
-            args,
+        _emit(args, (
             "closed-form cover table:\n"
             + render_table_text(gw)
             + "\ntransformed table:\n"
             + render_table_text(gv)
             + f"\ndelta at (genus 0, degree 1): {'yes' if is_delta else 'NO'}",
-        )
+        ))
     return EXIT_OK if is_delta else EXIT_VERIFY
 
 
@@ -144,10 +146,7 @@ def cmd_conifold(args) -> int:
 
 def cmd_sin_series(args) -> int:
     series = sin_power_series(args.k, args.genus, args.order)
-    if args.json:
-        _emit(args, dumps(series))
-    else:
-        _emit(args, str(series))
+    _emit(args, (dumps(series) if args.json else str(series),))
     return EXIT_OK
 
 
@@ -163,11 +162,11 @@ def cmd_ab_series(args) -> int:
     b_expansion = b.expand(args.order)
     if args.json:
         doc = {"r": args.r, "a": a, "a_expansion": a_expansion, "b": b, "b_expansion": b_expansion}
-        _emit(args, dumps(doc))
+        _emit(args, (dumps(doc),))
     else:
         lines = _with_expansion("", f"a({args.r})", a, a_expansion)
         lines += _with_expansion("", f"b({args.r})", b, b_expansion)
-        _emit(args, "\n".join(lines))
+        _emit(args, ("\n".join(lines),))
     return EXIT_OK
 
 
@@ -181,9 +180,9 @@ def _rmax(args) -> int:
 def cmd_ifunction(args) -> int:
     terms = [(r, i_coefficient(r)) for r in range(1, _rmax(args) + 1)]
     if args.json:
-        _emit(args, dumps([{"r": r, "coefficient": el} for r, el in terms]))
+        _emit(args, (dumps([{"r": r, "coefficient": el} for r, el in terms]),))
     else:
-        _emit(args, "\n".join([f"degree {r}:\n{render_kelem_text(el)}" for r, el in terms]))
+        _emit(args, ("\n".join([f"degree {r}:\n{render_kelem_text(el)}" for r, el in terms]),))
     return EXIT_OK
 
 
@@ -199,7 +198,7 @@ def cmd_jfunction(args) -> int:
             lines = [f"degree {r}:", render_kelem_text(el), f"  expansions to O(q^{args.qorder}):"]
             lines += [f"  [{name}] {s}" for name, s in zip(el.ring.basis_names, series)]
             parts.append("\n".join(lines))
-    _emit(args, dumps(parts) if args.json else "\n".join(parts))
+    _emit(args, (dumps(parts) if args.json else "\n".join(parts),))
     return EXIT_OK
 
 
@@ -207,13 +206,13 @@ def cmd_split_check(args) -> int:
     report = split_check(_rmax(args))
     if args.json:
         rows = [{"r": x.r, "passed": x.passed, "residuals": x.residuals} for x in report.results]
-        _emit(args, dumps(rows))
+        _emit(args, (dumps(rows),))
     else:
         lines = [
             f"r={res.r}: {'PASS' if res.passed else 'FAIL'}" for res in report.results
         ]
         verdict = "all proper parts match" if report.all_passed else "MISMATCH FOUND"
-        _emit(args, "\n".join(lines) + f"\n{verdict}")
+        _emit(args, ("\n".join(lines) + f"\n{verdict}",))
     return EXIT_OK if report.all_passed else EXIT_VERIFY
 
 
@@ -222,7 +221,7 @@ def cmd_jmgs(args) -> int:
     pairing = DivisorPairing(pairing_from_dict(_load_json(args.pairing)))
     rhs = jmgs_rhs(gv, pairing, _rmax(args), args.qorder)
     if args.json:
-        _emit(args, dumps(rhs))
+        _emit(args, _pieces(rhs))
     else:
         lines = [f"constant term: {rhs.constant}"]
         for deg, term in rhs.terms.items():
@@ -235,7 +234,7 @@ def cmd_jmgs(args) -> int:
             lines += _with_expansion(
                 "  ", "structure", term.structure_exact, term.structure_expansion
             )
-        _emit(args, "\n".join(lines))
+        _emit(args, ("\n".join(lines),))
     return EXIT_OK
 
 

@@ -30,11 +30,13 @@ in any other variable as "laurent_series"; a KElem as "ring_element"; an
 IntegralityReport as its report; an InvariantTable as its table
 document; and a ``JmgsRhs(lattice_rank, r_max, q_order, scale, parts)``
 as the jmgs document, written from its integer parts (N, D, E) over its
-one scale.
+one scale.  The CLI writes each document from :func:`_pieces`: the same
+text, a genus layer or a jmgs term at a time, with no joined copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -202,6 +204,28 @@ def dumps(doc) -> str:
     return _dump(doc, "\n")
 
 
+def _pieces(doc, nl: str = "\n"):
+    """``_dump(doc, nl)`` in pieces that join to it: a table a genus layer at a time, a jmgs
+    document a term at a time, a nonempty dict or list a key and a value at a time, and any
+    other value as one piece, so a large document is written with no joined copy."""
+    if isinstance(doc, InvariantTable):
+        yield from _table_pieces(doc, nl)
+    elif isinstance(doc, JmgsRhs):
+        yield from _jmgs_pieces(doc, nl)
+    elif isinstance(doc, (dict, list, tuple)) and doc:
+        keyed = isinstance(doc, dict)
+        keys = [encode_basestring_ascii(k) + ": " for k in doc] if keyed else [""] * len(doc)
+        inner = nl + "  "
+        sep = ("{" if keyed else "[") + inner
+        for key, value in zip(keys, doc.values() if keyed else doc):
+            yield sep + key
+            yield from _pieces(value, inner)
+            sep = "," + inner
+        yield nl + ("}" if keyed else "]")
+    else:
+        yield _dump(doc, nl)
+
+
 def _dump(doc, nl: str) -> str:
     """The writer behind dumps; ``nl`` is a newline and the indent of the line ``doc`` starts on.
 
@@ -277,15 +301,19 @@ def _dump_integrality(report: IntegralityReport, nl: str) -> str:
 
 
 def _dump_table(table: InvariantTable, nl: str) -> str:
-    """A table document, writing the entries from one template.
+    return "".join(_table_pieces(table, nl))
+
+
+def _table_pieces(table: InvariantTable, nl: str):
+    """A table document in pieces: its head, one text per genus layer, the separators, its tail.
 
     Every entry has the same shape, so one ``%``-template per table is
     built from its rank and the indent.  Each genus layer is written by
     one ``%`` over that template repeated, so no entry is a string of its
     own, and the values come from the layer, with no Fraction built and a
-    gcd per cell only in a layer over more than 1 (not integral).  The
-    document is one join over the layer texts and their separators, as in
-    :func:`_dump_jmgs`: no text is copied into an enclosing array first.
+    gcd per cell only in a layer over more than 1 (not integral).  It
+    reads only layers that the table's constructor validated, so nothing
+    raises once a file is open.
     """
     inner = nl + "  "
     entry = inner + "  "
@@ -304,31 +332,36 @@ def _dump_table(table: InvariantTable, nl: str) -> str:
     }
     items = [encode_basestring_ascii(k) + ": " + _dump(v, inner) for k, v in fields.items()]
     head = "{" + inner + ("," + inner).join(items) + "," + inner + '"entries": '
-    pieces, sep = [head + "[" + entry], "," + entry
+    if not any(layer for _, layer in table._layers):
+        yield head + "[]" + nl + "}"
+        return
+    sep, comma = head + "[" + entry, "," + entry
     for g, (den, layer) in enumerate(table._layers):
         if layer:
             degrees = sorted(layer)
             values = _ratio_strs([layer[beta] for beta in degrees], den)
             args = [x for beta, v in zip(degrees, values) for x in (g, *beta, v)]
-            pieces += [sep.join([template] * len(degrees)) % tuple(args), sep]
-    if len(pieces) == 1:
-        return head + "[]" + nl + "}"
-    pieces[-1] = inner + "]" + nl + "}"
-    return "".join(pieces)
+            yield sep
+            yield comma.join([template] * len(degrees)) % tuple(args)
+            sep = comma
+    yield inner + "]" + nl + "}"
 
 
 def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
-    """A jmgs document, written from the integer parts of the right-hand side.
+    return "".join(_jmgs_pieces(rhs, nl))
+
+
+def _jmgs_pieces(rhs: JmgsRhs, nl: str):
+    """A jmgs document in pieces: its head, one text per term, the separators, its tail.
 
     ``rhs.parts`` is in the document's order, and every part (N, D, E) is
-    over the one ``rhs.scale``.  Every term has
-    the same shape, so one ``%``-template per document, built from the
-    rank, the number of divisor directions and the indent, writes each
-    term in a single step once its arrays are written.  Each
-    distinct denominator array is written once per indent and its text
-    reused.  The document is one join over the terms and their
-    separators, so no term text is copied into an enclosing array first.
-    No term's rational functions or series are built.
+    over the one ``rhs.scale``.  Every term has the same shape, so one
+    ``%``-template per document, built from the rank, the number of
+    divisor directions and the indent, writes each term in a single step
+    once its arrays are written.  Each distinct denominator array is
+    written once per indent and its text reused.  No term's rational
+    functions or series are built.  It reads only parts that :func:`jmgs_rhs`
+    built from a validated table, so nothing raises once a file is open.
     """
     inner = nl + "  "
     term, field = inner + "  ", inner + "    "
@@ -342,7 +375,8 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
         '"terms": ',
     ])
     if not rhs.parts:
-        return head + "[]" + nl + "}"
+        yield head + "[]" + nl + "}"
+        return
     n_div = len(rhs.parts[0][1]) - 1
     template = _obj(
         term,
@@ -352,24 +386,18 @@ def _dump_jmgs(rhs: JmgsRhs, nl: str) -> str:
         '"structure": ' + _q_rational(field),
         '"structure_expansion": ' + _q_series(field, rhs.q_order),
     )
-    dens: dict[tuple[tuple[int, ...], str], str] = {}  # (denominator, indent) -> its array
-
-    def den_text(den, at):
-        text = dens.get((den, at))
-        if text is None:
-            text = dens[den, at] = _quoted(den, 1, at)
-        return text
-
-    pieces, sep, s = [head + "[" + term], "," + term, rhs.scale
+    den_text = functools.cache(lambda den, at: _quoted(den, 1, at))  # each array written once
+    sep, s = head + "[" + term, rhs.scale
     for total, (*divisor, (n, d, e)) in rhs.parts:
         values = list(total)
         for num, den, _ in divisor:
             values += [_quoted(num, s, deep), den_text(den, deep)]
         values += [_quoted(sums, s, deep) for _, _, sums in divisor]
         values += [_quoted(n, s, item), den_text(d, item), _quoted(e, s, item)]
-        pieces += [template % tuple(values), sep]
-    pieces[-1] = inner + "]" + nl + "}"
-    return "".join(pieces)
+        yield sep
+        yield template % tuple(values)
+        sep = "," + term
+    yield inner + "]" + nl + "}"
 
 
 def _quoted(ints, scale: int, at: str) -> str:

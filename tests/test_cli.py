@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,9 +17,9 @@ import pytest
 from bps_kit import cli, jfunctions, series
 from bps_kit.cli import build_parser, main
 from bps_kit.datasets import quintic_gw_table
-from bps_kit.serialize import SchemaError, table_from_dict
+from bps_kit.serialize import SchemaError, _pieces, dumps, table_from_dict
 from bps_kit.series import LaurentSeries, QRationalFunction
-from bps_kit.transform import InvariantTable, KIND_GV, KIND_GW
+from bps_kit.transform import InvariantTable, KIND_GV, KIND_GW, degree_vectors
 
 from oracles import QRF, qrf_to_dict, table_to_dict
 
@@ -87,7 +88,7 @@ def test_jfunction_json_coords_parse_back(capsys):
 
 
 def test_emit_writes_a_large_document_without_copying_it(tmp_path):
-    # the text and its newline are written apart: text + "\n" would be one
+    # the pieces and the newline are written apart: text + "\n" would be one
     # more copy of the text, next to the encoded bytes that the file write makes
     text = "x" * 10_000_000
     args = argparse.Namespace(output=str(tmp_path / "out"))
@@ -95,7 +96,7 @@ def test_emit_writes_a_large_document_without_copying_it(tmp_path):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        cli._emit(args, text)
+        cli._emit(args, (text,))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -497,6 +498,129 @@ def test_cli_golden_json(tmp_path, capsys, golden, argv, code):
     stdout = GOLDEN / f"{stem}.stdout.{suffix}"
     expected = stdout.read_bytes() if stdout.exists() else b""
     assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+# Without --output the document goes to stdout, followed by whatever the
+# command prints besides it.  gw2gv --json --check-integrality needs --output.
+STDOUT_CASES = [
+    case for case in GOLDEN_CASES if not {"--json", "--check-integrality"} <= set(case[1])
+]
+
+
+@pytest.mark.parametrize("golden, argv, code", STDOUT_CASES, ids=[c[0] for c in STDOUT_CASES])
+def test_cli_golden_on_stdout(capsys, golden, argv, code):
+    assert main(argv) == code
+    stem, suffix = golden.rsplit(".", 1)
+    after = GOLDEN / f"{stem}.stdout.{suffix}"
+    expected = (GOLDEN / golden).read_bytes() + (after.read_bytes() if after.exists() else b"")
+    assert capsys.readouterr().out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [JMGS_ARGV[:-4] + ["--rmax", "0", "--json"], ["conifold", "--gmax", "2", "--dmax", "0", "--json"]],
+    ids=["jmgs-rmax-0", "conifold-dmax-0"],
+)
+def test_a_domain_error_leaves_the_output_file_as_it_was(tmp_path, capsys, argv):
+    # the error is raised before the first piece, so the file is never opened
+    out = tmp_path / "out.json"
+    out.write_bytes(b"an earlier document\n")
+    assert main(argv + ["--output", str(out)]) == 2
+    assert out.read_bytes() == b"an earlier document\n"
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("domain error: ") and "must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        JMGS_ARGV + ["--json"],
+        ["gv2gw", str(GOLDEN / "integrality_pass_gv.json"), "--json"],
+        ["conifold", "--gmax", "2", "--dmax", "4", "--json"],
+        ["split-check", "--rmax", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_output_in_a_missing_directory_is_an_input_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert not out.parent.exists()
+
+
+def test_emit_refuses_a_str(tmp_path):
+    # writelines would write a str one character at a time; a text is passed as (text,)
+    out = tmp_path / "out"
+    out.write_text("kept", encoding="utf-8")
+    with pytest.raises(TypeError, match="not a str"):
+        cli._emit(argparse.Namespace(output=str(out)), "a document")
+    assert out.read_text(encoding="utf-8") == "kept"
+
+
+def writer_peak(monkeypatch, argv):
+    """The document that ``main(argv)`` writes, and the peak traced memory from the
+    moment its pieces are asked for to the end of the call, above what was live
+    then: the writer's peak above the value it writes and all else still loaded."""
+    pieces, marks = cli._pieces, []
+
+    def marked(doc):
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        marks.append((doc, live))
+        return pieces(doc)
+
+    monkeypatch.setattr(cli, "_pieces", marked)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((doc, live),) = marks
+    return doc, peak - live
+
+
+def test_jmgs_output_is_written_a_term_at_a_time(monkeypatch, tmp_path):
+    # at 10x10, rmax 8, qorder 24 the writer peaked at 7.4 times the largest
+    # term's text above the loaded right-hand side: the pieces in flight, the
+    # denominator arrays it reuses, and the file's buffers.  Joining the 3 MB
+    # document first peaked at 656 times it.
+    rng = random.Random(10)
+    entries = {
+        (0, d): Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** (3 + 2 * sum(d))))
+        for d in degree_vectors((10, 10))
+    }
+    gv, pairing, out = tmp_path / "gv.json", tmp_path / "pairing.json", tmp_path / "out.json"
+    gv.write_text(dumps(InvariantTable(KIND_GV, 2, 0, (10, 10), entries)), encoding="utf-8")
+    write_json(pairing, {"vectors": [[1, 0], [0, 1]]})
+    argv = ["jmgs", "--gv", str(gv), "--pairing", str(pairing), "--rmax", "8", "--qorder", "24"]
+    rhs, peak = writer_peak(monkeypatch, argv + ["--json", "--output", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == dumps(rhs) + "\n" and len(text) > 2_000_000
+    largest_term = max(map(len, _pieces(rhs)))
+    assert peak < 10 * largest_term
+
+
+def test_gv2gw_output_is_written_a_genus_layer_at_a_time(monkeypatch, tmp_path):
+    # on a 16x16 genus-4 table the writer peaked at 3.2 times the largest
+    # layer's text above the transformed table: one layer's % step and the
+    # file's buffers.  Joining the document first peaked at 9.8 times it.
+    rng = random.Random(16)
+    entries = {}
+    for g in range(5):
+        for d in degree_vectors((16, 16)):
+            top = 2875 * 438 ** (sum(d) - 1)  # the quintic's growth: 284 bits at degree 32
+            entries[(g, d)] = rng.choice((-1, 1)) * rng.randint(top // 10 + 1, top)
+    gv, out = tmp_path / "gv.json", tmp_path / "gw.json"
+    gv.write_text(dumps(InvariantTable(KIND_GV, 2, 4, (16, 16), entries)), encoding="utf-8")
+    gw, peak = writer_peak(monkeypatch, ["gv2gw", str(gv), "--json", "--output", str(out)])
+    text = out.read_text(encoding="utf-8")
+    assert text == dumps(gw) + "\n" and len(text) > 200_000
+    largest_layer = max(map(len, _pieces(gw)))
+    assert peak < 5 * largest_layer
 
 
 # Every q-rational object on these commands is built from integer numerators

@@ -19,7 +19,14 @@ from hypothesis import strategies as st
 from bps_kit.cli import main
 from bps_kit.jfunctions import DivisorPairing, jmgs_rhs
 from bps_kit.kring import X_RING, Y_RING, KElem
-from bps_kit.serialize import SchemaError, _int_pair, dumps, pairing_from_dict, table_from_dict
+from bps_kit.serialize import (
+    SchemaError,
+    _int_pair,
+    _pieces,
+    dumps,
+    pairing_from_dict,
+    table_from_dict,
+)
 from bps_kit.series import LAMBDA, QVAR, LaurentSeries, QRationalFunction
 from bps_kit.transform import (
     KIND_GV,
@@ -221,9 +228,10 @@ def test_dump_jmgs_edge_shapes(table, vectors, r_max, q_order):
 
 
 def test_dump_jmgs_writes_a_large_document_without_copying_it():
-    # the document is one join over its terms: beside the terms' own texts,
-    # the result is the one full copy (an enclosing array, then an object,
-    # each joined apart, were two more)
+    # dumps joins the terms' pieces once: beside the terms' own texts, the
+    # result is the one full copy (an enclosing array, then an object, each
+    # joined apart, were two more).  The CLI writes the pieces themselves and
+    # keeps no full copy at all (tests/test_cli.py)
     rng = random.Random(10)
     entries = {
         (0, d): Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** (3 + 2 * sum(d))))
@@ -244,10 +252,11 @@ def test_dump_jmgs_writes_a_large_document_without_copying_it():
 
 
 def test_dump_table_writes_a_large_document_without_copying_it():
-    # each genus layer is written by one % over its entries' template, and the
-    # document is one join over the layers: beside the layer texts, the result
+    # each genus layer is written by one % over its entries' template, and
+    # dumps joins the layers' pieces once: beside the layer texts, the result
     # is the one full copy.  Joining the cells, then the entries array, then
     # the object, each apart, peaked at 4.5x the text; this writes at 2.2x.
+    # The CLI writes the pieces themselves and keeps no full copy at all.
     rng = random.Random(16)
     entries = {}
     for g in range(5):
@@ -265,6 +274,40 @@ def test_dump_table_writes_a_large_document_without_copying_it():
         tracemalloc.stop()
     assert len(text) > 200_000
     assert peak < 2.5 * len(text)
+
+
+# --- the pieces the CLI writes, one genus layer or one term at a time: they join
+# to dumps, and the text is standard JSON -----------------------------------------
+
+
+def assert_pieces_join_to_dumps(doc):
+    text = "".join(_pieces(doc))
+    assert text == dumps(doc)
+    assert json.dumps(json.loads(text), indent=2) == text
+
+
+@given(json_trees(3))
+def test_pieces_of_any_document_join_to_dumps(doc):
+    assert_pieces_join_to_dumps(doc)
+
+
+@given(tables(), st.booleans())
+@settings(max_examples=200)
+def test_table_pieces_join_to_dumps(table, flag):
+    # alone, and one level down, as in the conifold document
+    for doc in (table, {"gw": table, "gv": table, "is_delta": flag}, [table, flag], {}, []):
+        assert_pieces_join_to_dumps(doc)
+    layers = sum(1 for _, layer in table._layers if layer)
+    assert len(list(_pieces(table))) == 2 * layers + 1  # each layer after its separator
+
+
+@given(jmgs_inputs())
+@settings(max_examples=60, deadline=None)
+def test_jmgs_pieces_join_to_dumps(inputs):
+    rhs = jmgs_rhs(*inputs)
+    for doc in (rhs, {"rhs": rhs}, (rhs,)):
+        assert_pieces_join_to_dumps(doc)
+    assert len(list(_pieces(rhs))) == 2 * len(rhs.parts) + 1  # each term after its separator
 
 
 # --- the library values dumps writes directly, against their dict documents ----------
